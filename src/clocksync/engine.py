@@ -12,11 +12,12 @@ from __future__ import annotations
 import csv
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
-from clocksync.clock import read_local_time, sample_delay
+from clocksync.clock import CorrectionState, read_local_time, sample_delay
 from clocksync.streams import substream
 from clocksync.sync import MessagePayload, SyncConfig, SyncState
 from clocksync.topology import Network
@@ -45,25 +46,55 @@ class InitialSample:
 @dataclass
 class Trace:
     """One row per processed delivery: iteration, time, participants and
-    the full post-update estimate vectors."""
+    the receiver's post-update estimates.
 
+    A delivery changes only the receiver's (a, b, c), so each update is
+    stored as one event and the trace takes O(K) memory.  The dense
+    (K, n) estimate matrices ``a_hat``, ``b_hat`` and ``c_hat`` (row k
+    holds every node's estimate after update k) are derived from the
+    events on first access and cached.
+    """
+
+    n: int                 # number of nodes
     t: np.ndarray          # (K,) absolute time of each update
     receiver: np.ndarray   # (K,) updating node
     sender: np.ndarray     # (K,) broadcaster
-    a_hat: np.ndarray      # (K, n)
-    b_hat: np.ndarray      # (K, n)
-    c_hat: np.ndarray      # (K, n)
+    a_i: np.ndarray        # (K,) receiver's a_hat after the update
+    b_i: np.ndarray        # (K,) receiver's b_hat after the update
+    c_i: np.ndarray        # (K,) receiver's c_hat after the update
     k: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.k = np.arange(1, len(self.t) + 1)
+
+    @cached_property
+    def a_hat(self) -> np.ndarray:
+        return self._forward_fill(self.a_i, CorrectionState.a_hat)
+
+    @cached_property
+    def b_hat(self) -> np.ndarray:
+        return self._forward_fill(self.b_i, CorrectionState.b_hat)
+
+    @cached_property
+    def c_hat(self) -> np.ndarray:
+        return self._forward_fill(self.c_i, CorrectionState.c_hat)
+
+    def _forward_fill(self, values: np.ndarray, initial: float) -> np.ndarray:
+        """(K, n) matrix whose column m repeats node m's latest event
+        value, or ``initial`` before its first update."""
+        K = len(self.t)
+        # 1-based row of each node's latest update so far; 0 = none yet
+        last = np.zeros((K, self.n), dtype=np.intp)
+        last[np.arange(K), self.receiver] = self.k
+        np.maximum.accumulate(last, axis=0, out=last)
+        return np.concatenate(([initial], values))[last]
 
     def __len__(self) -> int:
         return len(self.t)
 
     def to_csv(self, path, stride: int = 1) -> None:
         """Write the trace as CSV; optional down-sampling stride."""
-        n = self.a_hat.shape[1]
+        n = self.n
         header = ["k", "t_abs", "receiver", "sender"]
         header += [f"a_hat_{m}" for m in range(n)]
         header += [f"b_hat_{m}" for m in range(n)]
@@ -93,7 +124,6 @@ class SimResult:
     send_times: dict[tuple[int, int], list[float]]
     initial_samples: dict[tuple[int, int], InitialSample]
     silent_nodes: list[int]
-    state: SyncState
 
 
 def schedule_ticks(net: Network, seed: int) -> Iterator[tuple[float, int]]:
@@ -143,7 +173,8 @@ def run(
 
     ``max_updates`` counts processed deliveries (the global iteration
     number); ``horizon`` is an absolute-time cutoff.  At least one of the
-    two must be given.
+    two must be given.  Raises ``FloatingPointError`` if the run diverges,
+    i.e. some update leaves a non-finite estimate.
     """
     if max_updates is None and horizon is None:
         raise ValueError("need max_updates or horizon")
@@ -171,12 +202,12 @@ def run(
     times: list[float] = []
     receivers: list[int] = []
     senders: list[int] = []
-    a_rows: list[list[float]] = []
-    b_rows: list[list[float]] = []
-    c_rows: list[list[float]] = []
+    a_new: list[float] = []
+    b_new: list[float] = []
+    c_new: list[float] = []
     send_times: dict[tuple[int, int], list[float]] = {key: [] for key in net.arcs}
     initials: dict[tuple[int, int], InitialSample] = {}
-    heard = [False] * net.n
+    est = state.est
 
     k = 0
     while heap and k < cap:
@@ -197,7 +228,6 @@ def run(
             tau_i = read_local_time(net.clocks[i], t, read_rngs[i])
             rec = state.process_message(i, msg, tau_i)
             k += 1
-            heard[i] = True
             send_times[(j, i)].append(t_send)
             if rec.first_message:
                 clk_j, clk_i = net.clocks[j], net.clocks[i]
@@ -212,21 +242,39 @@ def run(
             times.append(t)
             receivers.append(i)
             senders.append(j)
-            a_rows.append([s.a_hat for s in state.est])
-            b_rows.append([s.b_hat for s in state.est])
-            c_rows.append([s.c_hat for s in state.est])
+            s = est[i]
+            a_new.append(s.a_hat)
+            b_new.append(s.b_hat)
+            c_new.append(s.c_hat)
 
     trace = Trace(
-        t=np.array(times),
+        n=net.n,
+        t=np.array(times, dtype=float),
         receiver=np.array(receivers, dtype=int),
         sender=np.array(senders, dtype=int),
-        a_hat=np.array(a_rows) if a_rows else np.empty((0, net.n)),
-        b_hat=np.array(b_rows) if b_rows else np.empty((0, net.n)),
-        c_hat=np.array(c_rows) if c_rows else np.empty((0, net.n)),
+        a_i=np.array(a_new, dtype=float),
+        b_i=np.array(b_new, dtype=float),
+        c_i=np.array(c_new, dtype=float),
     )
+    _check_finite(trace)
+    heard = np.zeros(net.n, dtype=bool)
+    heard[trace.receiver] = True
     silent = [i for i in range(net.n) if not heard[i] and net.in_neighbors(i)]
     return SimResult(
         net=net, cfg=cfg, seed=seed, trace=trace,
         nu=np.array(state.nu), updates=k,
         send_times=send_times, initial_samples=initials,
-        silent_nodes=silent, state=state)
+        silent_nodes=silent)
+
+
+def _check_finite(trace: Trace) -> None:
+    """Raise on the first update that left its receiver with a non-finite
+    estimate (a diverging run), naming the iteration and the node."""
+    finite = np.isfinite(trace.a_i) & np.isfinite(trace.b_i) & np.isfinite(trace.c_i)
+    if finite.all():
+        return
+    r = int(np.argmin(finite))
+    a, b, c = (float(v[r]) for v in (trace.a_i, trace.b_i, trace.c_i))
+    raise FloatingPointError(
+        f"run diverged: node {trace.receiver[r]} has a non-finite estimate "
+        f"after iteration k={trace.k[r]} (a_hat={a}, b_hat={b}, c_hat={c})")

@@ -128,9 +128,6 @@ class SyncConfig:
 
     ``drop_t_terms`` and ``freeze_compensation`` are the two offset
     ablations (remove the linear-time guards, or pin c at zero).
-    ``post_update_drift_in_offset`` makes the offset step see the
-    drift parameter already updated at this delivery instead of the
-    pre-update value.
     """
 
     drift: DriftVariant = field(default_factory=lambda: DriftA(1))
@@ -138,8 +135,6 @@ class SyncConfig:
     steps: StepSchedule = field(default_factory=StepSchedule)
     drop_t_terms: bool = False
     freeze_compensation: bool = False
-    post_update_drift_in_offset: bool = False
-    warmup_window: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +206,14 @@ class LinkHistory:
         return n
 
 
-def anchor_index(variant: DriftVariant, l: int, warmup: bool = False) -> int | None:
+def anchor_index(variant: DriftVariant, l: int) -> int | None:
     """Past reception index m used by the increment at reception l.
 
     Returns None when the variant has no usable anchor yet (DriftA before
-    the window is full, unless warm-up shrinking is allowed; DriftC until
-    the anchor reception has happened).
+    the window is full; DriftC until the anchor reception has happened).
     """
     if isinstance(variant, DriftA):
-        if l >= variant.L:
-            return l - variant.L
-        return 0 if (warmup and l >= 1) else None
+        return l - variant.L if l >= variant.L else None
     if isinstance(variant, DriftB):
         return math.floor(variant.nu * l)
     return variant.l0 if l > variant.l0 else None
@@ -250,8 +242,6 @@ def drift_update(
     eps: float,
     gamma: float,
     tau_i_now: float,
-    *,
-    warmup: bool = False,
 ) -> tuple[float, bool]:
     """One drift correction step; returns (new a_i, whether it updated).
 
@@ -260,7 +250,7 @@ def drift_update(
     increment over the same pair of receptions.
     """
     l = hist.count  # index of the reception being processed
-    m = anchor_index(variant, l, warmup)
+    m = anchor_index(variant, l)
     if m is None:
         return a_i, False
     past = hist.get(m)
@@ -370,18 +360,15 @@ class SyncState:
         if gamma > 0.0:
             eps_a = cfg.steps.drift_step(self.nu[i], cfg.drift)
             new_a, drift_done = drift_update(
-                a_pre, msg, hist, cfg.drift, eps_a, gamma, tau_i_now,
-                warmup=cfg.warmup_window)
+                a_pre, msg, hist, cfg.drift, eps_a, gamma, tau_i_now)
         else:
             new_a = a_pre
 
         offset_done = False
         if cfg.offset is not None and gamma > 0.0:
-            a_for_offset = new_a if cfg.post_update_drift_in_offset else a_pre
             eps_b = cfg.steps.offset_step(self.nu[i])
             state.b_hat, state.c_hat = offset_update(
-                state, msg, hist, cfg.offset, eps_b, gamma, tau_i_now,
-                a_for_offset,
+                state, msg, hist, cfg.offset, eps_b, gamma, tau_i_now, a_pre,
                 drop_t_terms=cfg.drop_t_terms,
                 freeze_compensation=cfg.freeze_compensation)
             offset_done = True

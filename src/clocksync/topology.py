@@ -50,6 +50,8 @@ class Network:
     """Immutable-by-convention directed network with clock and rate data.
 
     ``arcs`` maps ``(j, i)`` (sender, receiver) to an :class:`Arc`.
+    The sorted out- and in-adjacency is built once at construction, so
+    the arc set must not change afterwards.
     """
 
     n: int
@@ -66,17 +68,25 @@ class Network:
             raise ValueError("rates must be positive, one per node")
         if len(self.clocks) != self.n:
             raise ValueError("need one ClockParams per node")
-        for (j, i) in self.arcs:
+        out: list[list[int]] = [[] for _ in range(self.n)]
+        inn: list[list[int]] = [[] for _ in range(self.n)]
+        for (j, i) in sorted(self.arcs):
             if j == i:
                 raise ValueError("self-arcs are not allowed")
             if not (0 <= j < self.n and 0 <= i < self.n):
                 raise ValueError("arc endpoints out of range")
+            out[j].append(i)
+            inn[i].append(j)
+        self._out = [tuple(nbrs) for nbrs in out]
+        self._in = [tuple(nbrs) for nbrs in inn]
 
-    def out_neighbors(self, j: int) -> list[int]:
-        return sorted(i for (jj, i) in self.arcs if jj == j)
+    def out_neighbors(self, j: int) -> tuple[int, ...]:
+        """Receivers of node j's broadcasts, in increasing order."""
+        return self._out[j]
 
-    def in_neighbors(self, i: int) -> list[int]:
-        return sorted(j for (j, ii) in self.arcs if ii == i)
+    def in_neighbors(self, i: int) -> tuple[int, ...]:
+        """Nodes whose broadcasts node i can hear, in increasing order."""
+        return self._in[i]
 
     def alphas(self) -> np.ndarray:
         return np.array([c.alpha for c in self.clocks])

@@ -24,6 +24,9 @@ import pytest
 
 from clocksync import analysis, experiments, topology
 
+# deselect with `pytest -m "not acceptance"` for a quick loop
+pytestmark = pytest.mark.acceptance
+
 SEEDS = tuple(range(10))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from clocksync import engine
-from clocksync.sync import DriftA, DriftB, OffsetA, SyncConfig
+from clocksync.sync import DriftA, DriftB, OffsetA, StepSchedule, SyncConfig
 from clocksync.topology import generate_geometric
 
 from conftest import make_line_network
@@ -81,6 +81,85 @@ class TestRun:
             assert s.tau_receiver == pytest.approx(
                 ci.alpha * s.t_recv + ci.beta + s.xi_receiver)
             assert s.t_recv - s.t_send == pytest.approx(s.delta_bar + s.eta)
+
+
+class TestDivergence:
+    def test_non_finite_estimate_raises(self):
+        net = generate_geometric(10, 0.5, 0.1, seed=0)
+        cfg = SyncConfig(steps=StepSchedule(constant_step=50.0))
+        with pytest.raises(FloatingPointError,
+                           match=r"node \d+ .* iteration k=\d+"):
+            engine.run(net, cfg, max_updates=2000, seed=0)
+
+
+class TestTraceViews:
+    @pytest.fixture(scope="class")
+    def trace(self):
+        net = generate_geometric(12, 0.4, 0.1, seed=9)
+        return engine.run(net, SyncConfig(), max_updates=600, seed=9).trace
+
+    def test_matches_loop_forward_fill(self, trace):
+        # reference: copy every node's estimate after each update
+        cur = {"a": [1.0] * trace.n, "b": [0.0] * trace.n, "c": [0.0] * trace.n}
+        rows = {key: [] for key in cur}
+        for r, i in enumerate(trace.receiver):
+            for key, vals in (("a", trace.a_i), ("b", trace.b_i), ("c", trace.c_i)):
+                cur[key][i] = vals[r]
+                rows[key].append(list(cur[key]))
+        assert np.array_equal(trace.a_hat, np.array(rows["a"]))
+        assert np.array_equal(trace.b_hat, np.array(rows["b"]))
+        assert np.array_equal(trace.c_hat, np.array(rows["c"]))
+
+    def test_consecutive_rows_differ_only_at_receiver(self, trace):
+        for view in (trace.a_hat, trace.b_hat, trace.c_hat):
+            changed = view[1:] != view[:-1]
+            others = changed.copy()
+            others[np.arange(len(others)), trace.receiver[1:]] = False
+            assert not others.any()
+
+    def test_receiver_column_holds_recorded_value(self, trace):
+        rows = np.arange(len(trace))
+        assert np.array_equal(trace.a_hat[rows, trace.receiver], trace.a_i)
+        assert np.array_equal(trace.b_hat[rows, trace.receiver], trace.b_i)
+        assert np.array_equal(trace.c_hat[rows, trace.receiver], trace.c_i)
+
+    def test_hand_built_events(self):
+        tr = engine.Trace(n=3, t=np.array([1.0, 2.0, 3.0]),
+                          receiver=np.array([1, 1, 2]), sender=np.array([0, 0, 1]),
+                          a_i=np.array([5.0, 6.0, 7.0]), b_i=np.array([0.5, 0.6, 0.7]),
+                          c_i=np.array([-1.0, -2.0, -3.0]))
+        assert np.array_equal(tr.a_hat, [[1, 5, 1], [1, 6, 1], [1, 6, 7]])
+        assert np.array_equal(tr.b_hat, [[0, 0.5, 0], [0, 0.6, 0], [0, 0.6, 0.7]])
+        assert np.array_equal(tr.c_hat, [[0, -1, 0], [0, -2, 0], [0, -2, -3]])
+
+    def test_initial_values_before_first_update(self, trace):
+        firsts = []
+        for m in range(trace.n):
+            hits = np.flatnonzero(trace.receiver == m)
+            first = hits[0] if len(hits) else len(trace)
+            firsts.append(first)
+            assert np.all(trace.a_hat[:first, m] == 1.0)
+            assert np.all(trace.b_hat[:first, m] == 0.0)
+            assert np.all(trace.c_hat[:first, m] == 0.0)
+        assert max(firsts) >= 10  # the check covers some rows
+
+    def test_views_are_cached(self, trace):
+        assert trace.a_hat is trace.a_hat
+
+    def test_empty_run_has_n_columns(self):
+        net = generate_geometric(7, 0.5, 0.1, seed=0)
+        res = engine.run(net, SyncConfig(), horizon=1e-3, seed=0)
+        assert res.updates == 0
+        for view in (res.trace.a_hat, res.trace.b_hat, res.trace.c_hat):
+            assert view.shape == (0, 7) and view.dtype == np.float64
+
+    def test_adjacency_matches_arc_scan(self):
+        net = generate_geometric(15, 0.4, 0.2, seed=3)
+        for v in range(net.n):
+            assert list(net.out_neighbors(v)) == sorted(
+                i for (j, i) in net.arcs if j == v)
+            assert list(net.in_neighbors(v)) == sorted(
+                j for (j, i) in net.arcs if i == v)
 
 
 class TestDeterminism:

@@ -165,6 +165,20 @@ class TestCli:
                      "--outdir", str(tmp_path / "empty")])
         assert code == EXIT_RUNTIME
 
+    def test_diverging_run_is_runtime_error(self, tmp_path, capsys):
+        # a constant step of 50 blows up fig1a within the first few
+        # thousand updates; no CSV full of NaN may be written
+        cfg_path = tmp_path / "cfg.json"
+        data = dict(PRESETS["fig1a"], constant_step=50, updates=2000, seeds=[0])
+        cfg_path.write_text(json.dumps(data))
+        code = main(["run", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: run diverged") and "k=" in err[0]
+        assert not list((tmp_path / "out").glob("*.csv"))
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(experiments.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
         code = main(["run", "--preset", "fig1a", "--seeds", "0",

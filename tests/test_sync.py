@@ -89,7 +89,6 @@ class TestAnchorIndex:
         assert anchor_index(v, 5) == 3
         assert anchor_index(v, 2) == 0
         assert anchor_index(v, 1) is None          # window not yet full
-        assert anchor_index(v, 1, warmup=True) == 0
 
     def test_receding_variant(self):
         v = DriftB(0.5)

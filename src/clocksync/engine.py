@@ -50,9 +50,9 @@ class Trace:
 
     A delivery changes only the receiver's (a, b, c), so each update is
     stored as one event and the trace takes O(K) memory.  The dense
-    (K, n) estimate matrices ``a_hat``, ``b_hat`` and ``c_hat`` (row k
-    holds every node's estimate after update k) are derived from the
-    events on first access and cached.
+    (K, n) estimate matrices ``a_hat``, ``b_hat`` and ``c_hat`` (one row
+    per update, holding every node's estimate after it) are derived from
+    the events on first access and cached.
     """
 
     n: int                 # number of nodes

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from clocksync.engine import SimResult
+from clocksync.engine import CSV_FLOAT_FORMAT, SimResult
 from clocksync.sync import DriftA, DriftB, DriftC, DriftVariant, OffsetB, anchor_index
 from clocksync.topology import (
     Network,
@@ -262,26 +262,27 @@ class Metrics:
 
     def to_csv(self, path, stride: int = 1) -> None:
         import csv
+        cols = (self.t, self.drift_spread, self.msd, self.offset_dispersion,
+                self.vclock_gap)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["k", "t_abs", "drift_spread", "msd",
                         "offset_dispersion", "vclock_gap"])
             for r in range(0, len(self.k), stride):
-                w.writerow([int(self.k[r]), "%.17g" % self.t[r],
-                            "%.17g" % self.drift_spread[r],
-                            "%.17g" % self.msd[r],
-                            "%.17g" % self.offset_dispersion[r],
-                            "%.17g" % self.vclock_gap[r]])
+                w.writerow([int(self.k[r])] + [CSV_FLOAT_FORMAT % c[r] for c in cols])
+
+
+def corrected_estimates(result: SimResult) -> tuple[np.ndarray, np.ndarray]:
+    """(K, n) corrected drifts ``g = a_hat * alpha`` and corrected offsets
+    ``f = a_hat * beta + b_hat`` after every update."""
+    tr = result.trace
+    return tr.a_hat * result.net.alphas(), tr.a_hat * result.net.betas() + tr.b_hat
 
 
 def metrics(result: SimResult) -> Metrics:
     """Disagreement, dispersion and virtual-clock gap along the trace."""
-    net = result.net
     tr = result.trace
-    alpha = net.alphas()
-    beta = net.betas()
-    g = tr.a_hat * alpha
-    f = tr.a_hat * beta + tr.b_hat
+    g, f = corrected_estimates(result)
     vc = g * tr.t[:, None] + f
     return Metrics(
         k=tr.k, t=tr.t, g_hat=g, f_hat=f,
@@ -405,8 +406,7 @@ def fixed_point_residual(
     tr = result.trace
     if len(tr) == 0:
         raise ValueError("empty trace")
-    g = tr.a_hat * alpha
-    f = tr.a_hat * net.betas() + tr.b_hat
+    g, f = corrected_estimates(result)
     chi = float(g[-1].mean())
     f_star = f[-1]
     c_star = tr.c_hat[-1]

@@ -18,11 +18,13 @@ from typing import Iterator
 import numpy as np
 
 from clocksync.clock import CorrectionState, read_local_time, sample_delay
-from clocksync.streams import substream
+from clocksync.streams import substream, substreams
 from clocksync.sync import MessagePayload, SyncConfig, SyncState
 from clocksync.topology import Network
 
-TRACE_FLOAT_FORMAT = "%.17g"
+#: printf format of every float written to a CSV: 17 significant digits
+#: round-trip a float64 exactly
+CSV_FLOAT_FORMAT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -103,11 +105,11 @@ class Trace:
             w = csv.writer(fh)
             w.writerow(header)
             for r in range(0, len(self.t), stride):
-                row = [int(self.k[r]), TRACE_FLOAT_FORMAT % self.t[r],
+                row = [int(self.k[r]), CSV_FLOAT_FORMAT % self.t[r],
                        int(self.receiver[r]), int(self.sender[r])]
-                row += [TRACE_FLOAT_FORMAT % v for v in self.a_hat[r]]
-                row += [TRACE_FLOAT_FORMAT % v for v in self.b_hat[r]]
-                row += [TRACE_FLOAT_FORMAT % v for v in self.c_hat[r]]
+                row += [CSV_FLOAT_FORMAT % v for v in self.a_hat[r]]
+                row += [CSV_FLOAT_FORMAT % v for v in self.b_hat[r]]
+                row += [CSV_FLOAT_FORMAT % v for v in self.c_hat[r]]
                 w.writerow(row)
 
 
@@ -182,9 +184,10 @@ def run(
         raise ValueError("horizon must be positive")
 
     state = SyncState(net, cfg)
-    read_rngs = [substream(seed, "read", i) for i in range(net.n)]
-    hear_rngs = {key: substream(seed, "hear", *key) for key in net.arcs}
-    delay_rngs = {key: substream(seed, "jitter", *key) for key in net.arcs}
+    arcs = list(net.arcs)
+    read_rngs = substreams(seed, "read", range(net.n))
+    hear_rngs = dict(zip(arcs, substreams(seed, "hear", arcs)))
+    delay_rngs = dict(zip(arcs, substreams(seed, "jitter", arcs)))
 
     ticks = schedule_ticks(net, seed)
     heap: list[tuple[float, int, int, object]] = []

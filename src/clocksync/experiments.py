@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from clocksync import analysis, engine, sync, topology
+from clocksync import analysis, clock, engine, sync, topology
 
 CONFIG_SCHEMA_VERSION = 1
 OUTPUT_ROOT_ENV = "CLOCKSYNC_OUTPUT_ROOT"
@@ -100,41 +101,40 @@ class ExperimentConfig:
             raise ConfigError("missing or unsupported schema_version")
 
         net = data.get("network", {"kind": "geometric", "n": 10, "radius": 0.5})
-        unknown = set(net) - _NETWORK_KEYS
-        if unknown:
-            raise ConfigError(f"unknown network keys: {sorted(unknown)}")
-        if net.get("kind") not in ("geometric", "file"):
-            raise ConfigError("network.kind must be 'geometric' or 'file'")
-        if net["kind"] == "file" and "path" not in net:
-            raise ConfigError("network.kind 'file' needs a path")
-        if net["kind"] == "geometric" and ("n" not in net or "radius" not in net):
-            raise ConfigError("geometric network needs n and radius")
+        _check_network(net)
 
         try:
             drift = _parse_drift(data.get("drift", {"variant": "a", "L": 1}))
             offset = _parse_offset(data.get("offset", {"variant": "a"}))
             steps = sync.StepSchedule(
-                zeta_prime=data.get("zeta_prime", 0.99),
-                zeta_second=data.get("zeta_second", 0.99),
-                constant_step=data.get("constant_step"))
+                zeta_prime=_real(data, "zeta_prime", 0.99),
+                zeta_second=_real(data, "zeta_second", 0.99),
+                constant_step=(None if data.get("constant_step") is None
+                               else _real(data, "constant_step", None)))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-        updates = int(data.get("updates", 100_000))
+        updates = _int(data, "updates", 100_000)
         if updates < 0:
             raise ConfigError("updates must be nonnegative")
-        seeds = list(data.get("seeds", range(10)))
-        stride = int(data.get("stride", 1))
+        seeds = data.get("seeds", list(range(10)))
+        if not isinstance(seeds, list) or not all(_is_int(s) for s in seeds):
+            raise ConfigError("seeds must be a list of integers")
+        stride = _int(data, "stride", 1)
         if stride < 1:
             raise ConfigError("stride must be at least 1")
         ref = data.get("reference_node")
-        if ref is not None and ref != "center" and not isinstance(ref, int):
-            raise ConfigError("reference_node must be a node id or 'center'")
+        if ref is not None and ref != "center":
+            if not _is_int(ref) or ref < 0:
+                raise ConfigError("reference_node must be a node id or 'center'")
+            if net["kind"] == "geometric" and ref >= net["n"]:
+                raise ConfigError(
+                    f"reference_node {ref} is out of range for n={net['n']}")
         return cls(network=net, drift=drift, offset=offset, steps=steps,
-                   drop_t_terms=bool(data.get("drop_t_terms", False)),
-                   freeze_compensation=bool(data.get("freeze_compensation", False)),
-                   reference_node=data.get("reference_node"),
-                   updates=updates, seeds=seeds, stride=stride)
+                   drop_t_terms=_bool(data, "drop_t_terms"),
+                   freeze_compensation=_bool(data, "freeze_compensation"),
+                   reference_node=ref,
+                   updates=updates, seeds=list(seeds), stride=stride)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -146,23 +146,107 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _int(spec: dict, key: str, default) -> int:
+    value = spec.get(key, default)
+    if not _is_int(value):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _real(spec: dict, key: str, default) -> float:
+    value = spec.get(key, default)
+    if not _is_real(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _bool(spec: dict, key: str) -> bool:
+    value = spec.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+# Ranges of the geometric network parameters: what generate_geometric and
+# the Arc, DelayModel and ClockParams validators accept, checked here so
+# that a bad config is a validation error before any seed runs.
+_NETWORK_RANGES = {
+    "radius": (lambda v: v > 0.0, "positive"),
+    "one_way_fraction": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "p_hear": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "delta_bar": (lambda v: v > 0.0, "positive"),
+    "delta_min": (lambda v: v > 0.0, "positive"),
+    "eta_sigma": (lambda v: v >= 0.0, "nonnegative"),
+    "xi_sigma": (lambda v: v >= 0.0, "nonnegative"),
+    "gamma": (lambda v: v >= 0.0, "nonnegative"),
+    "mu": (lambda v: v > 0.0, "positive"),
+}
+
+
+def _check_network(net) -> None:
+    if not isinstance(net, dict):
+        raise ConfigError("network must be a JSON object")
+    unknown = set(net) - _NETWORK_KEYS
+    if unknown:
+        raise ConfigError(f"unknown network keys: {sorted(unknown)}")
+    if net.get("kind") not in ("geometric", "file"):
+        raise ConfigError("network.kind must be 'geometric' or 'file'")
+    if net["kind"] == "file":
+        if not isinstance(net.get("path"), str):
+            raise ConfigError("network.kind 'file' needs a path")
+        return
+    if "n" not in net or "radius" not in net:
+        raise ConfigError("geometric network needs n and radius")
+    if not _is_int(net["n"]) or net["n"] < 2:
+        raise ConfigError(f"network.n must be an integer >= 2, got {net['n']!r}")
+    for key, (ok, what) in _NETWORK_RANGES.items():
+        if key in net and not (_is_real(net[key]) and ok(net[key])):
+            raise ConfigError(f"network.{key} must be {what}, got {net[key]!r}")
+    for key in ("alpha_range", "beta_range"):
+        pair = net.get(key)
+        if pair is not None and not (
+                isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(_is_real(v) for v in pair) and pair[0] <= pair[1]):
+            raise ConfigError(
+                f"network.{key} must be [low, high] with low <= high, got {pair!r}")
+    low, high = net.get("alpha_range", (1.0, 1.0))
+    if low <= 0.0 <= high:
+        raise ConfigError("network.alpha_range must not contain 0 "
+                          "(clock drifts are nonzero)")
+    if net.get("noise_dist", "normal") not in clock.NOISE_DISTS:
+        raise ConfigError(f"network.noise_dist must be one of {clock.NOISE_DISTS}")
+
+
 def _parse_drift(spec: dict) -> sync.DriftVariant:
+    if not isinstance(spec, dict):
+        raise ConfigError("drift must be a JSON object")
     unknown = set(spec) - _DRIFT_KEYS
     if unknown:
         raise ConfigError(f"unknown drift keys: {sorted(unknown)}")
     variant = spec.get("variant")
     if variant == "a":
-        return sync.DriftA(int(spec.get("L", 1)))
+        return sync.DriftA(_int(spec, "L", 1))
     if variant == "b":
-        return sync.DriftB(float(spec.get("nu", 0.5)))
+        return sync.DriftB(_real(spec, "nu", 0.5))
     if variant == "c":
-        return sync.DriftC(int(spec.get("l0", 0)))
+        return sync.DriftC(_int(spec, "l0", 0))
     raise ConfigError("drift.variant must be 'a', 'b' or 'c'")
 
 
 def _parse_offset(spec: dict | None) -> sync.OffsetVariant | None:
     if spec is None:
         return None
+    if not isinstance(spec, dict):
+        raise ConfigError("offset must be a JSON object or null")
     unknown = set(spec) - _OFFSET_KEYS
     if unknown:
         raise ConfigError(f"unknown offset keys: {sorted(unknown)}")
@@ -172,7 +256,7 @@ def _parse_offset(spec: dict | None) -> sync.OffsetVariant | None:
     if variant == "a":
         return sync.OffsetA()
     if variant == "b":
-        return sync.OffsetB(float(spec.get("sigma", 0.5)))
+        return sync.OffsetB(_real(spec, "sigma", 0.5))
     raise ConfigError("offset.variant must be 'a', 'b' or null")
 
 
@@ -298,7 +382,7 @@ def run_scaling(cfg: ExperimentConfig, node_counts, outdir) -> list[Path]:
     with open(summary_path, "w") as fh:
         fh.write("n,median_initial_msd\n")
         for n, v in summary:
-            fh.write(f"{n},{v:.17g}\n")
+            fh.write(f"{n},{engine.CSV_FLOAT_FORMAT % v}\n")
     written.append(summary_path)
     return written
 

@@ -271,16 +271,14 @@ def generate_geometric(
     alpha_range: tuple[float, float] = (0.96, 1.04),
     beta_range: tuple[float, float] = (-0.2, 0.2),
     noise_dist: str = "normal",
-    max_retries: int = 50,
 ) -> Network:
     """Generate a directed geometric random network on the unit square.
 
     Nodes are placed uniformly; pairs closer than ``radius`` get two-way
     arcs; roughly ``one_way_fraction`` of those pairs keep only one
-    direction.  The result is repaired so a spanning tree exists.  Fails
-    if no placement can be repaired within ``max_retries`` attempts
-    (cannot happen for the default repair policy, which always succeeds,
-    but guards custom subclassing of the repair step).
+    direction.  The result is repaired so a spanning tree exists
+    (:func:`repair_connectivity` merges source components until one is
+    left, so the repair always succeeds).
     """
     if n < 2:
         raise ValueError("need at least two nodes")
@@ -289,30 +287,26 @@ def generate_geometric(
     rng = substream(seed, "netgen")
     delay = DelayModel(delta_bar, eta_sigma, min(delta_min, delta_bar))
     arc = Arc(gamma, p_hear, delay)
-    for _ in range(max_retries):
-        pos = rng.uniform(0.0, 1.0, size=(n, 2))
-        arcs: dict[tuple[int, int], Arc] = {}
-        for u in range(n):
-            for v in range(u + 1, n):
-                if np.linalg.norm(pos[u] - pos[v]) < radius:
-                    if rng.random() < one_way_fraction:
-                        # one-way link, random direction
-                        if rng.random() < 0.5:
-                            arcs[(u, v)] = arc
-                        else:
-                            arcs[(v, u)] = arc
-                    else:
+    pos = rng.uniform(0.0, 1.0, size=(n, 2))
+    arcs: dict[tuple[int, int], Arc] = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if np.linalg.norm(pos[u] - pos[v]) < radius:
+                if rng.random() < one_way_fraction:
+                    # one-way link, random direction
+                    if rng.random() < 0.5:
                         arcs[(u, v)] = arc
+                    else:
                         arcs[(v, u)] = arc
-        alphas = rng.uniform(*alpha_range, size=n)
-        betas = rng.uniform(*beta_range, size=n)
-        clocks = [ClockParams(float(a), float(b), xi_sigma, noise_dist)
-                  for a, b in zip(alphas, betas)]
-        net = Network(n, arcs, np.full(n, mu), clocks, pos)
-        net = repair_connectivity(net, rng, arc_template=arc)
-        if has_spanning_tree(net):
-            return net
-    raise RuntimeError("could not generate a repairable network")
+                else:
+                    arcs[(u, v)] = arc
+                    arcs[(v, u)] = arc
+    alphas = rng.uniform(*alpha_range, size=n)
+    betas = rng.uniform(*beta_range, size=n)
+    clocks = [ClockParams(float(a), float(b), xi_sigma, noise_dist)
+              for a, b in zip(alphas, betas)]
+    net = Network(n, arcs, np.full(n, mu), clocks, pos)
+    return repair_connectivity(net, rng, arc_template=arc)
 
 
 def probability_profile(net: Network) -> ProbabilityProfile:

@@ -160,6 +160,41 @@ class TestCli:
         p.write_text("{}")
         assert main(["run", "--config", str(p)]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("over", [
+        {"network": {"kind": "geometric", "n": 6, "radius": -1}},
+        {"network": {"kind": "geometric", "n": 6, "radius": 0.6,
+                     "alpha_range": [1]}},
+        {"reference_node": True},
+        {"reference_node": 99},
+        {"seeds": ["a"]},
+        {"network": {"kind": "geometric", "n": 1, "radius": 0.6}},
+        {"network": {"kind": "geometric", "n": 6, "radius": 0.6, "p_hear": 0}},
+        {"network": {"kind": "geometric", "n": True, "radius": 0.6}},
+        {"network": {"kind": "geometric", "n": 6, "radius": 0.6,
+                     "alpha_range": [0.0, 1.0]}},
+        {"network": {"kind": "geometric", "n": 6, "radius": 0.6,
+                     "noise_dist": "cauchy"}},
+        {"drift": {"variant": "a", "L": True}},
+        {"drift": "a"},
+        {"updates": 10.5},
+        {"stride": False},
+        {"freeze_compensation": "yes"},
+        {"zeta_prime": True},
+    ], ids=["negative-radius", "short-alpha-range", "bool-reference",
+            "reference-out-of-range", "string-seed", "one-node", "p-hear-0",
+            "bool-n", "alpha-range-with-0", "unknown-noise", "bool-L",
+            "drift-not-object", "float-updates", "bool-stride",
+            "string-flag", "bool-zeta"])
+    def test_invalid_config_is_validation_error(self, tmp_path, capsys, over):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_minimal(**over)))
+        code = main(["run", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_artifacts_is_runtime_error(self, tmp_path):
         code = main(["report", "--preset", "fig1a",
                      "--outdir", str(tmp_path / "empty")])

@@ -54,12 +54,9 @@ def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarr
             np.array(mul, dtype=np.uint32)[:, None])
 
 
-# SeedSequence's mix_entropy hashes each pool word once to fill the pool,
-# then, for each source word in turn, hashes it once per other word
-_FILL_XOR, _FILL_MUL = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
-_MIX_XOR = _FILL_XOR[_POOL_SIZE:].reshape(_POOL_SIZE, _POOL_SIZE - 1, 1)
-_MIX_MUL = _FILL_MUL[_POOL_SIZE:].reshape(_POOL_SIZE, _POOL_SIZE - 1, 1)
-_FILL_XOR, _FILL_MUL = _FILL_XOR[:_POOL_SIZE], _FILL_MUL[:_POOL_SIZE]
+# mix_entropy's 16 hash steps: one per pool word to fill the pool, then
+# for each source word in turn one per other word
+_MIX_XOR, _MIX_MUL = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
 # generate_state(4, uint64) draws 8 uint32 words, cycling over the pool
 _STATE_XOR, _STATE_MUL = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
 _STATE_ROWS = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
@@ -83,10 +80,12 @@ def _pcg64_seeds(words: np.ndarray) -> np.ndarray:
             f"a stream key has at most {_POOL_SIZE} words with the seed, got {w}")
     pool = np.zeros((_POOL_SIZE, m), dtype=np.uint32)
     pool[:w] = words.T
-    pool = _hash(pool, _FILL_XOR, _FILL_MUL)
+    pool = _hash(pool, _MIX_XOR[:_POOL_SIZE], _MIX_MUL[:_POOL_SIZE])
     for src in range(_POOL_SIZE):
         dst = [i for i in range(_POOL_SIZE) if i != src]
-        hashed = _hash(pool[src], _MIX_XOR[src], _MIX_MUL[src])
+        first = _POOL_SIZE + len(dst) * src
+        steps = slice(first, first + len(dst))
+        hashed = _hash(pool[src], _MIX_XOR[steps], _MIX_MUL[steps])
         mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
         pool[dst] = mixed ^ (mixed >> _XSHIFT)
     state = _hash(pool[_STATE_ROWS], _STATE_XOR, _STATE_MUL).astype(np.uint64)

@@ -10,11 +10,12 @@ meaningful and traces bit-reproducible.
 A stream keyed by ``(seed, *key)`` is the PCG64 generator that
 ``np.random.default_rng(np.random.SeedSequence(words))`` returns for the
 uint32 words ``[seed, *key]`` (strings reduced with CRC32, integers
-masked to 32 bits).  Building one ``SeedSequence`` per stream costs about
-20 us, and a run needs one per arc twice over, so the words are hashed
-here instead: :func:`_pcg64_seeds` repeats NumPy's ``SeedSequence`` pool
-mixing and ``generate_state(4, uint64)`` as array arithmetic over all
-streams of a batch at once.  NumPy keeps ``SeedSequence`` and ``PCG64``
+masked to 32 bits).  A run needs two streams per arc and one per node,
+and building a ``SeedSequence`` for each costs far more than the
+generator itself, so the words are hashed here instead:
+:func:`_pcg64_seeds` repeats NumPy's ``SeedSequence`` pool mixing and
+``generate_state(4, uint64)`` as array arithmetic over all streams of a
+batch at once.  NumPy keeps ``SeedSequence`` and ``PCG64``
 output stable across releases (NEP 19), and ``tests/test_streams.py``
 compares every path here with ``SeedSequence`` itself.
 """
@@ -96,8 +97,6 @@ def _pcg64_seeds(words: np.ndarray) -> np.ndarray:
 
 class _FixedSeed(ISeedSequence):
     """Hands PCG64 one precomputed ``generate_state(4, uint64)`` result."""
-
-    __slots__ = ("_state",)
 
     def __init__(self, state: np.ndarray) -> None:
         self._state = state

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from clocksync.engine import CSV_FLOAT_FORMAT, SimResult
+from clocksync.engine import SimResult, write_csv
 from clocksync.sync import DriftA, DriftB, DriftC, DriftVariant, OffsetB, anchor_index
 from clocksync.topology import (
     Network,
@@ -261,15 +261,10 @@ class Metrics:
     vclock_gap: np.ndarray
 
     def to_csv(self, path, stride: int = 1) -> None:
-        import csv
-        cols = (self.t, self.drift_spread, self.msd, self.offset_dispersion,
-                self.vclock_gap)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "t_abs", "drift_spread", "msd",
-                        "offset_dispersion", "vclock_gap"])
-            for r in range(0, len(self.k), stride):
-                w.writerow([int(self.k[r])] + [CSV_FLOAT_FORMAT % c[r] for c in cols])
+        write_csv(path, ["k", "t_abs", "drift_spread", "msd",
+                         "offset_dispersion", "vclock_gap"],
+                  [self.k, self.t, self.drift_spread, self.msd,
+                   self.offset_dispersion, self.vclock_gap], stride)
 
 
 def corrected_estimates(result: SimResult) -> tuple[np.ndarray, np.ndarray]:

@@ -19,14 +19,16 @@ import numpy as np
 NOISE_DISTS = ("normal", "uniform")
 
 
-def _noise(rng: np.random.Generator, sigma: float, dist: str) -> float:
+def _noise(rng: np.random.Generator, sigma: float, dist: str, size=None):
+    """One noise draw, or a block of ``size`` draws equal to as many
+    scalar draws in turn; ``sigma == 0`` draws nothing."""
     if sigma == 0.0:
-        return 0.0
+        return 0.0 if size is None else np.zeros(size)
     if dist == "normal":
-        return rng.normal(0.0, sigma)
+        return rng.normal(0.0, sigma, size)
     if dist == "uniform":
         half = sigma * math.sqrt(3.0)
-        return rng.uniform(-half, half)
+        return rng.uniform(-half, half, size)
     raise ValueError(f"unknown noise distribution {dist!r}")
 
 
@@ -93,15 +95,18 @@ class CorrectionState:
     c_hat: float = 0.0
 
 
-def read_local_time(params: ClockParams, t: float, rng: np.random.Generator) -> float:
+def read_local_time(params: ClockParams, t, rng: np.random.Generator):
     """Read the local clock at absolute time ``t``.
 
-    Returns ``alpha * t + beta + xi`` with a fresh i.i.d. noise draw per
-    call from the caller-supplied stream.
+    Returns ``alpha * t + beta + xi`` with a fresh i.i.d. noise draw from
+    the caller-supplied stream.  ``t`` may be an array of times: one draw
+    per element, in order, the same values as one call per element.
     """
-    if not math.isfinite(t):
+    if not np.all(np.isfinite(t)):
         raise ValueError("absolute time must be finite")
-    return params.alpha * t + params.beta + _noise(rng, params.xi_sigma, params.dist)
+    size = None if np.ndim(t) == 0 else np.shape(t)
+    return params.alpha * t + params.beta + _noise(
+        rng, params.xi_sigma, params.dist, size)
 
 
 def corrected_time(state: CorrectionState, raw_local: float) -> float:
@@ -109,6 +114,10 @@ def corrected_time(state: CorrectionState, raw_local: float) -> float:
     return state.a_hat * raw_local + state.b_hat
 
 
-def sample_delay(model: DelayModel, rng: np.random.Generator) -> float:
-    """Draw one communication delay: ``max(delta_min, delta_bar + eta)``."""
-    return max(model.delta_min, model.delta_bar + _noise(rng, model.eta_sigma, model.dist))
+def sample_delay(model: DelayModel, rng: np.random.Generator, size=None):
+    """Draw one communication delay: ``max(delta_min, delta_bar + eta)``,
+    or an array of ``size`` delays equal to as many single draws."""
+    eta = _noise(rng, model.eta_sigma, model.dist, size)
+    if size is None:
+        return max(model.delta_min, model.delta_bar + eta)
+    return np.maximum(model.delta_min, model.delta_bar + eta)

@@ -5,12 +5,20 @@ clock reading, Bernoulli hearing draws on the out-arcs, and delayed
 delivery events.  Deliveries are processed one at a time in
 (time, insertion order), and every processed delivery advances the
 global iteration counter by one.
+
+None of this noise depends on the synchronization algorithm, so a run
+takes two steps: :func:`build_schedule` draws every event up to the
+stopping rule, in processing order, with the clock reading each one
+takes, and :func:`replay` walks the events, snapshotting the
+broadcaster's estimates at each tick and updating the receiver at each
+delivery.
 """
 
 from __future__ import annotations
 
-import csv
-import heapq
+import bisect
+import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
@@ -101,16 +109,36 @@ class Trace:
         header += [f"a_hat_{m}" for m in range(n)]
         header += [f"b_hat_{m}" for m in range(n)]
         header += [f"c_hat_{m}" for m in range(n)]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for r in range(0, len(self.t), stride):
-                row = [int(self.k[r]), CSV_FLOAT_FORMAT % self.t[r],
-                       int(self.receiver[r]), int(self.sender[r])]
-                row += [CSV_FLOAT_FORMAT % v for v in self.a_hat[r]]
-                row += [CSV_FLOAT_FORMAT % v for v in self.b_hat[r]]
-                row += [CSV_FLOAT_FORMAT % v for v in self.c_hat[r]]
-                w.writerow(row)
+        write_csv(path, header, [self.k, self.t, self.receiver, self.sender,
+                                 self.a_hat, self.b_hat, self.c_hat], stride)
+
+
+#: fields formatted per block of CSV rows: bounds the Python floats alive
+_CSV_BLOCK = 1 << 16
+
+
+def write_csv(path, header: list[str], columns: list[np.ndarray],
+              stride: int = 1) -> None:
+    """Write ``header`` and every ``stride``-th row of ``columns`` as CSV,
+    with the ``\r\n`` line ends of ``csv.writer``.
+
+    A (K,) column is one field and a (K, m) column m fields; integer
+    columns are written with ``%d``, float columns with
+    :data:`CSV_FLOAT_FORMAT`.  Every row goes through one ``%`` format.
+    """
+    fields: list[str] = []
+    for col in columns:
+        fmt = "%d" if np.issubdtype(col.dtype, np.integer) else CSV_FLOAT_FORMAT
+        fields += [fmt] * (col.shape[1] if col.ndim == 2 else 1)
+    row_format = ",".join(fields) + "\r\n"
+    span = stride * max(1, _CSV_BLOCK // len(fields))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), span):
+            rows = slice(lo, lo + span, stride)
+            # integers up to 2**53 pass through float64 exactly
+            block = np.column_stack([col[rows] for col in columns]).tolist()
+            fh.write("".join([row_format % tuple(row) for row in block]))
 
 
 @dataclass
@@ -139,27 +167,187 @@ def schedule_ticks(net: Network, seed: int) -> Iterator[tuple[float, int]]:
     mu_c = float(net.rates.sum())
     cum = np.cumsum(net.rates / mu_c)
     cum[-1] = 1.0
+    # bisect on a list gives np.searchsorted(side="right")'s index
+    cum = cum.tolist()
+    scale = 1.0 / mu_c
     t = 0.0
     while True:
-        t += rng.exponential(1.0 / mu_c)
-        j = int(np.searchsorted(cum, rng.random(), side="right"))
-        yield t, j
+        t += rng.exponential(scale)
+        yield t, bisect.bisect_right(cum, rng.random())
+
+
+@dataclass(frozen=True)
+class Deliveries:
+    """The heard messages of a block of one sender's ticks."""
+
+    tick: np.ndarray      # (m,) position of the message's tick in the block
+    receiver: np.ndarray  # (m,)
+    t: np.ndarray         # (m,) delivery time
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 def broadcast(
     net: Network,
     j: int,
-    t: float,
+    times: np.ndarray,
     hear_rngs: dict,
     delay_rngs: dict,
-) -> list[tuple[float, int]]:
-    """Hearing and delay draws for one tick; returns (delivery time, receiver)."""
-    out = []
-    for i in net.out_neighbors(j):
-        arc = net.arcs[(j, i)]
-        if hear_rngs[(j, i)].random() < arc.p_hear:
-            d = sample_delay(arc.delay, delay_rngs[(j, i)])
-            out.append((t + d, i))
+) -> Deliveries:
+    """Hearing and delay draws for node j's ticks at ``times``.
+
+    Each out-arc draws one hearing variate per tick and one delay per
+    heard tick from its own streams, each as one block, which equals the
+    scalar draws tick by tick.  Messages are grouped by out-arc.
+    """
+    out = net.out_neighbors(j)
+    arcs = [net.arcs[(j, i)] for i in out]
+    draws = np.array([hear_rngs[(j, i)].random(len(times)) for i in out])
+    heard = draws.reshape(len(out), len(times)) < np.array(
+        [arc.p_hear for arc in arcs]).reshape(-1, 1)
+    row, tick = np.nonzero(heard)
+    delays = [sample_delay(arc.delay, delay_rngs[(j, i)], m) for i, arc, m
+              in zip(out, arcs, np.count_nonzero(heard, axis=1).tolist()) if m]
+    return Deliveries(tick, np.array(out, dtype=np.intp)[row],
+                      times[tick] + (np.concatenate(delays) if delays else 0.0))
+
+
+@dataclass
+class Schedule:
+    """Every event of one run, in processing order, with the raw clock
+    reading it takes: the broadcaster's at a tick, the receiver's at a
+    delivery.  Event e is tick ``tick[e]`` itself when ``receiver[e]`` is
+    -1, and a delivery of it otherwise."""
+
+    t: np.ndarray            # (E,) absolute time
+    tick: np.ndarray         # (E,) index of the event's tick
+    receiver: np.ndarray     # (E,) receiving node, -1 at a tick
+    tau: np.ndarray          # (E,) raw reading
+    tick_t: list[float]      # (G,) time of each tick
+    tick_sender: np.ndarray  # (G,) broadcaster of each tick
+
+
+def build_schedule(
+    net: Network,
+    seed: int,
+    max_updates: int | None,
+    horizon: float | None,
+) -> Schedule:
+    """Draw every event of a run up to its stopping rule.
+
+    Events are pushed in the sequence tick 0, the deliveries of tick 0
+    in out-neighbour order, tick 1, ...  Each is pushed while an event
+    with no later time is processed, so the processing order is the
+    stable sort of that sequence on time: the pop order of a heap keyed
+    by (time, insertion).  No tick not yet drawn, nor any of its
+    deliveries, can come before the last tick drawn, so ticks are drawn
+    in chunks, sized from the expected deliveries per tick, until the
+    stopping rule (the ``max_updates``-th delivery, or the last event at
+    or before ``horizon``) falls before it; what was drawn for later
+    ticks is never read.  Hearing and jitter are drawn per arc and
+    chunk, readings per node in processing order, each as one block.
+    """
+    n = net.n
+    arcs = list(net.arcs)
+    hear_rngs = dict(zip(arcs, substreams(seed, "hear", arcs)))
+    delay_rngs = dict(zip(arcs, substreams(seed, "jitter", arcs)))
+    mu_c = float(net.rates.sum())
+    per_tick = sum(float(net.rates[j]) * arc.p_hear
+                   for (j, _), arc in net.arcs.items()) / mu_c
+    if per_tick == 0.0 and horizon is None:
+        raise ValueError("a network without arcs never reaches max_updates")
+    cap = math.inf if max_updates is None else max(max_updates, 0)
+    end = math.inf if horizon is None else horizon
+    # an event's insertion key: tick g is g * slots, its delivery to
+    # node i is g * slots + i + 1, so out-neighbours keep their order
+    slots = n + 1
+
+    ticks = schedule_ticks(net, seed)
+    tick_t: list[float] = []
+    tick_j: list[int] = []
+    t = np.empty(0)
+    key = np.empty(0, dtype=np.int64)
+    todo = min(cap / per_tick if per_tick else math.inf, end * mu_c)
+    while True:
+        chunk = list(itertools.islice(ticks, int(1.05 * todo) + 16))
+        g0 = len(tick_t)
+        ct, cj = zip(*chunk)
+        tick_t += ct
+        tick_j += cj
+        ct, cj = np.array(ct), np.array(cj)
+        parts_t = [t, ct]
+        parts_key = [key, np.arange(g0, len(tick_t), dtype=np.int64) * slots]
+        by_sender = np.argsort(cj, kind="stable")
+        bounds = np.cumsum(np.bincount(cj, minlength=n)).tolist()
+        for j, lo, hi in zip(range(n), [0] + bounds, bounds):
+            if hi > lo:
+                pos = by_sender[lo:hi]
+                d = broadcast(net, j, ct[pos], hear_rngs, delay_rngs)
+                parts_t.append(d.t)
+                parts_key.append((g0 + pos[d.tick]) * slots + d.receiver + 1)
+        t, key = np.concatenate(parts_t), np.concatenate(parts_key)
+        order = np.lexsort((key, t))
+        t, key = t[order], key[order]
+
+        last = int(np.flatnonzero(key == (len(tick_t) - 1) * slots)[0])
+        delivered = np.cumsum(key % slots != 0)
+        stop = int(np.searchsorted(t, end, side="right"))
+        if cap == 0:
+            stop = 0
+        elif cap <= delivered[-1]:
+            stop = min(stop, int(np.searchsorted(delivered, cap)) + 1)
+        if stop <= last:
+            break
+        todo = min((cap - delivered[last]) / per_tick if per_tick else math.inf,
+                   (end - tick_t[-1]) * mu_c)
+
+    t, key = t[:stop], key[:stop]
+    tick, receiver = np.divmod(key, slots)
+    receiver -= 1
+    n_ticks = int(np.count_nonzero(receiver < 0))
+    tick_sender = np.array(tick_j[:n_ticks], dtype=np.intp)
+    node = np.where(receiver < 0, tick_sender[tick], receiver)
+    tau = np.empty(stop)
+    read_rngs = substreams(seed, "read", range(n))
+    by_node = np.argsort(node, kind="stable")
+    bounds = np.cumsum(np.bincount(node, minlength=n)).tolist()
+    for m, lo, hi in zip(range(n), [0] + bounds, bounds):
+        if hi > lo:
+            idx = by_node[lo:hi]
+            tau[idx] = read_local_time(net.clocks[m], t[idx], read_rngs[m])
+    return Schedule(t=t, tick=tick, receiver=receiver, tau=tau,
+                    tick_t=tick_t[:n_ticks], tick_sender=tick_sender)
+
+
+#: events replayed per chunk: bounds the Python lists the loop works on
+_REPLAY_CHUNK = 1 << 14
+
+
+def replay(state: SyncState, sched: Schedule) -> np.ndarray:
+    """Apply a schedule to ``state``: snapshot the broadcaster's estimates
+    at each tick and process each delivery.  Returns the (3, K) receiver
+    estimates a, b, c after each of the K deliveries."""
+    est, payload, process = state.est, state.payload, state.process_message
+    senders = sched.tick_sender.tolist()
+    msgs: list[MessagePayload | None] = [None] * len(senders)
+    out = np.empty((3, int(np.count_nonzero(sched.receiver >= 0))))
+    k = 0
+    for lo in range(0, len(sched.t), _REPLAY_CHUNK):
+        rows = slice(lo, lo + _REPLAY_CHUNK)
+        a, b, c = [], [], []
+        for i, g, tau in zip(sched.receiver[rows].tolist(),
+                             sched.tick[rows].tolist(), sched.tau[rows].tolist()):
+            if i < 0:
+                msgs[g] = payload(senders[g], tau)
+            else:
+                process(i, msgs[g], tau)
+                s = est[i]
+                a.append(s.a_hat)
+                b.append(s.b_hat)
+                c.append(s.c_hat)
+        out[:, k:k + len(a)] = (a, b, c)
+        k += len(a)
     return out
 
 
@@ -183,91 +371,57 @@ def run(
     if horizon is not None and horizon <= 0.0:
         raise ValueError("horizon must be positive")
 
+    sched = build_schedule(net, seed, max_updates, horizon)
     state = SyncState(net, cfg)
-    arcs = list(net.arcs)
-    read_rngs = substreams(seed, "read", range(net.n))
-    hear_rngs = dict(zip(arcs, substreams(seed, "hear", arcs)))
-    delay_rngs = dict(zip(arcs, substreams(seed, "jitter", arcs)))
-
-    ticks = schedule_ticks(net, seed)
-    heap: list[tuple[float, int, int, object]] = []
-    seq = 0
-
-    def push(time: float, kind: int, data) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (time, seq, kind, data))
-        seq += 1
-
-    t0, j0 = next(ticks)
-    push(t0, 0, j0)
-
-    cap = max_updates if max_updates is not None else 1 << 62
-    times: list[float] = []
-    receivers: list[int] = []
-    senders: list[int] = []
-    a_new: list[float] = []
-    b_new: list[float] = []
-    c_new: list[float] = []
-    send_times: dict[tuple[int, int], list[float]] = {key: [] for key in net.arcs}
-    initials: dict[tuple[int, int], InitialSample] = {}
-    est = state.est
-
-    k = 0
-    while heap and k < cap:
-        t, _, kind, data = heapq.heappop(heap)
-        if horizon is not None and t > horizon:
-            break
-        if kind == 0:  # tick of node `data`
-            j = data
-            tau = read_local_time(net.clocks[j], t, read_rngs[j])
-            msg = state.payload(j, tau)
-            for t_dlv, i in broadcast(net, j, t, hear_rngs, delay_rngs):
-                push(t_dlv, 1, (i, msg, t))
-            tn, jn = next(ticks)
-            push(tn, 0, jn)
-        else:  # delivery
-            i, msg, t_send = data
-            j = msg.sender
-            tau_i = read_local_time(net.clocks[i], t, read_rngs[i])
-            rec = state.process_message(i, msg, tau_i)
-            k += 1
-            send_times[(j, i)].append(t_send)
-            if rec.first_message:
-                clk_j, clk_i = net.clocks[j], net.clocks[i]
-                arc = net.arcs[(j, i)]
-                initials[(j, i)] = InitialSample(
-                    t_send=t_send, t_recv=t,
-                    tau_sender=msg.tau_sent, tau_receiver=tau_i,
-                    xi_sender=msg.tau_sent - (clk_j.alpha * t_send + clk_j.beta),
-                    xi_receiver=tau_i - (clk_i.alpha * t + clk_i.beta),
-                    eta=(t - t_send) - arc.delay.delta_bar,
-                    delta_bar=arc.delay.delta_bar)
-            times.append(t)
-            receivers.append(i)
-            senders.append(j)
-            s = est[i]
-            a_new.append(s.a_hat)
-            b_new.append(s.b_hat)
-            c_new.append(s.c_hat)
-
-    trace = Trace(
-        n=net.n,
-        t=np.array(times, dtype=float),
-        receiver=np.array(receivers, dtype=int),
-        sender=np.array(senders, dtype=int),
-        a_i=np.array(a_new, dtype=float),
-        b_i=np.array(b_new, dtype=float),
-        c_i=np.array(c_new, dtype=float),
-    )
+    a_i, b_i, c_i = replay(state, sched)
+    dlv = sched.receiver >= 0
+    trace = Trace(n=net.n, t=sched.t[dlv], receiver=sched.receiver[dlv],
+                  sender=sched.tick_sender[sched.tick[dlv]],
+                  a_i=a_i, b_i=b_i, c_i=c_i)
     _check_finite(trace)
+    send_times, initials = _link_records(net, sched, trace)
     heard = np.zeros(net.n, dtype=bool)
     heard[trace.receiver] = True
     silent = [i for i in range(net.n) if not heard[i] and net.in_neighbors(i)]
     return SimResult(
         net=net, cfg=cfg, seed=seed, trace=trace,
-        nu=np.array(state.nu), updates=k,
+        nu=np.array(state.nu), updates=len(trace),
         send_times=send_times, initial_samples=initials,
         silent_nodes=silent)
+
+
+def _link_records(net: Network, sched: Schedule, trace: Trace) -> tuple[dict, dict]:
+    """Per arc: the send time of every delivery, in order, and the ground
+    truth of the first one, the arcs in first-delivery order."""
+    dlv = sched.receiver >= 0
+    tick, tick_t = sched.tick[dlv], sched.tick_t
+    tick_tau = np.empty(len(tick_t))
+    tick_tau[sched.tick[~dlv]] = sched.tau[~dlv]
+    tau_sent, tau_recv = tick_tau[tick], sched.tau[dlv]
+    arcs = list(net.arcs)
+    codes = np.array([j * net.n + i for j, i in arcs], dtype=np.int64)
+    sorter = np.argsort(codes)
+    arc = sorter[np.searchsorted(codes, trace.sender * net.n + trace.receiver,
+                                 sorter=sorter)]
+    # one float object per tick, shared by its deliveries
+    by_arc = np.argsort(arc, kind="stable")
+    flat = list(map(tick_t.__getitem__, tick[by_arc].tolist()))
+    ends = np.cumsum(np.bincount(arc, minlength=len(arcs))).tolist()
+    send_times = {key: flat[lo:hi] for key, lo, hi in zip(arcs, [0] + ends, ends)}
+
+    first = np.sort(np.unique(arc, return_index=True)[1])
+    j, i = trace.sender[first], trace.receiver[first]
+    t_send = np.array(tick_t)[tick[first]]
+    t_recv = trace.t[first]
+    alpha, beta = net.alphas(), net.betas()
+    delta_bar = np.array([a.delay.delta_bar for a in net.arcs.values()])[arc[first]]
+    columns = (t_send, t_recv, tau_sent[first], tau_recv[first],
+               tau_sent[first] - (alpha[j] * t_send + beta[j]),
+               tau_recv[first] - (alpha[i] * t_recv + beta[i]),
+               (t_recv - t_send) - delta_bar, delta_bar)
+    initials = {arcs[a]: InitialSample(*values) for a, *values in
+                zip(arc[first].tolist(), *(col.tolist() for col in columns))}
+    return send_times, initials
 
 
 def _check_finite(trace: Trace) -> None:

@@ -85,6 +85,9 @@ class ExperimentConfig:
             node = self.reference_node
             if node == "center":
                 node = topology.centers(net)[0]
+            elif node >= net.n:
+                raise ConfigError(
+                    f"reference_node {node} is out of range for n={net.n}")
             net = sync.make_reference(net, node)
         return net
 
@@ -117,9 +120,7 @@ class ExperimentConfig:
         updates = _int(data, "updates", 100_000)
         if updates < 0:
             raise ConfigError("updates must be nonnegative")
-        seeds = data.get("seeds", list(range(10)))
-        if not isinstance(seeds, list) or not all(_is_int(s) for s in seeds):
-            raise ConfigError("seeds must be a list of integers")
+        seeds = _seed_list(data.get("seeds", list(range(10))))
         stride = _int(data, "stride", 1)
         if stride < 1:
             raise ConfigError("stride must be at least 1")
@@ -144,6 +145,14 @@ class ExperimentConfig:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(data)
+
+
+def _seed_list(seeds) -> list[int]:
+    if not isinstance(seeds, list) or not all(_is_int(s) for s in seeds):
+        raise ConfigError("seeds must be a list of integers")
+    if not seeds:
+        raise ConfigError("seeds must list at least one seed")
+    return seeds
 
 
 def _is_int(value) -> bool:
@@ -458,7 +467,7 @@ def _load_config(args) -> ExperimentConfig:
     cfg = (ExperimentConfig.from_file(args.config) if args.config
            else preset_config(args.preset))
     if args.seeds is not None:
-        cfg.seeds = list(args.seeds)
+        cfg.seeds = _seed_list(args.seeds)
     if args.updates is not None:
         if args.updates < 0:
             raise ConfigError("updates must be nonnegative")

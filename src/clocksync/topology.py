@@ -207,11 +207,7 @@ def centers(net: Network) -> list[int]:
     return sorted(cond.nodes[sources[0]]["members"])
 
 
-def repair_connectivity(
-    net: Network,
-    rng: np.random.Generator | None = None,
-    arc_template: Arc | None = None,
-) -> Network:
+def repair_connectivity(net: Network, arc_template: Arc | None = None) -> Network:
     """Add the fewest arcs needed for a spanning tree to exist.
 
     Source components of the condensation are merged pairwise, each time
@@ -288,25 +284,31 @@ def generate_geometric(
     delay = DelayModel(delta_bar, eta_sigma, min(delta_min, delta_bar))
     arc = Arc(gamma, p_hear, delay)
     pos = rng.uniform(0.0, 1.0, size=(n, 2))
+    # pairs u < v in row order; a pair within rounding of the radius is
+    # decided by the exact per-pair norm that defines the graph
+    first, second = np.triu_indices(n, 1)
+    diff = pos[first] - pos[second]
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    close = dist < radius
+    for p in np.flatnonzero(np.abs(dist - radius) <= 1e-9 * radius):
+        close[p] = np.linalg.norm(pos[first[p]] - pos[second[p]]) < radius
     arcs: dict[tuple[int, int], Arc] = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if np.linalg.norm(pos[u] - pos[v]) < radius:
-                if rng.random() < one_way_fraction:
-                    # one-way link, random direction
-                    if rng.random() < 0.5:
-                        arcs[(u, v)] = arc
-                    else:
-                        arcs[(v, u)] = arc
-                else:
-                    arcs[(u, v)] = arc
-                    arcs[(v, u)] = arc
+    for u, v in zip(first[close].tolist(), second[close].tolist()):
+        if rng.random() < one_way_fraction:
+            # one-way link, random direction
+            if rng.random() < 0.5:
+                arcs[(u, v)] = arc
+            else:
+                arcs[(v, u)] = arc
+        else:
+            arcs[(u, v)] = arc
+            arcs[(v, u)] = arc
     alphas = rng.uniform(*alpha_range, size=n)
     betas = rng.uniform(*beta_range, size=n)
     clocks = [ClockParams(float(a), float(b), xi_sigma, noise_dist)
               for a, b in zip(alphas, betas)]
     net = Network(n, arcs, np.full(n, mu), clocks, pos)
-    return repair_connectivity(net, rng, arc_template=arc)
+    return repair_connectivity(net, arc_template=arc)
 
 
 def probability_profile(net: Network) -> ProbabilityProfile:

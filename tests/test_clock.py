@@ -105,3 +105,28 @@ class TestSampleDelay:
         m = DelayModel(0.5, eta_sigma=0.05)
         draws = np.array([sample_delay(m, rng) for _ in range(20000)])
         assert abs(draws.mean() - 0.5) < 0.002
+
+
+class TestBlockDraws:
+    """A block of draws equals as many single draws from the same stream."""
+
+    @given(dist=st.sampled_from(["normal", "uniform"]),
+           sigma=st.sampled_from([0.0, 0.01, 0.5]), m=st.integers(0, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_readings_and_delays(self, dist, sigma, m, seed):
+        clock = ClockParams(1.01, -0.2, sigma, dist)
+        delay = DelayModel(0.1, sigma, 0.05, dist)
+        t = np.linspace(0.5, 9.0, m)
+        rng = np.random.default_rng(seed)
+        readings = read_local_time(clock, t, rng)
+        delays = sample_delay(delay, rng, m)
+        ref = np.random.default_rng(seed)
+        assert readings.tolist() == [read_local_time(clock, x, ref)
+                                     for x in t.tolist()]
+        assert delays.tolist() == [sample_delay(delay, ref) for _ in range(m)]
+        assert rng.random() == ref.random()  # both streams in the same place
+
+    def test_nonfinite_time_in_block_rejected(self):
+        with pytest.raises(ValueError):
+            read_local_time(ClockParams(1.0), np.array([1.0, math.nan]),
+                            np.random.default_rng(0))

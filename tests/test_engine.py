@@ -1,16 +1,94 @@
 """Discrete-event engine: tick scheduling, delivery ordering, determinism
 and the cross-variant common-noise property."""
 
+import heapq
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clocksync import engine
-from clocksync.sync import DriftA, DriftB, OffsetA, StepSchedule, SyncConfig
-from clocksync.topology import generate_geometric
+from clocksync.clock import read_local_time, sample_delay
+from clocksync.streams import substream, substreams
+from clocksync.sync import (
+    DriftA,
+    DriftB,
+    DriftC,
+    OffsetA,
+    OffsetB,
+    StepSchedule,
+    SyncConfig,
+    SyncState,
+)
+from clocksync.topology import Network, centers, generate_geometric, mute_in_arcs
 
 from conftest import make_line_network
+
+
+def heap_run(net, cfg, *, max_updates=None, horizon=None, seed=0) -> dict:
+    """Reference simulator: an event heap keyed by (time, insertion) that
+    draws every random number one at a time, when its event is handled.
+
+    Each tick reads the sender's clock, draws hearing and then delay per
+    out-arc in out-neighbour order, pushes the deliveries and then the
+    next tick; each delivery reads the receiver's clock and updates it.
+    """
+    state = SyncState(net, cfg)
+    arcs = list(net.arcs)
+    read_rngs = substreams(seed, "read", range(net.n))
+    hear_rngs = dict(zip(arcs, substreams(seed, "hear", arcs)))
+    delay_rngs = dict(zip(arcs, substreams(seed, "jitter", arcs)))
+    tick_rng = substream(seed, "ticks")
+    mu_c = float(net.rates.sum())
+    cum = np.cumsum(net.rates / mu_c)
+    cum[-1] = 1.0
+    tick_time = 0.0
+
+    def next_tick():
+        nonlocal tick_time
+        tick_time += tick_rng.exponential(1.0 / mu_c)
+        return tick_time, int(np.searchsorted(cum, tick_rng.random(), side="right"))
+
+    heap, seq = [], itertools.count()
+    t0, j0 = next_tick()
+    heapq.heappush(heap, (t0, next(seq), j0, None))
+    cap = max_updates if max_updates is not None else 1 << 62
+    rows = []
+    send_times = {key: [] for key in net.arcs}
+    initials = {}
+    while len(rows) < cap:
+        t, _, node, data = heapq.heappop(heap)
+        if horizon is not None and t > horizon:
+            break
+        if data is None:  # tick of `node`
+            tau = read_local_time(net.clocks[node], t, read_rngs[node])
+            msg = state.payload(node, tau)
+            for i in net.out_neighbors(node):
+                arc = net.arcs[(node, i)]
+                if hear_rngs[(node, i)].random() < arc.p_hear:
+                    d = sample_delay(arc.delay, delay_rngs[(node, i)])
+                    heapq.heappush(heap, (t + d, next(seq), i, (msg, t)))
+            tn, jn = next_tick()
+            heapq.heappush(heap, (tn, next(seq), jn, None))
+        else:  # delivery to `node`
+            msg, t_send = data
+            j, i = msg.sender, node
+            tau_i = read_local_time(net.clocks[i], t, read_rngs[i])
+            if state.process_message(i, msg, tau_i).first_message:
+                cj, ci = net.clocks[j], net.clocks[i]
+                delta_bar = net.arcs[(j, i)].delay.delta_bar
+                initials[(j, i)] = engine.InitialSample(
+                    t_send, t, msg.tau_sent, tau_i,
+                    msg.tau_sent - (cj.alpha * t_send + cj.beta),
+                    tau_i - (ci.alpha * t + ci.beta),
+                    (t - t_send) - delta_bar, delta_bar)
+            send_times[(j, i)].append(t_send)
+            s = state.est[i]
+            rows.append((t, i, j, s.a_hat, s.b_hat, s.c_hat))
+    return {"rows": rows, "nu": state.nu, "send_times": send_times,
+            "initials": initials}
 
 
 class TestScheduleTicks:
@@ -39,11 +117,92 @@ class TestScheduleTicks:
         assert freq[0] == pytest.approx(0.75, abs=0.01)
 
 
+def _cfgs():
+    return st.sampled_from([
+        SyncConfig(),
+        SyncConfig(drift=DriftA(3), offset=OffsetB(0.5)),
+        SyncConfig(drift=DriftB(0.5), offset=None),
+        SyncConfig(drift=DriftC(1), drop_t_terms=True),
+        SyncConfig(freeze_compensation=True),
+    ])
+
+
+@st.composite
+def _networks(draw):
+    n = draw(st.integers(2, 6))
+    net = generate_geometric(
+        n, draw(st.floats(0.2, 1.0)), draw(st.floats(0.0, 0.6)),
+        seed=draw(st.integers(0, 10_000)),
+        p_hear=draw(st.one_of(st.just(1.0), st.floats(0.2, 1.0))),
+        delta_bar=draw(st.sampled_from([0.05, 0.3, 2.0])),
+        eta_sigma=draw(st.sampled_from([0.0, 0.0, 0.02, 0.3])),
+        xi_sigma=draw(st.sampled_from([0.0, 0.05])),
+        noise_dist=draw(st.sampled_from(["normal", "uniform"])))
+    rates = draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n))
+    net = Network(n, net.arcs, np.array(rates), net.clocks, net.positions)
+    if draw(st.booleans()):
+        net = mute_in_arcs(net, centers(net)[0])
+    return net
+
+
+_STOPS = st.one_of(
+    st.tuples(st.integers(1, 300), st.none()),
+    st.tuples(st.none(), st.floats(0.05, 40.0)),
+    st.tuples(st.integers(1, 300), st.floats(0.05, 40.0)),
+    st.tuples(st.just(0), st.none()),
+    st.tuples(st.just(0), st.floats(0.05, 40.0)),
+)
+
+
+def assert_matches_heap(net, cfg, max_updates, horizon, seed):
+    res = engine.run(net, cfg, max_updates=max_updates, horizon=horizon,
+                     seed=seed)
+    ref = heap_run(net, cfg, max_updates=max_updates, horizon=horizon,
+                   seed=seed)
+    tr = res.trace
+    rows = list(zip(tr.t.tolist(), tr.receiver.tolist(), tr.sender.tolist(),
+                    tr.a_i.tolist(), tr.b_i.tolist(), tr.c_i.tolist()))
+    assert rows == ref["rows"]
+    assert res.updates == len(ref["rows"])
+    assert res.nu.tolist() == ref["nu"]
+    assert list(res.send_times.items()) == list(ref["send_times"].items())
+    assert list(res.initial_samples.items()) == list(ref["initials"].items())
+
+
+class TestScheduleOracle:
+    """The schedule and update loop against the event-heap reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(net=_networks(), cfg=_cfgs(), stop=_STOPS,
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_heap_loop(self, net, cfg, stop, seed):
+        assert_matches_heap(net, cfg, *stop, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties(self, seed):
+        # eta_sigma = 0: every delivery of a tick lands at the same time,
+        # so only the insertion order separates them
+        net = generate_geometric(8, 0.9, 0.0, seed=seed, eta_sigma=0.0,
+                                 p_hear=1.0, delta_bar=1.5)
+        res = engine.run(net, SyncConfig(), max_updates=400, seed=seed)
+        same = np.flatnonzero(np.diff(res.trace.t) == 0.0)
+        assert len(same) > 100
+        assert np.all(np.diff(res.trace.receiver)[same] > 0)
+        assert_matches_heap(net, SyncConfig(), 400, None, seed)
+
+
 class TestRun:
     def test_requires_a_stopping_rule(self):
         net = make_line_network()
         with pytest.raises(ValueError):
             engine.run(net, SyncConfig())
+
+    def test_network_without_arcs(self):
+        net = Network(2, {}, np.ones(2), make_line_network().clocks)
+        with pytest.raises(ValueError, match="without arcs"):
+            engine.run(net, SyncConfig(), max_updates=10)
+        res = engine.run(net, SyncConfig(), max_updates=10, horizon=20.0)
+        assert res.updates == 0 and res.silent_nodes == []
 
     def test_update_count_and_trace_shape(self):
         net = generate_geometric(6, 0.6, 0.0, seed=0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from clocksync import experiments, sync
+from clocksync.topology import generate_geometric
 from clocksync.experiments import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -167,6 +168,7 @@ class TestCli:
         {"reference_node": True},
         {"reference_node": 99},
         {"seeds": ["a"]},
+        {"seeds": []},
         {"network": {"kind": "geometric", "n": 1, "radius": 0.6}},
         {"network": {"kind": "geometric", "n": 6, "radius": 0.6, "p_hear": 0}},
         {"network": {"kind": "geometric", "n": True, "radius": 0.6}},
@@ -181,7 +183,7 @@ class TestCli:
         {"freeze_compensation": "yes"},
         {"zeta_prime": True},
     ], ids=["negative-radius", "short-alpha-range", "bool-reference",
-            "reference-out-of-range", "string-seed", "one-node", "p-hear-0",
+            "reference-out-of-range", "string-seed", "no-seeds", "one-node", "p-hear-0",
             "bool-n", "alpha-range-with-0", "unknown-noise", "bool-L",
             "drift-not-object", "float-updates", "bool-stride",
             "string-flag", "bool-zeta"])
@@ -189,6 +191,28 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_minimal(**over)))
         code = main(["run", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_reference_past_file_network_is_validation_error(
+            self, tmp_path, capsys):
+        net_path = tmp_path / "net.json"
+        generate_geometric(6, 0.6, 0.1, seed=0).save(net_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_minimal(
+            network={"kind": "file", "path": str(net_path)}, reference_node=6)))
+        code = main(["run", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: reference_node 6 is out of range for n=6"]
+        assert not list((tmp_path / "out").glob("*"))
+
+    def test_bare_seeds_flag_is_validation_error(self, tmp_path, capsys):
+        code = main(["run", "--preset", "fig1a", "--seeds",
                      "--outdir", str(tmp_path / "out")])
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err.splitlines()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clocksync.clock import ClockParams, DelayModel
+from clocksync.streams import substream
 from clocksync.topology import (
     Arc,
     Network,
@@ -117,6 +118,45 @@ class TestGenerate:
         a = generate_geometric(10, 0.5, 0.1, seed=1)
         b = generate_geometric(10, 0.5, 0.1, seed=2)
         assert a.to_dict() != b.to_dict()
+
+    @staticmethod
+    def pair_loop(n, radius, one_way_fraction, seed):
+        """Reference: one exact norm per node pair, then the direction
+        draws of the close pairs; returns the arcs and the next draws."""
+        rng = substream(seed, "netgen")
+        pos = rng.uniform(0.0, 1.0, size=(n, 2))
+        arcs = []
+        for u in range(n):
+            for v in range(u + 1, n):
+                if np.linalg.norm(pos[u] - pos[v]) < radius:
+                    if rng.random() < one_way_fraction:
+                        arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+                    else:
+                        arcs += [(u, v), (v, u)]
+        return arcs, rng.uniform(0.96, 1.04, size=n)
+
+    def assert_matches_pair_loop(self, n, radius, one_way, seed):
+        net = generate_geometric(n, radius, one_way, seed=seed)
+        arcs, alphas = self.pair_loop(n, radius, one_way, seed)
+        # repair appends arcs after the geometric ones
+        assert list(net.arcs)[:len(arcs)] == arcs
+        assert np.array_equal(net.alphas(), alphas)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 40), radius=st.floats(0.05, 1.5),
+           one_way=st.floats(0.0, 1.0), seed=st.integers(0, 10_000))
+    def test_matches_pair_loop(self, n, radius, one_way, seed):
+        self.assert_matches_pair_loop(n, radius, one_way, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pair_on_the_radius(self, seed):
+        # the radius equals one pair's exact distance, so that pair lies
+        # on the boundary, where the rounding of the distance decides
+        n = 12
+        pos = substream(seed, "netgen").uniform(0.0, 1.0, size=(n, 2))
+        for u, v in zip(*np.triu_indices(n, 1)):
+            radius = float(np.linalg.norm(pos[u] - pos[v]))
+            self.assert_matches_pair_loop(n, radius, 0.3, seed)
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(3, 20), seed=st.integers(0, 10_000))

@@ -117,14 +117,13 @@ class TestScheduleTicks:
         assert freq[0] == pytest.approx(0.75, abs=0.01)
 
 
-def _cfgs():
-    return st.sampled_from([
-        SyncConfig(),
-        SyncConfig(drift=DriftA(3), offset=OffsetB(0.5)),
-        SyncConfig(drift=DriftB(0.5), offset=None),
-        SyncConfig(drift=DriftC(1), drop_t_terms=True),
-        SyncConfig(freeze_compensation=True),
-    ])
+_CFGS = st.sampled_from([
+    SyncConfig(),
+    SyncConfig(drift=DriftA(3), offset=OffsetB(0.5)),
+    SyncConfig(drift=DriftB(0.5), offset=None),
+    SyncConfig(drift=DriftC(1), drop_t_terms=True),
+    SyncConfig(freeze_compensation=True),
+])
 
 
 @st.composite
@@ -173,7 +172,7 @@ class TestScheduleOracle:
     """The schedule and update loop against the event-heap reference."""
 
     @settings(max_examples=80, deadline=None)
-    @given(net=_networks(), cfg=_cfgs(), stop=_STOPS,
+    @given(net=_networks(), cfg=_CFGS, stop=_STOPS,
            seed=st.integers(0, 2**32 - 1))
     def test_matches_heap_loop(self, net, cfg, stop, seed):
         assert_matches_heap(net, cfg, *stop, seed)

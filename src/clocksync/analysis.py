@@ -8,14 +8,13 @@ none of them is needed by the simulator itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from clocksync.engine import SimResult, write_csv
-from clocksync.sync import DriftA, DriftB, DriftC, DriftVariant, OffsetB, anchor_index
+from clocksync.sync import DriftA, DriftB, DriftVariant, OffsetB, StepSchedule, anchor_index
 from clocksync.topology import (
     Network,
     ProbabilityProfile,
@@ -157,12 +156,18 @@ def rate_bound(
     net: Network,
     profile: ProbabilityProfile | None = None,
     q_matrix: np.ndarray | None = None,
+    report: SpectralReport | None = None,
 ) -> RateBound:
-    """Largest admissible scaled-disagreement exponent for one variant."""
-    if profile is None:
-        profile = probability_profile(net)
-    zeta = zeta_prime if isinstance(variant, DriftA) else 1.0 + zeta_prime
-    report = spectral_check(build_B_bar(net, profile, zeta))
+    """Largest admissible scaled-disagreement exponent for one variant.
+
+    ``report`` is the spectral check of ``build_B_bar`` at the variant's
+    drift exponent, if the caller already has it.
+    """
+    zeta = StepSchedule(zeta_prime=zeta_prime).drift_zeta(variant)
+    if report is None:
+        if profile is None:
+            profile = probability_profile(net)
+        report = spectral_check(build_B_bar(net, profile, zeta))
     if not report.ok:
         raise ValueError("expected update matrix fails the spectral check")
     if q_matrix is None:
@@ -220,17 +225,14 @@ def increment_stats(
     times = result.send_times[arc]
     j = arc[0]
     rate = float(result.net.rates[j]) * result.net.arcs[arc].p_hear
-    deltas = []
-    spans = []
-    for l in range(1, len(times)):
-        m = anchor_index(variant, l)
-        if m is None:
-            continue
-        deltas.append(times[l] - times[m])
-        spans.append(l - m)
-    if not deltas:
+    l = np.arange(1, len(times))
+    m = anchor_index(variant, l)
+    l, m = l[m >= 0], m[m >= 0]
+    if len(l) == 0:
         raise ValueError("not enough receptions on this arc")
-    deltas = np.array(deltas)
+    times = np.array(times)
+    deltas = times[l] - times[m]
+    spans = l - m
     return IncrementStats(
         mean=float(deltas.mean()),
         var=float(deltas.var()),
@@ -569,9 +571,9 @@ def frozen_compensation_drift(
     psi = left_fixed_vector(np.eye(n) + lap / -lap.diagonal().min())
     nu_start = np.bincount(tr.receiver[: start + 1], minlength=n)
     nu_end = np.bincount(tr.receiver, minlength=n)
-    steps = result.cfg.steps
-    s = np.array([sum(steps.offset_step(nu) for nu in range(nu_start[i] + 1, nu_end[i] + 1))
-                  for i in range(n)])
+    # the update kernel's step table, summed in update order
+    steps = result.cfg.steps.offset_steps(int(nu_end.max())).tolist()
+    s = np.array([sum(steps[nu_start[i] + 1:nu_end[i] + 1]) for i in range(n)])
     v = np.divide(psi * profile.pi_arc.sum(axis=1), s,
                   out=np.zeros(n), where=s > 0.0)
     total = float(v.sum())

@@ -7,10 +7,12 @@ delivery events.  Deliveries are processed one at a time in
 global iteration counter by one.
 
 None of this noise depends on the synchronization algorithm, so a run
-takes two steps: :func:`build_schedule` draws every event up to the
+takes two steps.  :func:`build_schedule` draws every event up to the
 stopping rule, in processing order, with the clock reading each one
-takes, and :func:`replay` walks the events, snapshotting the
-broadcaster's estimates at each tick and updating the receiver at each
+takes.  :class:`~clocksync.sync.SyncState` derives every input of every
+update from it except the estimates, and :func:`replay` walks the
+events, snapshotting the broadcaster's (a, b, c) at each tick and making
+one :meth:`~clocksync.sync.SyncState.process_message` call at each
 delivery.
 """
 
@@ -27,7 +29,7 @@ import numpy as np
 
 from clocksync.clock import CorrectionState, read_local_time, sample_delay
 from clocksync.streams import substream, substreams
-from clocksync.sync import MessagePayload, SyncConfig, SyncState
+from clocksync.sync import SyncConfig, SyncState
 from clocksync.topology import Network
 
 #: printf format of every float written to a CSV: 17 significant digits
@@ -321,33 +323,39 @@ def build_schedule(
 
 
 #: events replayed per chunk: bounds the Python lists the loop works on
-_REPLAY_CHUNK = 1 << 14
+_REPLAY_CHUNK = 1 << 12
 
 
 def replay(state: SyncState, sched: Schedule) -> np.ndarray:
     """Apply a schedule to ``state``: snapshot the broadcaster's estimates
     at each tick and process each delivery.  Returns the (3, K) receiver
     estimates a, b, c after each of the K deliveries."""
-    est, payload, process = state.est, state.payload, state.process_message
-    senders = sched.tick_sender.tolist()
-    msgs: list[MessagePayload | None] = [None] * len(senders)
-    out = np.empty((3, int(np.count_nonzero(sched.receiver >= 0))))
+    a, b, c = state.a, state.b, state.c
+    process = state.process_message
+    snaps: list[tuple | None] = [None] * len(sched.tick_t)
+    K = len(state.nu)
+    out = np.empty((3, K))
     k = 0
-    for lo in range(0, len(sched.t), _REPLAY_CHUNK):
+    for lo in range(0, len(sched.t) if K else 0, _REPLAY_CHUNK):
         rows = slice(lo, lo + _REPLAY_CHUNK)
-        a, b, c = [], [], []
-        for i, g, tau in zip(sched.receiver[rows].tolist(),
-                             sched.tick[rows].tolist(), sched.tau[rows].tolist()):
+        receiver, tick = sched.receiver[rows], sched.tick[rows]
+        dlv = receiver >= 0
+        # a tick carries ~sender, and the (unread) inputs of a nearby delivery
+        node = np.where(dlv, receiver, ~sched.tick_sender[tick])
+        near = np.clip(k + np.cumsum(dlv) - 1, 0, K - 1)
+        ao, bo, co = [], [], []
+        for i, g, code, eg_a, d_j, d_i, eg_b, tau_j, t_j, tau_i, t_i in zip(
+                node.tolist(), tick.tolist(), *state.inputs(near)):
             if i < 0:
-                msgs[g] = payload(senders[g], tau)
+                snaps[g] = (a[~i], b[~i], c[~i])
             else:
-                process(i, msgs[g], tau)
-                s = est[i]
-                a.append(s.a_hat)
-                b.append(s.b_hat)
-                c.append(s.c_hat)
-        out[:, k:k + len(a)] = (a, b, c)
-        k += len(a)
+                process(i, snaps[g], code, eg_a, d_j, d_i, eg_b, tau_j, t_j,
+                        tau_i, t_i)
+                ao.append(a[i])
+                bo.append(b[i])
+                co.append(c[i])
+        out[:, k:k + len(ao)] = (ao, bo, co)
+        k += len(ao)
     return out
 
 
@@ -372,37 +380,42 @@ def run(
         raise ValueError("horizon must be positive")
 
     sched = build_schedule(net, seed, max_updates, horizon)
-    state = SyncState(net, cfg)
-    a_i, b_i, c_i = replay(state, sched)
     dlv = sched.receiver >= 0
-    trace = Trace(n=net.n, t=sched.t[dlv], receiver=sched.receiver[dlv],
-                  sender=sched.tick_sender[sched.tick[dlv]],
-                  a_i=a_i, b_i=b_i, c_i=c_i)
-    _check_finite(trace)
-    send_times, initials = _link_records(net, sched, trace)
-    heard = np.zeros(net.n, dtype=bool)
-    heard[trace.receiver] = True
-    silent = [i for i in range(net.n) if not heard[i] and net.in_neighbors(i)]
-    return SimResult(
-        net=net, cfg=cfg, seed=seed, trace=trace,
-        nu=np.array(state.nu), updates=len(trace),
-        send_times=send_times, initial_samples=initials,
-        silent_nodes=silent)
-
-
-def _link_records(net: Network, sched: Schedule, trace: Trace) -> tuple[dict, dict]:
-    """Per arc: the send time of every delivery, in order, and the ground
-    truth of the first one, the arcs in first-delivery order."""
-    dlv = sched.receiver >= 0
-    tick, tick_t = sched.tick[dlv], sched.tick_t
-    tick_tau = np.empty(len(tick_t))
+    receiver, tick = sched.receiver[dlv], sched.tick[dlv]
+    sender = sched.tick_sender[tick]
+    tick_tau = np.empty(len(sched.tick_t))
     tick_tau[sched.tick[~dlv]] = sched.tau[~dlv]
     tau_sent, tau_recv = tick_tau[tick], sched.tau[dlv]
     arcs = list(net.arcs)
     codes = np.array([j * net.n + i for j, i in arcs], dtype=np.int64)
     sorter = np.argsort(codes)
-    arc = sorter[np.searchsorted(codes, trace.sender * net.n + trace.receiver,
-                                 sorter=sorter)]
+    arc = sorter[np.searchsorted(codes, sender * net.n + receiver, sorter=sorter)]
+
+    state = SyncState(cfg, net.n, receiver, arc,
+                      np.array([a.gamma for a in net.arcs.values()]),
+                      tau_sent, tau_recv)
+    a_i, b_i, c_i = replay(state, sched)
+    trace = Trace(n=net.n, t=sched.t[dlv], receiver=receiver, sender=sender,
+                  a_i=a_i, b_i=b_i, c_i=c_i)
+    _check_finite(trace)
+    send_times, initials = _link_records(net, sched.tick_t, tick, arc, trace,
+                                         tau_sent, tau_recv)
+    heard = np.zeros(net.n, dtype=bool)
+    heard[trace.receiver] = True
+    silent = [i for i in range(net.n) if not heard[i] and net.in_neighbors(i)]
+    return SimResult(
+        net=net, cfg=cfg, seed=seed, trace=trace,
+        nu=np.bincount(receiver, minlength=net.n), updates=len(trace),
+        send_times=send_times, initial_samples=initials,
+        silent_nodes=silent)
+
+
+def _link_records(net: Network, tick_t: list[float], tick: np.ndarray,
+                  arc: np.ndarray, trace: Trace, tau_sent: np.ndarray,
+                  tau_recv: np.ndarray) -> tuple[dict, dict]:
+    """Per arc: the send time of every delivery, in order, and the ground
+    truth of the first one, the arcs in first-delivery order."""
+    arcs = list(net.arcs)
     # one float object per tick, shared by its deliveries
     by_arc = np.argsort(arc, kind="stable")
     flat = list(map(tick_t.__getitem__, tick[by_arc].tolist()))

@@ -415,7 +415,8 @@ def report(cfg: ExperimentConfig, outdir) -> Path:
         lines.append(f"  spectral: zero_multiplicity={rep.zero_multiplicity} "
                      f"hurwitz={rep.hurwitz_ok} "
                      f"[{'PASS' if rep.ok else 'FAIL'}]")
-        bound = analysis.rate_bound(cfg.drift, cfg.steps.zeta_prime, net, profile)
+        bound = analysis.rate_bound(cfg.drift, cfg.steps.zeta_prime, net,
+                                    report=rep)
         lines.append(f"  rate bound: zeta*d_max={bound.zeta_d_max:.4f} "
                      f"(r={bound.r:.4g}, q={bound.q:.4g})")
         result = run_single(cfg, seed)

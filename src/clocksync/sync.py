@@ -1,18 +1,25 @@
 """Drift and offset correction algorithms.
 
-Each receiver keeps, per incoming link, the raw reading pair of the first
-heard message plus whatever past pairs its drift variant needs.  On every
-delivery it reads its own clock once, updates the drift parameter from a
-local-time-increment error, then updates the offset and delay
-compensation parameters from a time-difference error anchored at the
-initial exchange.
+On every delivery the receiver reads its own clock once, updates its
+drift parameter from a local-time-increment error, then its offset and
+delay compensation parameters from a time-difference error anchored at
+the link's initial exchange.
+
+Only the estimates (a, b, c) carry over from one update to the next.
+Every other input of an update follows from the noise schedule alone:
+the receiver's update count nu, the reception index l on the link, the
+reading pair of the anchor reception, the link's initial pair, the arc
+weight and both step sizes.  :class:`SyncState` derives them for a whole
+run at once with numpy, and :meth:`SyncState.process_message` applies
+one update from them.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from clocksync.clock import CorrectionState
 from clocksync.topology import Network, centers, mute_in_arcs
@@ -102,24 +109,29 @@ class StepSchedule:
     def drift_zeta(self, variant: DriftVariant) -> float:
         return self.zeta_prime if isinstance(variant, DriftA) else 1.0 + self.zeta_prime
 
-    def drift_step(self, nu: int, variant: DriftVariant) -> float:
-        if self.constant_step is not None:
-            if isinstance(variant, DriftA):
-                return self.constant_step
-            return self.constant_step / nu
-        return step_size(nu, self.drift_zeta(variant))
+    def drift_steps(self, variant: DriftVariant, top: int) -> np.ndarray:
+        """Drift step of the nu-th update at index nu, for nu = 1..top."""
+        if self.constant_step is None:
+            return _decreasing(self.drift_zeta(variant), top)
+        if isinstance(variant, DriftA):
+            return _table([self.constant_step] * top)
+        return _table([self.constant_step / nu for nu in range(1, top + 1)])
 
-    def offset_step(self, nu: int) -> float:
-        if self.constant_step is not None:
-            return self.constant_step
-        return step_size(nu, self.zeta_second)
+    def offset_steps(self, top: int) -> np.ndarray:
+        """Offset step of the nu-th update at index nu, for nu = 1..top."""
+        if self.constant_step is None:
+            return _decreasing(self.zeta_second, top)
+        return _table([self.constant_step] * top)
 
 
-def step_size(nu: int, zeta: float) -> float:
-    """Stochastic-approximation step nu^{-zeta} for update count nu >= 1."""
-    if nu < 1:
-        raise ValueError("update count must be at least 1")
-    return float(nu) ** (-zeta)
+def _decreasing(zeta: float, top: int) -> np.ndarray:
+    """Stochastic-approximation steps nu^{-zeta}, by Python's ``**``."""
+    return _table([float(nu) ** (-zeta) for nu in range(1, top + 1)])
+
+
+def _table(steps: list[float]) -> np.ndarray:
+    """Steps for nu = 1, 2, ... at index nu; index 0 holds no step."""
+    return np.array([math.nan] + steps)
 
 
 @dataclass(frozen=True)
@@ -138,244 +150,136 @@ class SyncConfig:
 
 
 # ---------------------------------------------------------------------------
-# Per-link reception history
+# The update kernel
 # ---------------------------------------------------------------------------
 
-class LinkHistory:
-    """Reception history of one directed link, held by the receiver.
-
-    Stores raw reading pairs ``(tau_sender, tau_receiver)`` indexed by the
-    reception counter l.  Capacity depends on the drift variant: the last
-    L pairs for DriftA, all pairs for DriftB, and only the anchor pair
-    for DriftC.  The initial pair (l = 0) is kept separately and never
-    changes once set.
-    """
-
-    __slots__ = ("count", "initial", "_buf", "_anchor", "_anchor_idx", "_mode")
-
-    def __init__(self, variant: DriftVariant):
-        self.count = 0
-        self.initial: tuple[float, float] | None = None
-        if isinstance(variant, DriftA):
-            self._mode = "a"
-            self._buf = deque(maxlen=variant.L)
-        elif isinstance(variant, DriftB):
-            self._mode = "b"
-            self._buf = []
-        else:
-            self._mode = "c"
-            self._buf = None
-            self._anchor = None
-            self._anchor_idx = variant.l0
-
-    def record(self, tau_sender: float, tau_receiver: float) -> None:
-        pair = (tau_sender, tau_receiver)
-        if self.count == 0:
-            self.initial = pair
-        if self._mode == "a":
-            self._buf.append((self.count, pair))
-        elif self._mode == "b":
-            self._buf.append(pair)
-        else:
-            if self.count == self._anchor_idx:
-                self._anchor = pair
-        self.count += 1
-
-    def get(self, m: int) -> tuple[float, float] | None:
-        """Pair recorded at reception index m, or None if not retained."""
-        if m == 0:
-            return self.initial
-        if self._mode == "a":
-            for idx, pair in self._buf:
-                if idx == m:
-                    return pair
-            return None
-        if self._mode == "b":
-            return self._buf[m] if m < len(self._buf) else None
-        return self._anchor if m == self._anchor_idx else None
-
-    def stored_pairs(self) -> int:
-        if self._mode == "a":
-            extra = 0 if any(idx == 0 for idx, _ in self._buf) else 1
-            return len(self._buf) + (extra if self.initial is not None else 0)
-        if self._mode == "b":
-            return len(self._buf)
-        n = 1 if self.initial is not None else 0
-        if self._anchor is not None and self._anchor_idx != 0:
-            n += 1
-        return n
-
-
-def anchor_index(variant: DriftVariant, l: int) -> int | None:
-    """Past reception index m used by the increment at reception l.
-
-    Returns None when the variant has no usable anchor yet (DriftA before
-    the window is full; DriftC until the anchor reception has happened).
-    """
+def anchor_index(variant: DriftVariant, l: np.ndarray) -> np.ndarray:
+    """Past reception index m that the drift increment at reception l
+    spans back to, or -1 where the variant has no anchor yet (DriftA
+    before the window is full, DriftC until the anchor reception)."""
     if isinstance(variant, DriftA):
-        return l - variant.L if l >= variant.L else None
+        return np.where(l >= variant.L, l - variant.L, -1)
     if isinstance(variant, DriftB):
-        return math.floor(variant.nu * l)
-    return variant.l0 if l > variant.l0 else None
+        return np.floor(variant.nu * l).astype(np.intp)
+    return np.where(l > variant.l0, variant.l0, -1)
 
-
-# ---------------------------------------------------------------------------
-# Update rules
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MessagePayload:
-    """What a broadcast carries: the sender's raw reading and estimates."""
+class Outcome:
+    """What one delivery did to its receiver."""
 
-    sender: int
-    tau_sent: float
-    a_hat: float
-    b_hat: float
-    c_hat: float
-
-
-def drift_update(
-    a_i: float,
-    msg: MessagePayload,
-    hist: LinkHistory,
-    variant: DriftVariant,
-    eps: float,
-    gamma: float,
-    tau_i_now: float,
-) -> tuple[float, bool]:
-    """One drift correction step; returns (new a_i, whether it updated).
-
-    The error compares the sender's corrected local-time increment
-    (scaled by the *received* a_hat) with the receiver's own corrected
-    increment over the same pair of receptions.
-    """
-    l = hist.count  # index of the reception being processed
-    m = anchor_index(variant, l)
-    if m is None:
-        return a_i, False
-    past = hist.get(m)
-    if past is None:
-        return a_i, False
-    tau_j_m, tau_i_m = past
-    inc_j = msg.a_hat * (msg.tau_sent - tau_j_m)
-    inc_i = a_i * (tau_i_now - tau_i_m)
-    phi = inc_j - inc_i
-    return a_i + eps * gamma * phi, True
-
-
-def offset_update(
-    state_i: CorrectionState,
-    msg: MessagePayload,
-    hist: LinkHistory,
-    variant: OffsetVariant,
-    eps: float,
-    gamma: float,
-    tau_i_now: float,
-    a_i: float,
-    *,
-    drop_t_terms: bool = False,
-    freeze_compensation: bool = False,
-) -> tuple[float, float]:
-    """One offset/compensation step; returns (new b_i, new c_i).
-
-    Both corrected times are stripped of their growth since the initial
-    exchange, so the error stays anchored at the (bounded) first
-    reception time; the compensation parameter absorbs the mean delay.
-    """
-    if hist.initial is None:
-        return state_i.b_hat, state_i.c_hat
-    tau_j_0, tau_i_0 = hist.initial
-    t_j = 0.0 if drop_t_terms else msg.tau_sent - tau_j_0
-    t_i = 0.0 if drop_t_terms else tau_i_now - tau_i_0
-    tau_hat_j = msg.a_hat * msg.tau_sent + msg.b_hat
-    tau_hat_i = a_i * tau_i_now + state_i.b_hat
-    if freeze_compensation:
-        c_eff = 0.0
-    elif isinstance(variant, OffsetB):
-        c_eff = variant.sigma * state_i.c_hat + (1.0 - variant.sigma) * msg.c_hat
-    else:
-        c_eff = state_i.c_hat
-    phi = (tau_hat_j - msg.a_hat * t_j) - (tau_hat_i - a_i * t_i) + c_eff
-    b_new = state_i.b_hat + eps * gamma * phi
-    if freeze_compensation:
-        c_new = 0.0
-    elif isinstance(variant, OffsetB):
-        c_new = c_eff - eps * gamma * phi
-    else:
-        c_new = state_i.c_hat - eps * gamma * phi
-    return b_new, c_new
-
-
-# ---------------------------------------------------------------------------
-# Receiver-side state machine
-# ---------------------------------------------------------------------------
-
-@dataclass
-class UpdateRecord:
-    """Outcome of processing one delivery."""
-
-    receiver: int
-    sender: int
     drift_updated: bool
     offset_updated: bool
     first_message: bool
 
 
+#: update code bits: the steps a delivery takes; a link's first reception
+#: takes none and only records the initial pair
+DRIFT, OFFSET, FIRST = 1, 2, 4
+#: the outcome of each update code, shared by every delivery
+OUTCOMES = tuple(Outcome(bool(code & DRIFT), bool(code & OFFSET), code == FIRST)
+                 for code in range(FIRST + 1))
+
+
+def _ranks(key: np.ndarray, size: int):
+    """Each entry's 0-based rank among the entries with its key, the
+    stable order by key, and where each key's run starts in that order."""
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=size)
+    starts = np.cumsum(counts) - counts
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(key)) - np.repeat(starts, counts)
+    return rank, order, starts
+
+
 class SyncState:
-    """All nodes' estimates, update counters and link histories."""
+    """Every node's estimates, plus the inputs of each update of one run.
 
-    def __init__(self, net: Network, cfg: SyncConfig):
-        self.net = net
-        self.cfg = cfg
-        self.est = [CorrectionState() for _ in range(net.n)]
-        self.nu = [0] * net.n
-        self.hists: dict[tuple[int, int], LinkHistory] = {}
+    Deliveries come in processing order: delivery k reaches ``receiver[k]``
+    over link ``link[k]`` (weight ``gamma[link[k]]``), carrying the
+    sender's reading ``tau_sent[k]`` at its tick; the receiver reads
+    ``tau_recv[k]``.  The update count nu, the reception index l on the
+    link, the link's initial pair and anchor pair and both step sizes
+    follow from these alone and are derived here for the whole run, as
+    integer index arrays; :meth:`inputs` gathers the float inputs of a
+    block of deliveries from them.
+    """
 
-    def history(self, j: int, i: int) -> LinkHistory:
-        key = (j, i)
-        h = self.hists.get(key)
-        if h is None:
-            h = LinkHistory(self.cfg.drift)
-            self.hists[key] = h
-        return h
+    def __init__(self, cfg: SyncConfig, n: int, receiver: np.ndarray,
+                 link: np.ndarray, gamma: np.ndarray,
+                 tau_sent: np.ndarray, tau_recv: np.ndarray):
+        init = CorrectionState()
+        self.a = [init.a_hat] * n
+        self.b = [init.b_hat] * n
+        self.c = [init.c_hat] * n
+        self.sigma = cfg.offset.sigma if isinstance(cfg.offset, OffsetB) else None
+        self.frozen = cfg.freeze_compensation
+        self.drop_t_terms = cfg.drop_t_terms
+        self.tau_sent, self.tau_recv = tau_sent, tau_recv
+        self.link, self.gamma = link, gamma
+        #: the receiver's update count after each delivery (first is 1)
+        self.nu = _ranks(receiver, n)[0] + 1
+        l, by_link, starts = _ranks(link, len(gamma))
+        m = anchor_index(cfg.drift, l)
+        self.first = by_link[starts[link]]
+        self.anchor = by_link[starts[link] + np.maximum(m, 0)]
+        active = (l > 0) & (gamma[link] > 0.0)
+        code = np.where(active & (m >= 0), DRIFT, 0)
+        if cfg.offset is not None:
+            code |= np.where(active, OFFSET, 0)
+        self.code = np.where(l == 0, FIRST, code).astype(np.int8)
+        top = int(self.nu.max(initial=0))
+        self.drift_steps = cfg.steps.drift_steps(cfg.drift, top)
+        self.offset_steps = cfg.steps.offset_steps(top)
 
-    def payload(self, j: int, tau_sent: float) -> MessagePayload:
-        s = self.est[j]
-        return MessagePayload(j, tau_sent, s.a_hat, s.b_hat, s.c_hat)
-
-    def process_message(self, i: int, msg: MessagePayload, tau_i_now: float) -> UpdateRecord:
-        """Handle one delivery at node i: first-message bookkeeping or a
-        drift step followed by an offset step on the same reading."""
-        cfg = self.cfg
-        hist = self.history(msg.sender, i)
-        self.nu[i] += 1
-        if hist.count == 0:
-            hist.record(msg.tau_sent, tau_i_now)
-            return UpdateRecord(i, msg.sender, False, False, True)
-
-        gamma = self.net.arcs[(msg.sender, i)].gamma
-        state = self.est[i]
-        a_pre = state.a_hat
-        drift_done = False
-        if gamma > 0.0:
-            eps_a = cfg.steps.drift_step(self.nu[i], cfg.drift)
-            new_a, drift_done = drift_update(
-                a_pre, msg, hist, cfg.drift, eps_a, gamma, tau_i_now)
+    def inputs(self, rows: np.ndarray) -> list[list]:
+        """The arguments of :meth:`process_message` after the sender's
+        estimates, for deliveries ``rows``: one list per argument."""
+        nu, gamma = self.nu[rows], self.gamma[self.link[rows]]
+        tau_j, tau_i = self.tau_sent[rows], self.tau_recv[rows]
+        m, f = self.anchor[rows], self.first[rows]
+        if self.drop_t_terms:
+            t_j = t_i = np.zeros(len(tau_j))
         else:
-            new_a = a_pre
+            t_j, t_i = tau_j - self.tau_sent[f], tau_i - self.tau_recv[f]
+        return [col.tolist() for col in (
+            self.code[rows], self.drift_steps[nu] * gamma,
+            tau_j - self.tau_sent[m], tau_i - self.tau_recv[m],
+            self.offset_steps[nu] * gamma, tau_j, t_j, tau_i, t_i)]
 
-        offset_done = False
-        if cfg.offset is not None and gamma > 0.0:
-            eps_b = cfg.steps.offset_step(self.nu[i])
-            state.b_hat, state.c_hat = offset_update(
-                state, msg, hist, cfg.offset, eps_b, gamma, tau_i_now, a_pre,
-                drop_t_terms=cfg.drop_t_terms,
-                freeze_compensation=cfg.freeze_compensation)
-            offset_done = True
+    def process_message(self, i: int, sender: tuple[float, float, float],
+                        code: int, eg_a: float, d_j: float, d_i: float,
+                        eg_b: float, tau_j: float, t_j: float,
+                        tau_i: float, t_i: float) -> Outcome:
+        """Apply one delivery to its receiver i.
 
-        state.a_hat = new_a
-        hist.record(msg.tau_sent, tau_i_now)
-        return UpdateRecord(i, msg.sender, drift_done, offset_done, False)
+        ``sender`` holds the broadcaster's (a, b, c) at its tick.  The
+        drift step compares the sender's corrected local-time increment
+        since the anchor reception, ``d_j`` scaled by its a, with the
+        receiver's own, ``d_i``.  The offset step compares both corrected
+        readings stripped of their growth ``t_j``, ``t_i`` since the
+        link's initial exchange; c absorbs the mean delay.  ``eg_a`` and
+        ``eg_b`` are each step's size times the arc weight gamma.
+        """
+        if code & (DRIFT | OFFSET):
+            a = self.a
+            a_i = a[i]
+            a_j, b_j, c_j = sender
+            if code & OFFSET:
+                b, c = self.b, self.c
+                if self.frozen:
+                    c_eff = 0.0
+                elif self.sigma is None:
+                    c_eff = c[i]
+                else:
+                    c_eff = self.sigma * c[i] + (1.0 - self.sigma) * c_j
+                phi = ((a_j * tau_j + b_j - a_j * t_j)
+                       - (a_i * tau_i + b[i] - a_i * t_i) + c_eff)
+                b[i] = b[i] + eg_b * phi
+                c[i] = 0.0 if self.frozen else c_eff - eg_b * phi
+            if code & DRIFT:
+                a[i] = a_i + eg_a * (a_j * d_j - a_i * d_i)
+        return OUTCOMES[code]
 
 
 def make_reference(net: Network, node: int) -> Network:

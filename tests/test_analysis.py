@@ -28,6 +28,7 @@ from clocksync.sync import (
     DriftC,
     OffsetA,
     OffsetB,
+    StepSchedule,
     SyncConfig,
     make_reference,
 )
@@ -111,6 +112,17 @@ class TestRateBound:
         b = rate_bound(DriftA(1), 1.0, net)
         assert 0.0 < b.d_max <= 0.5
         assert b.r > 0.0
+
+    def test_reuses_given_spectral_report(self, monkeypatch):
+        # the report's own check, passed in, replaces a second eigenvalue solve
+        net = generate_geometric(10, 0.5, 0.1, seed=1)
+        for variant in (DriftA(1), DriftB(0.5)):
+            zeta = StepSchedule(zeta_prime=1.0).drift_zeta(variant)
+            rep = spectral_check(build_B_bar(net, zeta=zeta))
+            expected = rate_bound(variant, 1.0, net)
+            with monkeypatch.context() as mp:
+                mp.setattr(analysis, "spectral_check", None)
+                assert rate_bound(variant, 1.0, net, report=rep) == expected
 
     def test_q_constants(self):
         net = generate_geometric(10, 0.5, 0.1, seed=2)

@@ -20,11 +20,11 @@ from clocksync.sync import (
     OffsetB,
     StepSchedule,
     SyncConfig,
-    SyncState,
 )
-from clocksync.topology import Network, centers, generate_geometric, mute_in_arcs
+from clocksync.topology import Network, generate_geometric
 
-from conftest import make_line_network
+from conftest import make_line_network, networks
+from sync_oracle import OracleState
 
 
 def heap_run(net, cfg, *, max_updates=None, horizon=None, seed=0) -> dict:
@@ -35,7 +35,7 @@ def heap_run(net, cfg, *, max_updates=None, horizon=None, seed=0) -> dict:
     out-arc in out-neighbour order, pushes the deliveries and then the
     next tick; each delivery reads the receiver's clock and updates it.
     """
-    state = SyncState(net, cfg)
+    state = OracleState(net, cfg)
     arcs = list(net.arcs)
     read_rngs = substreams(seed, "read", range(net.n))
     hear_rngs = dict(zip(arcs, substreams(seed, "hear", arcs)))
@@ -126,24 +126,6 @@ _CFGS = st.sampled_from([
 ])
 
 
-@st.composite
-def _networks(draw):
-    n = draw(st.integers(2, 6))
-    net = generate_geometric(
-        n, draw(st.floats(0.2, 1.0)), draw(st.floats(0.0, 0.6)),
-        seed=draw(st.integers(0, 10_000)),
-        p_hear=draw(st.one_of(st.just(1.0), st.floats(0.2, 1.0))),
-        delta_bar=draw(st.sampled_from([0.05, 0.3, 2.0])),
-        eta_sigma=draw(st.sampled_from([0.0, 0.0, 0.02, 0.3])),
-        xi_sigma=draw(st.sampled_from([0.0, 0.05])),
-        noise_dist=draw(st.sampled_from(["normal", "uniform"])))
-    rates = draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n))
-    net = Network(n, net.arcs, np.array(rates), net.clocks, net.positions)
-    if draw(st.booleans()):
-        net = mute_in_arcs(net, centers(net)[0])
-    return net
-
-
 _STOPS = st.one_of(
     st.tuples(st.integers(1, 300), st.none()),
     st.tuples(st.none(), st.floats(0.05, 40.0)),
@@ -172,7 +154,7 @@ class TestScheduleOracle:
     """The schedule and update loop against the event-heap reference."""
 
     @settings(max_examples=80, deadline=None)
-    @given(net=_networks(), cfg=_CFGS, stop=_STOPS,
+    @given(net=networks(), cfg=_CFGS, stop=_STOPS,
            seed=st.integers(0, 2**32 - 1))
     def test_matches_heap_loop(self, net, cfg, stop, seed):
         assert_matches_heap(net, cfg, *stop, seed)

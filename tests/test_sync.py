@@ -1,31 +1,41 @@
 """Update rules: step schedules, anchors, link histories and the
-receiver state machine."""
+receiver state machine of the scalar reference, and the update kernel
+checked against it bit for bit."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from clocksync import engine, sync
 from clocksync.clock import CorrectionState
 from clocksync.sync import (
+    OUTCOMES,
     DriftA,
     DriftB,
     DriftC,
-    LinkHistory,
-    MessagePayload,
     OffsetA,
     OffsetB,
     StepSchedule,
     SyncConfig,
-    SyncState,
-    anchor_index,
-    drift_update,
     make_reference,
+)
+from clocksync.topology import Network, generate_geometric
+
+from conftest import make_line_network, networks
+from sync_oracle import (
+    LinkHistory,
+    MessagePayload,
+    OracleState,
+    anchor_index,
+    drift_step,
+    drift_update,
+    offset_step,
     offset_update,
+    replay as oracle_replay,
     step_size,
 )
-from clocksync.topology import generate_geometric
-
-from conftest import make_line_network
 
 
 class TestVariants:
@@ -73,10 +83,10 @@ class TestStepSchedule:
 
     def test_constant_step(self):
         s = StepSchedule(constant_step=0.1)
-        assert s.drift_step(50, DriftA(1)) == 0.1
+        assert drift_step(s, 50, DriftA(1)) == 0.1
         # growing increments: constant step divided by the count
-        assert s.drift_step(50, DriftC(0)) == pytest.approx(0.1 / 50)
-        assert s.offset_step(50) == 0.1
+        assert drift_step(s, 50, DriftC(0)) == pytest.approx(0.1 / 50)
+        assert offset_step(s, 50) == 0.1
 
     @given(st.integers(1, 10**6), st.floats(0.51, 1.0))
     def test_step_decreasing_in_nu(self, nu, zeta):
@@ -221,7 +231,7 @@ class TestOffsetUpdate:
 class TestSyncState:
     def test_first_message_records_only(self):
         net = make_line_network()
-        st_ = SyncState(net, SyncConfig())
+        st_ = OracleState(net, SyncConfig())
         msg = MessagePayload(0, 1.0, 1.0, 0.0, 0.0)
         rec = st_.process_message(1, msg, 1.1)
         assert rec.first_message
@@ -231,14 +241,14 @@ class TestSyncState:
 
     def test_second_message_updates(self):
         net = make_line_network()
-        st_ = SyncState(net, SyncConfig(drift=DriftA(1)))
+        st_ = OracleState(net, SyncConfig(drift=DriftA(1)))
         st_.process_message(1, MessagePayload(0, 1.0, 1.0, 0.0, 0.0), 1.1)
         rec = st_.process_message(1, MessagePayload(0, 2.0, 1.0, 0.0, 0.0), 2.0)
         assert rec.drift_updated and rec.offset_updated
 
     def test_zero_weight_gates_updates(self):
         net = make_line_network(gamma=0.0)
-        st_ = SyncState(net, SyncConfig(drift=DriftA(1)))
+        st_ = OracleState(net, SyncConfig(drift=DriftA(1)))
         st_.process_message(1, MessagePayload(0, 1.0, 1.0, 0.0, 0.0), 1.1)
         rec = st_.process_message(1, MessagePayload(0, 2.0, 1.0, 0.0, 0.0), 2.0)
         assert not rec.drift_updated and not rec.offset_updated
@@ -247,7 +257,7 @@ class TestSyncState:
 
     def test_nu_counts_every_delivery(self):
         net = make_line_network()
-        st_ = SyncState(net, SyncConfig())
+        st_ = OracleState(net, SyncConfig())
         for k in range(5):
             st_.process_message(1, MessagePayload(0, float(k), 1.0, 0.0, 0.0),
                                 float(k) + 0.1)
@@ -271,3 +281,111 @@ class TestMakeReference:
         net = make_line_network()
         with pytest.raises(ValueError):
             make_reference(net, 5)
+
+
+_VARIANTS = [DriftA(1), DriftA(3), DriftB(0.5), DriftB(0.3), DriftC(0), DriftC(4)]
+
+
+class TestKernelRules:
+    """The kernel's vectorized rules against the scalar reference."""
+
+    @pytest.mark.parametrize("variant", _VARIANTS)
+    def test_anchor_index_matches_scalar_rule(self, variant):
+        l = np.arange(200)
+        expected = [anchor_index(variant, x) for x in range(200)]
+        assert sync.anchor_index(variant, l).tolist() == [
+            -1 if m is None else m for m in expected]
+
+    @pytest.mark.parametrize("steps", [
+        StepSchedule(), StepSchedule(zeta_prime=0.6, zeta_second=1.0),
+        StepSchedule(constant_step=0.3)])
+    @pytest.mark.parametrize("variant", _VARIANTS)
+    def test_step_tables_match_per_call_steps(self, steps, variant):
+        top = 500
+        nus = range(1, top + 1)
+        assert steps.drift_steps(variant, top)[1:].tolist() == [
+            drift_step(steps, nu, variant) for nu in nus]
+        assert steps.offset_steps(top)[1:].tolist() == [
+            offset_step(steps, nu) for nu in nus]
+
+
+@st.composite
+def _sync_configs(draw):
+    drift = draw(st.one_of(
+        st.builds(DriftA, st.integers(1, 5)),
+        st.builds(DriftB, st.floats(0.05, 0.95)),
+        st.builds(DriftC, st.integers(0, 4))))
+    offset = draw(st.one_of(st.just(OffsetA()), st.none(),
+                            st.builds(OffsetB, st.floats(0.05, 1.0))))
+    steps = StepSchedule(
+        zeta_prime=draw(st.floats(0.51, 1.0)),
+        zeta_second=draw(st.floats(0.51, 1.0)),
+        constant_step=draw(st.one_of(st.none(), st.floats(0.01, 0.6))))
+    return SyncConfig(drift=drift, offset=offset, steps=steps,
+                      drop_t_terms=draw(st.booleans()),
+                      freeze_compensation=draw(st.booleans()))
+
+
+@st.composite
+def _weighted_networks(draw):
+    """Random networks whose arcs carry random weights, so that the order
+    of the products eps * gamma * phi shows in the last bits."""
+    net = draw(networks())
+    arcs = {key: arc if arc.gamma == 0.0 else
+            replace(arc, gamma=draw(st.floats(0.05, 2.0)))
+            for key, arc in net.arcs.items()}
+    return Network(net.n, arcs, net.rates, net.clocks, net.positions)
+
+
+def _bits(rows) -> bytes:
+    return np.asarray(rows, dtype=float).reshape(-1, 3).tobytes()
+
+
+def assert_kernel_matches_oracle(net, cfg, max_updates, horizon, seed):
+    """Run the engine and replay the schedule it drew with the scalar
+    reference: a, b, c after every delivery, each delivery's update
+    count, the final counts and the outcomes agree exactly."""
+    seen = {}
+    real_replay = engine.replay
+
+    def spy(state, sched):
+        seen.update(state=state, sched=sched, out=real_replay(state, sched))
+        return seen["out"]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "replay", spy)
+        try:
+            res = engine.run(net, cfg, max_updates=max_updates,
+                             horizon=horizon, seed=seed)
+            nu = res.nu.tolist()
+        except FloatingPointError:  # a diverging constant step
+            nu = None
+    state = seen["state"]
+    ref = oracle_replay(net, cfg, seen["sched"])
+    assert _bits(seen["out"].T) == _bits(ref["rows"])
+    assert state.nu.tolist() == ref["nu"]
+    assert nu in (None, ref["final_nu"])
+    assert [OUTCOMES[code] for code in state.code.tolist()] == [
+        sync.Outcome(r.drift_updated, r.offset_updated, r.first_message)
+        for r in ref["records"]]
+
+
+class TestKernelOracle:
+    """The update kernel against the scalar state machine."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(net=_weighted_networks(), cfg=_sync_configs(),
+           updates=st.integers(0, 400), seed=st.integers(0, 2**32 - 1))
+    def test_matches_scalar_updates(self, net, cfg, updates, seed):
+        assert_kernel_matches_oracle(net, cfg, updates, 200.0, seed)
+
+    @pytest.mark.parametrize("offset", [OffsetA(), OffsetB(0.3), None])
+    @pytest.mark.parametrize("drift", [DriftA(2), DriftB(0.5), DriftC(1)])
+    def test_ties_and_muted_reference(self, drift, offset):
+        # eta_sigma = 0: a tick's deliveries share one time; the muted
+        # center's deliveries count in nu but update nothing
+        net = generate_geometric(8, 0.9, 0.0, seed=3, eta_sigma=0.0,
+                                 p_hear=1.0, delta_bar=1.5)
+        net = make_reference(net, 0)
+        cfg = SyncConfig(drift=drift, offset=offset)
+        assert_kernel_matches_oracle(net, cfg, 1500, None, 3)

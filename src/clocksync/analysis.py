@@ -8,12 +8,13 @@ none of them is needed by the simulator itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from clocksync.engine import SimResult, write_csv
+from clocksync.engine import SimResult, column_blocks, write_csv
 from clocksync.sync import DriftA, DriftB, DriftVariant, OffsetB, StepSchedule, anchor_index
 from clocksync.topology import (
     Network,
@@ -250,23 +251,35 @@ class Metrics:
     """Per-iteration disagreement metrics derived from a trace.
 
     ``vclock_gap`` is the largest pairwise difference of corrected times
-    evaluated at the absolute time of each update.
+    evaluated at the absolute time of each update.  The four (K,) series
+    are reduced from the trace one row block at a time; the (K, n)
+    corrected estimates ``g_hat`` and ``f_hat`` are derived from
+    ``result`` by :func:`corrected_estimates` on first access.
     """
 
+    result: SimResult = field(repr=False)
     k: np.ndarray
     t: np.ndarray
-    g_hat: np.ndarray            # (K, n) corrected drifts
-    f_hat: np.ndarray            # (K, n) corrected offsets
     drift_spread: np.ndarray
     msd: np.ndarray
     offset_dispersion: np.ndarray
     vclock_gap: np.ndarray
 
+    @cached_property
+    def g_hat(self) -> np.ndarray:
+        """(K, n) corrected drifts."""
+        return corrected_estimates(self.result)[0]
+
+    @cached_property
+    def f_hat(self) -> np.ndarray:
+        """(K, n) corrected offsets."""
+        return corrected_estimates(self.result)[1]
+
     def to_csv(self, path, stride: int = 1) -> None:
         write_csv(path, ["k", "t_abs", "drift_spread", "msd",
                          "offset_dispersion", "vclock_gap"],
-                  [self.k, self.t, self.drift_spread, self.msd,
-                   self.offset_dispersion, self.vclock_gap], stride)
+                  column_blocks([self.k, self.t, self.drift_spread, self.msd,
+                                 self.offset_dispersion, self.vclock_gap], stride))
 
 
 def corrected_estimates(result: SimResult) -> tuple[np.ndarray, np.ndarray]:
@@ -279,15 +292,16 @@ def corrected_estimates(result: SimResult) -> tuple[np.ndarray, np.ndarray]:
 def metrics(result: SimResult) -> Metrics:
     """Disagreement, dispersion and virtual-clock gap along the trace."""
     tr = result.trace
-    g, f = corrected_estimates(result)
-    vc = g * tr.t[:, None] + f
-    return Metrics(
-        k=tr.k, t=tr.t, g_hat=g, f_hat=f,
-        drift_spread=g.max(axis=1) - g.min(axis=1),
-        msd=g.var(axis=1),
-        offset_dispersion=f.max(axis=1) - f.min(axis=1),
-        vclock_gap=vc.max(axis=1) - vc.min(axis=1),
-    )
+    alpha, beta = result.net.alphas(), result.net.betas()
+    series = np.empty((4, len(tr)))
+    for lo, hi, a, b, _ in tr.blocks():
+        g = a * alpha
+        f = a * beta + b
+        vc = g * tr.t[lo:hi, None] + f
+        series[:, lo:hi] = (g.max(axis=1) - g.min(axis=1), g.var(axis=1),
+                            f.max(axis=1) - f.min(axis=1),
+                            vc.max(axis=1) - vc.min(axis=1))
+    return Metrics(result, tr.k, tr.t, *series)
 
 
 def scaled_disagreement(m: Metrics, rho: float) -> np.ndarray:
@@ -338,14 +352,28 @@ def _initial_noise_means(result: SimResult, profile: ProbabilityProfile):
     return xi0, eta0, delta0
 
 
-def _cauchy_converged(series: np.ndarray, scale: float, rel: float = 0.05) -> bool:
-    # window = the last decade of k (from K/10 to K); changes are compared
-    # against a caller-supplied magnitude so that components which happen
-    # to settle near zero do not produce spurious failures
-    tail = series[len(series) // 10:]
-    if len(tail) < 2:
+def _cauchy_converged(result: SimResult, f_last: np.ndarray, c_last: np.ndarray,
+                      rel: float = 0.05) -> bool:
+    # window = the last decade of k (from K/10 to K), read block by block;
+    # changes are compared against the largest final magnitude so that
+    # components which happen to settle near zero do not produce spurious
+    # failures
+    tr = result.trace
+    start = len(tr) // 10
+    if len(tr) - start < 2:
         return False
-    return bool(np.all(np.abs(tail - series[-1]) <= rel * max(scale, 1e-12)))
+    beta = result.net.betas()
+    f_tol = rel * max(float(np.abs(f_last).max()), 1e-12)
+    c_tol = rel * max(float(np.abs(c_last).max()), 1e-12)
+    for lo, hi, a, b, c in tr.blocks():
+        if hi <= start:
+            continue
+        rows = slice(max(start - lo, 0), None)
+        f = a[rows] * beta + b[rows]
+        if not (np.all(np.abs(f - f_last) <= f_tol)
+                and np.all(np.abs(c[rows] - c_last) <= c_tol)):
+            return False
+    return True
 
 
 def consensus_mixing_matrix(
@@ -403,18 +431,11 @@ def fixed_point_residual(
     tr = result.trace
     if len(tr) == 0:
         raise ValueError("empty trace")
-    g, f = corrected_estimates(result)
-    chi = float(g[-1].mean())
-    f_star = f[-1]
-    c_star = tr.c_hat[-1]
+    a_star, b_star, c_star = tr.row(-1)
+    chi = float((a_star * alpha).mean())
+    f_star = a_star * net.betas() + b_star
     xi0, eta0, delta0 = _initial_noise_means(result, profile)
-
-    f_scale = float(np.abs(f_star).max())
-    c_scale = float(np.abs(c_star).max())
-    converged = all(
-        _cauchy_converged(f[:, i], f_scale) for i in range(net.n)
-    ) and all(
-        _cauchy_converged(tr.c_hat[:, i], c_scale) for i in range(net.n))
+    converged = _cauchy_converged(result, f_star, c_star)
 
     h_f = f_star + chi * xi0 / alpha
     if isinstance(result.cfg.offset, OffsetB):
@@ -498,11 +519,10 @@ def offset_fixed_point(
     if profile is None:
         profile = probability_profile(net)
     n = net.n
-    a = tr.a_hat[-1]
+    a, b_last, c_last = tr.row(-1)
     w, q = _initial_exchange_terms(result, profile, a)
     d = w.sum(axis=1)
-    b_last = tr.b_hat[-1]
-    s = np.zeros(n) if result.cfg.freeze_compensation else b_last + tr.c_hat[-1]
+    s = np.zeros(n) if result.cfg.freeze_compensation else b_last + c_last
 
     if isinstance(offset, OffsetB):
         # unknowns (b, c~): (W - D) b + d c~ = -q and phi^T b + c~ = phi^T s
@@ -562,7 +582,8 @@ def frozen_compensation_drift(
     if profile is None:
         profile = probability_profile(net)
     n = net.n
-    a = tr.a_hat[-1]
+    a, b, _ = tr.row(-1)
+    a0, b0, _ = tr.row(start)
     beta = net.betas()
     w, q = _initial_exchange_terms(result, profile, a)
     lap = w - np.diag(w.sum(axis=1))
@@ -577,7 +598,7 @@ def frozen_compensation_drift(
     v = np.divide(psi * profile.pi_arc.sum(axis=1), s,
                   out=np.zeros(n), where=s > 0.0)
     total = float(v.sum())
-    f_move = (tr.a_hat[-1] - tr.a_hat[start]) * beta + tr.b_hat[-1] - tr.b_hat[start]
+    f_move = (a - a0) * beta + b - b0
     return CommonModeDrift(observed=float(v @ f_move) / total,
                            predicted=float(psi @ r) / total)
 

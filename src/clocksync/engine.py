@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -55,16 +55,27 @@ class InitialSample:
     delta_bar: float
 
 
+#: elements per dense block: a pass over the (K, n) estimate views holds
+#: (rows, n) blocks of ``max(1, _BLOCK_ELEMENTS // n)`` rows, and a CSV
+#: block of (K,) columns as many elements
+_BLOCK_ELEMENTS = 1 << 16
+
+_INITIAL = (CorrectionState.a_hat, CorrectionState.b_hat, CorrectionState.c_hat)
+
+
 @dataclass
 class Trace:
     """One row per processed delivery: iteration, time, participants and
     the receiver's post-update estimates.
 
     A delivery changes only the receiver's (a, b, c), so each update is
-    stored as one event and the trace takes O(K) memory.  The dense
-    (K, n) estimate matrices ``a_hat``, ``b_hat`` and ``c_hat`` (one row
-    per update, holding every node's estimate after it) are derived from
-    the events on first access and cached.
+    stored as one event and the trace takes O(K) memory.  Every node's
+    estimates after update k are forward-filled from the events:
+    :meth:`blocks` yields them as dense (rows, n) row blocks, carrying
+    each node's last value from one block to the next, and :meth:`row`
+    gives one row.  The full (K, n) matrices ``a_hat``, ``b_hat`` and
+    ``c_hat`` are stacked from the blocks on first access and cached;
+    the analysis and CSV paths read only blocks and rows.
     """
 
     n: int                 # number of nodes
@@ -81,25 +92,61 @@ class Trace:
 
     @cached_property
     def a_hat(self) -> np.ndarray:
-        return self._forward_fill(self.a_i, CorrectionState.a_hat)
+        return self._stack(0)
 
     @cached_property
     def b_hat(self) -> np.ndarray:
-        return self._forward_fill(self.b_i, CorrectionState.b_hat)
+        return self._stack(1)
 
     @cached_property
     def c_hat(self) -> np.ndarray:
-        return self._forward_fill(self.c_i, CorrectionState.c_hat)
+        return self._stack(2)
 
-    def _forward_fill(self, values: np.ndarray, initial: float) -> np.ndarray:
-        """(K, n) matrix whose column m repeats node m's latest event
-        value, or ``initial`` before its first update."""
-        K = len(self.t)
-        # 1-based row of each node's latest update so far; 0 = none yet
-        last = np.zeros((K, self.n), dtype=np.intp)
-        last[np.arange(K), self.receiver] = self.k
+    def _stack(self, which: int) -> np.ndarray:
+        out = np.empty((len(self), self.n))
+        for lo, hi, *abc in self.blocks():
+            out[lo:hi] = abc[which]
+        return out
+
+    def blocks(self, stride: int = 1) -> Iterator[tuple[int, int, np.ndarray,
+                                                        np.ndarray, np.ndarray]]:
+        """Yield ``(lo, hi, a, b, c)``: every node's estimates after each
+        row in ``range(lo, hi, stride)``, as (rows, n) arrays.  The blocks
+        cover every ``stride``-th row of the trace in order; no other row
+        is made dense."""
+        rows = max(1, _BLOCK_ELEMENTS // self.n)
+        carry = [np.full(self.n, v) for v in _INITIAL]
+        for lo in range(0, len(self), rows * stride):
+            hi = min(len(self), lo + rows * stride)
+            m = len(range(lo, hi, stride))
+            # the events since the previous block's last row, each placed
+            # at the first row of this block at or after it
+            events = np.arange(max(0, lo - stride + 1), lo + (m - 1) * stride + 1)
+            a, b, c = self._fill(carry, events, (events - lo + stride - 1) // stride, m)
+            yield lo, hi, a, b, c
+            carry = [a[-1], b[-1], c[-1]]
+
+    def row(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every node's (a, b, c) after row ``k`` (negative counts from the
+        end), in O(K) time and memory."""
+        k = range(len(self))[k]
+        events = np.arange(k + 1)
+        a, b, c = self._fill([np.full(self.n, v) for v in _INITIAL], events,
+                             np.zeros(k + 1, dtype=np.intp), 1)
+        return a[0], b[0], c[0]
+
+    def _fill(self, carry: list[np.ndarray], events: np.ndarray, at: np.ndarray,
+              m: int) -> list[np.ndarray]:
+        """(m, n) arrays of a, b and c: the values ``carry`` that every node
+        held before ``events``, updated by each event from row ``at`` of
+        it on."""
+        n = self.n
+        # per row and node: index into carry (< n), or n + the latest event
+        last = np.tile(np.arange(n), (m, 1))
+        np.maximum.at(last, (at, self.receiver[events]), n + np.arange(len(events)))
         np.maximum.accumulate(last, axis=0, out=last)
-        return np.concatenate(([initial], values))[last]
+        return [np.concatenate((c0, v[events]))[last]
+                for c0, v in zip(carry, (self.a_i, self.b_i, self.c_i))]
 
     def __len__(self) -> int:
         return len(self.t)
@@ -111,36 +158,40 @@ class Trace:
         header += [f"a_hat_{m}" for m in range(n)]
         header += [f"b_hat_{m}" for m in range(n)]
         header += [f"c_hat_{m}" for m in range(n)]
-        write_csv(path, header, [self.k, self.t, self.receiver, self.sender,
-                                 self.a_hat, self.b_hat, self.c_hat], stride)
+        cols = (self.k, self.t, self.receiver, self.sender)
+        write_csv(path, header, ([col[lo:hi:stride] for col in cols] + [a, b, c]
+                                 for lo, hi, a, b, c in self.blocks(stride)))
 
 
-#: fields formatted per block of CSV rows: bounds the Python floats alive
-_CSV_BLOCK = 1 << 16
+def column_blocks(columns: list[np.ndarray],
+                  stride: int = 1) -> Iterator[list[np.ndarray]]:
+    """Every ``stride``-th row of the (K,) ``columns``, in row blocks of
+    at most ``_BLOCK_ELEMENTS`` fields."""
+    span = stride * max(1, _BLOCK_ELEMENTS // len(columns))
+    for lo in range(0, len(columns[0]), span):
+        yield [col[lo:lo + span:stride] for col in columns]
 
 
-def write_csv(path, header: list[str], columns: list[np.ndarray],
-              stride: int = 1) -> None:
-    """Write ``header`` and every ``stride``-th row of ``columns`` as CSV,
-    with the ``\r\n`` line ends of ``csv.writer``.
+def write_csv(path, header: list[str], blocks: Iterable[list[np.ndarray]]) -> None:
+    """Write ``header`` and the rows of each block of columns as CSV, with
+    the ``\r\n`` line ends of ``csv.writer``.
 
-    A (K,) column is one field and a (K, m) column m fields; integer
-    columns are written with ``%d``, float columns with
-    :data:`CSV_FLOAT_FORMAT`.  Every row goes through one ``%`` format.
+    In a block, an (m,) column is one field of m rows and an (m, w)
+    column w fields; integer columns are written with ``%d``, float
+    columns with :data:`CSV_FLOAT_FORMAT`.  Every row goes through one
+    ``%`` format.
     """
-    fields: list[str] = []
-    for col in columns:
-        fmt = "%d" if np.issubdtype(col.dtype, np.integer) else CSV_FLOAT_FORMAT
-        fields += [fmt] * (col.shape[1] if col.ndim == 2 else 1)
-    row_format = ",".join(fields) + "\r\n"
-    span = stride * max(1, _CSV_BLOCK // len(fields))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(columns[0]), span):
-            rows = slice(lo, lo + span, stride)
+        for block in blocks:
+            fields: list[str] = []
+            for col in block:
+                fmt = "%d" if np.issubdtype(col.dtype, np.integer) else CSV_FLOAT_FORMAT
+                fields += [fmt] * (col.shape[1] if col.ndim == 2 else 1)
+            row_format = ",".join(fields) + "\r\n"
             # integers up to 2**53 pass through float64 exactly
-            block = np.column_stack([col[rows] for col in columns]).tolist()
-            fh.write("".join([row_format % tuple(row) for row in block]))
+            rows = np.column_stack(block).tolist()
+            fh.write("".join([row_format % tuple(row) for row in rows]))
 
 
 @dataclass

@@ -100,7 +100,8 @@ class ExperimentConfig:
         unknown = set(data) - _TOP_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if data.get("schema_version") != CONFIG_SCHEMA_VERSION:
+        version = data.get("schema_version")
+        if not _is_int(version) or version != CONFIG_SCHEMA_VERSION:
             raise ConfigError("missing or unsupported schema_version")
 
         net = data.get("network", {"kind": "geometric", "n": 10, "radius": 0.5})
@@ -222,7 +223,7 @@ def _check_network(net) -> None:
             raise ConfigError(f"network.{key} must be {what}, got {net[key]!r}")
     for key in ("alpha_range", "beta_range"):
         pair = net.get(key)
-        if pair is not None and not (
+        if key in net and not (
                 isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(_is_real(v) for v in pair) and pair[0] <= pair[1]):
             raise ConfigError(

@@ -1,9 +1,17 @@
 """Config parsing, presets, runner outputs and the command line."""
 
+import contextlib
+import copy
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clocksync import experiments, sync
 from clocksync.topology import generate_geometric
@@ -261,3 +269,122 @@ class TestCli:
         assert code == EXIT_OK
         lines = (tmp_path / "trace_seed0.csv").read_text().splitlines()
         assert len(lines) == 1 + 5
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the validation boundary
+# ---------------------------------------------------------------------------
+
+_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_NOT_A_NUMBER = st.sampled_from(["1", [1], {"x": 1}, True, False, None])
+_NOT_AN_INT = st.one_of(_NOT_A_NUMBER, _NONFINITE, st.sampled_from([1.5, 2.0]))
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+
+
+def _bad_int(*out_of_range):
+    return st.one_of(_NOT_AN_INT, *out_of_range)
+
+
+def _bad_real(*out_of_range):
+    return st.one_of(_NOT_A_NUMBER, _NONFINITE, *out_of_range)
+
+
+def _at_most(high, exclude=False):
+    return st.floats(max_value=high, exclude_max=exclude, **_FINITE)
+
+
+def _at_least(low, exclude=False):
+    return st.floats(min_value=low, exclude_min=exclude, **_FINITE)
+
+
+def _ranges(contain_zero: bool):
+    pairs = [
+        st.sampled_from([None, [], [1.0], [0.9, 1.0, 1.1], "0.9,1.1", {"low": 1},
+                         [True, 1.0], [0.9, "1.1"]]),
+        st.tuples(_at_least(-2.0), _at_least(-2.0)).filter(
+            lambda p: p[0] > p[1]).map(list),
+        st.tuples(_NONFINITE, _at_least(-2.0)).map(list),
+    ]
+    if contain_zero:
+        pairs.append(st.tuples(_at_most(0.0), _at_least(0.0)).map(list))
+    return st.one_of(*pairs)
+
+
+# An invalid value for each config key: a wrong type, a non-finite number
+# or a value out of range.  The presets are geometric networks of n = 10.
+_INVALID = {
+    ("schema_version",): st.one_of(
+        st.integers().filter(lambda v: v != 1), st.sampled_from([1.0, True, "1", None])),
+    ("zeta_prime",): _bad_real(_at_most(0.5), _at_least(1.0, exclude=True)),
+    ("zeta_second",): _bad_real(_at_most(0.5), _at_least(1.0, exclude=True)),
+    ("constant_step",): st.one_of(st.sampled_from(["1", [1], {"x": 1}, True]),
+                                  _NONFINITE, _at_most(0.0)),
+    ("drop_t_terms",): st.sampled_from([0, 1, 1.0, "true", None, []]),
+    ("freeze_compensation",): st.sampled_from([0, 1, 1.0, "true", None, []]),
+    ("reference_node",): st.one_of(st.integers(max_value=-1), st.integers(min_value=10),
+                                   st.sampled_from(["middle", True, 1.5, [0], {}])),
+    ("updates",): _bad_int(st.integers(max_value=-1)),
+    ("seeds",): st.sampled_from([None, 0, "0", [], [0.5], [True], ["a"], [None], [[0]]]),
+    ("stride",): _bad_int(st.integers(max_value=0)),
+    ("network",): st.sampled_from([None, [], "geometric", 5]),
+    ("network", "kind"): st.sampled_from(["file", "grid", None, 1]),
+    ("network", "n"): _bad_int(st.integers(max_value=1)),
+    ("network", "radius"): _bad_real(_at_most(0.0)),
+    ("network", "one_way_fraction"): _bad_real(_at_most(0.0, exclude=True),
+                                               _at_least(1.0, exclude=True)),
+    ("network", "p_hear"): _bad_real(_at_most(0.0), _at_least(1.0, exclude=True)),
+    ("network", "delta_bar"): _bad_real(_at_most(0.0)),
+    ("network", "delta_min"): _bad_real(_at_most(0.0)),
+    ("network", "mu"): _bad_real(_at_most(0.0)),
+    ("network", "eta_sigma"): _bad_real(_at_most(0.0, exclude=True)),
+    ("network", "xi_sigma"): _bad_real(_at_most(0.0, exclude=True)),
+    ("network", "gamma"): _bad_real(_at_most(0.0, exclude=True)),
+    ("network", "alpha_range"): _ranges(contain_zero=True),
+    ("network", "beta_range"): _ranges(contain_zero=False),
+    ("network", "noise_dist"): st.sampled_from(["cauchy", None, 1, ["normal"]]),
+    ("drift",): st.sampled_from([None, "a", [], 1]),
+    ("drift", "variant"): st.sampled_from(["z", "A", None, 1]),
+    ("drift", "L"): _bad_int(st.integers(max_value=0)),
+    ("drift", "nu"): _bad_real(_at_most(0.0), _at_least(1.0)),
+    ("drift", "l0"): _bad_int(st.integers(max_value=-1)),
+    ("offset",): st.sampled_from(["a", [], 1, True]),
+    ("offset", "variant"): st.sampled_from(["c", "A", 1, True]),
+    ("offset", "sigma"): _bad_real(_at_most(0.0), _at_least(1.0, exclude=True)),
+}
+# keys read only under one variant
+_ONLY_WITH = {("drift", "L"): ("drift", "a"), ("drift", "nu"): ("drift", "b"),
+              ("drift", "l0"): ("drift", "c"), ("offset", "sigma"): ("offset", "b")}
+
+
+@st.composite
+def _invalid_configs(draw):
+    """A preset, cut to 20 updates of one seed, with one key set to an
+    invalid value."""
+    data = copy.deepcopy(PRESETS[draw(st.sampled_from(sorted(PRESETS)))])
+    data.update(updates=20, seeds=[0])
+    keys = [key for key in _INVALID if key not in _ONLY_WITH
+            or (data.get(_ONLY_WITH[key][0]) or {}).get("variant") == _ONLY_WITH[key][1]]
+    key = draw(st.sampled_from(keys))
+    owner = data
+    for part in key[:-1]:
+        owner = owner[part]
+    owner[key[-1]] = draw(_INVALID[key])
+    return data
+
+
+class TestValidationFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=_invalid_configs())
+    def test_invalid_key_exits_1_with_one_error_line(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "cfg.json"
+            cfg_path.write_text(json.dumps(data))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["run", "--config", str(cfg_path),
+                             "--outdir", str(Path(tmp) / "out")])
+            lines = err.getvalue().splitlines()
+            assert code == EXIT_VALIDATION, lines
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert "Traceback" not in err.getvalue()
+            assert not (Path(tmp) / "out").exists()

@@ -214,6 +214,8 @@ def _check_network(net) -> None:
         if not isinstance(net.get("path"), str):
             raise ConfigError("network.kind 'file' needs a path")
         return
+    if "path" in net:
+        raise ConfigError("network.path is read only with kind 'file'")
     if "n" not in net or "radius" not in net:
         raise ConfigError("geometric network needs n and radius")
     if not _is_int(net["n"]) or net["n"] < 2:

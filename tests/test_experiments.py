@@ -328,6 +328,7 @@ _INVALID = {
     ("stride",): _bad_int(st.integers(max_value=0)),
     ("network",): st.sampled_from([None, [], "geometric", 5]),
     ("network", "kind"): st.sampled_from(["file", "grid", None, 1]),
+    ("network", "path"): st.sampled_from(["net.json", None, 1]),
     ("network", "n"): _bad_int(st.integers(max_value=1)),
     ("network", "radius"): _bad_real(_at_most(0.0)),
     ("network", "one_way_fraction"): _bad_real(_at_most(0.0, exclude=True),

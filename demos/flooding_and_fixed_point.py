@@ -13,7 +13,7 @@ from clocksync import analysis, engine, sync, topology
 
 def main():
     # --- flooding: one reference clock, everyone follows -----------------
-    net = topology.generate_geometric(10, 0.5, 0.1, seed=5)
+    net = topology.generate_geometric(topology.GeometricSpec(10, 0.5, 0.1), seed=5)
     lam = topology.centers(net)[0]
     ref_net = sync.make_reference(net, lam)
     cfg = sync.SyncConfig(drift=sync.DriftA(100), offset=sync.OffsetA())
@@ -25,8 +25,8 @@ def main():
           f"{np.abs(g - g[lam]).max() / abs(g[lam]):.2e}")
 
     # --- fixed point: where do the offsets actually settle? --------------
-    quiet = topology.generate_geometric(10, 0.5, 0.1, seed=5,
-                                        eta_sigma=0.0, xi_sigma=0.0)
+    quiet = topology.generate_geometric(
+        topology.GeometricSpec(10, 0.5, 0.1, eta_sigma=0.0, xi_sigma=0.0), seed=5)
     result = engine.run(quiet, cfg, max_updates=100_000, seed=5)
     report = analysis.fixed_point_residual(result)
     print(f"\nnoise-free offset run: fixed-point residual "

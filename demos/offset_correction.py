@@ -12,7 +12,7 @@ from clocksync import analysis, engine, experiments, sync, topology
 
 
 def run_case(label, **cfg_kwargs):
-    net = topology.generate_geometric(10, 0.5, 0.1, seed=1)
+    net = topology.generate_geometric(topology.GeometricSpec(10, 0.5, 0.1), seed=1)
     cfg = sync.SyncConfig(drift=sync.DriftA(100), **cfg_kwargs)
     result = engine.run(net, cfg, max_updates=30_000, seed=1)
     m = analysis.metrics(result)

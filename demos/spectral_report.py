@@ -12,7 +12,8 @@ from clocksync import analysis, sync, topology
 
 
 def main():
-    net = topology.generate_geometric(10, 0.5, 0.1, seed=42)
+    net = topology.generate_geometric(topology.GeometricSpec(10, 0.5, 0.1),
+                                      seed=42)
     profile = topology.probability_profile(net)
 
     print(f"network: n={net.n}, arcs={len(net.arcs)}, "
@@ -34,7 +35,7 @@ def main():
 
     print("\nadmissible scaled-disagreement exponents (zeta' = 0.99):")
     for variant in (sync.DriftA(1), sync.DriftB(0.5), sync.DriftC(0)):
-        bound = analysis.rate_bound(variant, 0.99, net, profile)
+        bound = analysis.rate_bound(variant, 0.99, net)
         print(f"  {str(variant):16s} zeta*d_max = {bound.zeta_d_max:.3f} "
               f"(r={bound.r:.3g}, q={bound.q:.3g})")
 

@@ -71,7 +71,7 @@ def build_B_bar(
     return (scale * net.alphas())[:, None] * lap
 
 
-def spectral_check(b_bar: np.ndarray, tol: float = ZERO_EIG_TOL) -> SpectralReport:
+def spectral_check(b_bar: np.ndarray) -> SpectralReport:
     """Eigenvalues of the expected update matrix and the consensus split.
 
     Builds T = [1 | column-space basis], whose similarity transform
@@ -79,9 +79,9 @@ def spectral_check(b_bar: np.ndarray, tol: float = ZERO_EIG_TOL) -> SpectralRepo
     """
     n = b_bar.shape[0]
     eig = np.linalg.eigvals(b_bar)
-    zero_mult = int(np.sum(np.abs(eig) < tol))
-    others = eig[np.abs(eig) >= tol]
-    hurwitz = bool(np.all(others.real < -tol))
+    zero_mult = int(np.sum(np.abs(eig) < ZERO_EIG_TOL))
+    others = eig[np.abs(eig) >= ZERO_EIG_TOL]
+    hurwitz = bool(np.all(others.real < -ZERO_EIG_TOL))
 
     u, s, _ = np.linalg.svd(b_bar)
     basis = u[:, : n - 1]  # column space has dimension n-1 under (A1)
@@ -155,27 +155,21 @@ def rate_bound(
     variant: DriftVariant,
     zeta_prime: float,
     net: Network,
-    profile: ProbabilityProfile | None = None,
-    q_matrix: np.ndarray | None = None,
     report: SpectralReport | None = None,
 ) -> RateBound:
     """Largest admissible scaled-disagreement exponent for one variant.
 
     ``report`` is the spectral check of ``build_B_bar`` at the variant's
-    drift exponent, if the caller already has it.
+    drift exponent, if the caller already has it.  The Lyapunov equation
+    is solved with Q = I, so ``r = 1 / lambda_max(R)``.
     """
     zeta = StepSchedule(zeta_prime=zeta_prime).drift_zeta(variant)
     if report is None:
-        if profile is None:
-            profile = probability_profile(net)
-        report = spectral_check(build_B_bar(net, profile, zeta))
+        report = spectral_check(build_B_bar(net, zeta=zeta))
     if not report.ok:
         raise ValueError("expected update matrix fails the spectral check")
-    if q_matrix is None:
-        q_matrix = np.eye(report.B_star.shape[0])
-    r_mat = lyapunov_solve(report.B_star, q_matrix)
-    r = float(np.min(np.linalg.eigvalsh(q_matrix))
-              / np.max(np.linalg.eigvalsh(r_mat)))
+    r_mat = lyapunov_solve(report.B_star, np.eye(report.B_star.shape[0]))
+    r = float(1.0 / np.max(np.linalg.eigvalsh(r_mat)))
     q = _variant_q(variant, net)
 
     if zeta_prime < 1.0:
@@ -212,22 +206,19 @@ class IncrementStats:
 def increment_stats(
     result: SimResult,
     arc: tuple[int, int],
-    variant: DriftVariant | None = None,
 ) -> IncrementStats:
     """Empirical statistics of the absolute-time increments used by the
-    drift updates on one arc, with the thinned-Poisson expectation.
+    run's drift updates on one arc, with the thinned-Poisson expectation.
 
     The expected mean of one increment spanning ``l - m`` receptions is
     ``(l - m) / (mu_sender * p_hear)``; for variants with growing
     increments the expectation is averaged over the realized receptions.
     """
-    if variant is None:
-        variant = result.cfg.drift
     times = result.send_times[arc]
     j = arc[0]
     rate = float(result.net.rates[j]) * result.net.arcs[arc].p_hear
     l = np.arange(1, len(times))
-    m = anchor_index(variant, l)
+    m = anchor_index(result.cfg.drift, l)
     l, m = l[m >= 0], m[m >= 0]
     if len(l) == 0:
         raise ValueError("not enough receptions on this arc")
@@ -406,10 +397,7 @@ def left_fixed_vector(c_bar: np.ndarray) -> np.ndarray:
     return v / v.sum()
 
 
-def fixed_point_residual(
-    result: SimResult,
-    profile: ProbabilityProfile | None = None,
-) -> FixedPointReport:
+def fixed_point_residual(result: SimResult) -> FixedPointReport:
     """Residual of the theoretical fixed-point equation at the final state.
 
     For the plain compensation recursion the residual is
@@ -423,8 +411,7 @@ def fixed_point_residual(
     reported.
     """
     net = result.net
-    if profile is None:
-        profile = probability_profile(net)
+    profile = probability_profile(net)
     lap = expected_laplacian(net, profile)
     gam_d = expected_gamma_d(net, profile)
     alpha = net.alphas()
@@ -480,10 +467,7 @@ def _initial_exchange_terms(
     return w, q
 
 
-def offset_fixed_point(
-    result: SimResult,
-    profile: ProbabilityProfile | None = None,
-) -> np.ndarray:
+def offset_fixed_point(result: SimResult) -> np.ndarray:
     """Limit f* of the expected offset recursion, with the drift
     estimates a held at their last value.
 
@@ -516,8 +500,7 @@ def offset_fixed_point(
     tr = result.trace
     if len(tr) == 0:
         raise ValueError("empty trace")
-    if profile is None:
-        profile = probability_profile(net)
+    profile = probability_profile(net)
     n = net.n
     a, b_last, c_last = tr.row(-1)
     w, q = _initial_exchange_terms(result, profile, a)
@@ -558,7 +541,6 @@ class CommonModeDrift:
 def frozen_compensation_drift(
     result: SimResult,
     start: int,
-    profile: ProbabilityProfile | None = None,
 ) -> CommonModeDrift:
     """Common-mode offset move from trace row ``start`` to the last row
     that the expected recursion predicts when c is pinned at zero.
@@ -579,8 +561,7 @@ def frozen_compensation_drift(
     tr = result.trace
     if not 0 <= start < len(tr):
         raise ValueError("start row outside the trace")
-    if profile is None:
-        profile = probability_profile(net)
+    profile = probability_profile(net)
     n = net.n
     a, b, _ = tr.row(-1)
     a0, b0, _ = tr.row(start)

@@ -54,7 +54,7 @@ class ClockParams:
         if self.xi_sigma < 0.0:
             raise ValueError("xi_sigma must be nonnegative")
         if self.dist not in NOISE_DISTS:
-            raise ValueError(f"dist must be one of {NOISE_DISTS}")
+            raise ValueError(f"noise dist {self.dist!r} is not one of {NOISE_DISTS}")
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,13 @@ class DelayModel:
 
     def __post_init__(self) -> None:
         if self.delta_bar <= 0.0:
-            raise ValueError("mean delay must be positive")
+            raise ValueError("mean delay delta_bar must be positive")
         if self.eta_sigma < 0.0:
             raise ValueError("eta_sigma must be nonnegative")
         if self.delta_min <= 0.0:
             raise ValueError("delta_min must be positive")
         if self.dist not in NOISE_DISTS:
-            raise ValueError(f"dist must be one of {NOISE_DISTS}")
+            raise ValueError(f"noise dist {self.dist!r} is not one of {NOISE_DISTS}")
 
 
 @dataclass

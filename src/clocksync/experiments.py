@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from clocksync import analysis, clock, engine, sync, topology
+from clocksync import analysis, engine, sync, topology
 
 CONFIG_SCHEMA_VERSION = 1
 OUTPUT_ROOT_ENV = "CLOCKSYNC_OUTPUT_ROOT"
@@ -33,11 +34,8 @@ class ConfigError(ValueError):
     """Raised for malformed or out-of-range experiment configs."""
 
 
-_NETWORK_KEYS = {
-    "kind", "path", "n", "radius", "one_way_fraction", "p_hear",
-    "delta_bar", "delta_min", "eta_sigma", "xi_sigma", "gamma", "mu",
-    "alpha_range", "beta_range", "noise_dist",
-}
+_SPEC_FIELDS = dataclasses.fields(topology.GeometricSpec)
+_NETWORK_KEYS = {"kind", "path"} | {f.name for f in _SPEC_FIELDS}
 _TOP_KEYS = {
     "schema_version", "network", "drift", "offset", "zeta_prime",
     "zeta_second", "constant_step", "drop_t_terms", "freeze_compensation",
@@ -49,9 +47,10 @@ _OFFSET_KEYS = {"variant", "sigma"}
 
 @dataclass
 class ExperimentConfig:
-    """Validated description of one experiment (possibly many seeds)."""
+    """Validated description of one experiment (possibly many seeds);
+    ``network`` is a geometric network's spec or a network file's path."""
 
-    network: dict
+    network: topology.GeometricSpec | str
     drift: sync.DriftVariant
     offset: sync.OffsetVariant | None
     steps: sync.StepSchedule
@@ -69,25 +68,15 @@ class ExperimentConfig:
             freeze_compensation=self.freeze_compensation)
 
     def build_network(self, seed: int) -> topology.Network:
-        spec = self.network
-        if spec["kind"] == "file":
-            net = topology.Network.load(spec["path"])
+        if isinstance(self.network, str):
+            net = topology.Network.load(self.network)
         else:
-            kwargs = {k: spec[k] for k in spec
-                      if k not in ("kind", "n", "radius", "one_way_fraction")}
-            for key in ("alpha_range", "beta_range"):
-                if key in kwargs:
-                    kwargs[key] = tuple(kwargs[key])
-            net = topology.generate_geometric(
-                spec["n"], spec["radius"],
-                spec.get("one_way_fraction", 0.1), seed=seed, **kwargs)
+            net = topology.generate_geometric(self.network, seed)
         if self.reference_node is not None:
             node = self.reference_node
             if node == "center":
                 node = topology.centers(net)[0]
-            elif node >= net.n:
-                raise ConfigError(
-                    f"reference_node {node} is out of range for n={net.n}")
+            _check_reference(node, net.n)
             net = sync.make_reference(net, node)
         return net
 
@@ -104,8 +93,8 @@ class ExperimentConfig:
         if not _is_int(version) or version != CONFIG_SCHEMA_VERSION:
             raise ConfigError("missing or unsupported schema_version")
 
-        net = data.get("network", {"kind": "geometric", "n": 10, "radius": 0.5})
-        _check_network(net)
+        network = _parse_network(
+            data.get("network", {"kind": "geometric", "n": 10, "radius": 0.5}))
 
         try:
             drift = _parse_drift(data.get("drift", {"variant": "a", "L": 1}))
@@ -121,7 +110,11 @@ class ExperimentConfig:
         updates = _int(data, "updates", 100_000)
         if updates < 0:
             raise ConfigError("updates must be nonnegative")
-        seeds = _seed_list(data.get("seeds", list(range(10))))
+        seeds = data.get("seeds", list(range(10)))
+        if not isinstance(seeds, list) or not all(_is_int(s) for s in seeds):
+            raise ConfigError("seeds must be a list of integers")
+        if not seeds:
+            raise ConfigError("seeds must list at least one seed")
         stride = _int(data, "stride", 1)
         if stride < 1:
             raise ConfigError("stride must be at least 1")
@@ -129,10 +122,9 @@ class ExperimentConfig:
         if ref is not None and ref != "center":
             if not _is_int(ref) or ref < 0:
                 raise ConfigError("reference_node must be a node id or 'center'")
-            if net["kind"] == "geometric" and ref >= net["n"]:
-                raise ConfigError(
-                    f"reference_node {ref} is out of range for n={net['n']}")
-        return cls(network=net, drift=drift, offset=offset, steps=steps,
+            if isinstance(network, topology.GeometricSpec):
+                _check_reference(ref, network.n)
+        return cls(network=network, drift=drift, offset=offset, steps=steps,
                    drop_t_terms=_bool(data, "drop_t_terms"),
                    freeze_compensation=_bool(data, "freeze_compensation"),
                    reference_node=ref,
@@ -140,20 +132,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
+        return cls.from_dict(_read_json(path))
+
+
+def _read_json(path):
+    try:
         with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON: {exc}") from exc
-        return cls.from_dict(data)
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON: {exc}") from exc
 
 
-def _seed_list(seeds) -> list[int]:
-    if not isinstance(seeds, list) or not all(_is_int(s) for s in seeds):
-        raise ConfigError("seeds must be a list of integers")
-    if not seeds:
-        raise ConfigError("seeds must list at least one seed")
-    return seeds
+def _check_reference(ref, n: int) -> None:
+    if _is_int(ref) and ref >= n:
+        raise ConfigError(f"reference_node {ref} is out of range for n={n}")
 
 
 def _is_int(value) -> bool:
@@ -186,23 +180,20 @@ def _bool(spec: dict, key: str) -> bool:
     return value
 
 
-# Ranges of the geometric network parameters: what generate_geometric and
-# the Arc, DelayModel and ClockParams validators accept, checked here so
-# that a bad config is a validation error before any seed runs.
-_NETWORK_RANGES = {
-    "radius": (lambda v: v > 0.0, "positive"),
-    "one_way_fraction": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "p_hear": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "delta_bar": (lambda v: v > 0.0, "positive"),
-    "delta_min": (lambda v: v > 0.0, "positive"),
-    "eta_sigma": (lambda v: v >= 0.0, "nonnegative"),
-    "xi_sigma": (lambda v: v >= 0.0, "nonnegative"),
-    "gamma": (lambda v: v >= 0.0, "nonnegative"),
-    "mu": (lambda v: v > 0.0, "positive"),
+# JSON type of each GeometricSpec field, by its annotation; the spec
+# checks the ranges.
+_SPEC_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_real, "a finite number"),
+    "tuple[float, float]": (
+        lambda v: (isinstance(v, (list, tuple)) and len(v) == 2
+                   and all(map(_is_real, v))),
+        "a list [low, high] of two finite numbers"),
+    "str": (lambda v: isinstance(v, str), "a string"),
 }
 
 
-def _check_network(net) -> None:
+def _parse_network(net) -> topology.GeometricSpec | str:
     if not isinstance(net, dict):
         raise ConfigError("network must be a JSON object")
     unknown = set(net) - _NETWORK_KEYS
@@ -213,29 +204,23 @@ def _check_network(net) -> None:
     if net["kind"] == "file":
         if not isinstance(net.get("path"), str):
             raise ConfigError("network.kind 'file' needs a path")
-        return
+        return net["path"]
     if "path" in net:
         raise ConfigError("network.path is read only with kind 'file'")
     if "n" not in net or "radius" not in net:
         raise ConfigError("geometric network needs n and radius")
-    if not _is_int(net["n"]) or net["n"] < 2:
-        raise ConfigError(f"network.n must be an integer >= 2, got {net['n']!r}")
-    for key, (ok, what) in _NETWORK_RANGES.items():
-        if key in net and not (_is_real(net[key]) and ok(net[key])):
-            raise ConfigError(f"network.{key} must be {what}, got {net[key]!r}")
-    for key in ("alpha_range", "beta_range"):
-        pair = net.get(key)
-        if key in net and not (
-                isinstance(pair, (list, tuple)) and len(pair) == 2
-                and all(_is_real(v) for v in pair) and pair[0] <= pair[1]):
-            raise ConfigError(
-                f"network.{key} must be [low, high] with low <= high, got {pair!r}")
-    low, high = net.get("alpha_range", (1.0, 1.0))
-    if low <= 0.0 <= high:
-        raise ConfigError("network.alpha_range must not contain 0 "
-                          "(clock drifts are nonzero)")
-    if net.get("noise_dist", "normal") not in clock.NOISE_DISTS:
-        raise ConfigError(f"network.noise_dist must be one of {clock.NOISE_DISTS}")
+    values = {}
+    for f in _SPEC_FIELDS:
+        if f.name in net:
+            value = net[f.name]
+            ok, what = _SPEC_TYPES[f.type]
+            if not ok(value):
+                raise ConfigError(f"network.{f.name} must be {what}, got {value!r}")
+            values[f.name] = tuple(value) if isinstance(value, list) else value
+    try:
+        return topology.GeometricSpec(**values)
+    except ValueError as exc:
+        raise ConfigError(f"network: {exc}") from exc
 
 
 def _parse_drift(spec: dict) -> sync.DriftVariant:
@@ -369,27 +354,32 @@ def run_experiment(cfg: ExperimentConfig, outdir) -> list[Path]:
 
 
 def run_scaling(cfg: ExperimentConfig, node_counts, outdir) -> list[Path]:
-    """Metrics per node count, plus a summary of early disagreement vs n."""
+    """Metrics per node count, plus a summary of early disagreement vs n;
+    every node count is checked before anything is written."""
+    if not isinstance(cfg.network, topology.GeometricSpec):
+        raise ConfigError("scaling needs a geometric network, not a file")
+    try:
+        specs = [dataclasses.replace(cfg.network, n=n) for n in node_counts]
+    except ValueError as exc:
+        raise ConfigError(f"network: {exc}") from exc
+    for spec in specs:
+        _check_reference(cfg.reference_node, spec.n)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     summary = []
-    for n in node_counts:
-        if n < 2:
-            raise ConfigError("node counts must be at least 2")
-        sub = copy.deepcopy(cfg)
-        sub.network = dict(cfg.network)
-        sub.network["n"] = n
+    for spec in specs:
+        sub = dataclasses.replace(cfg, network=spec)
         msd_early = []
         for seed in cfg.seeds:
             result = run_single(sub, seed)
             m = analysis.metrics(result)
-            path = outdir / f"metrics_n{n}_seed{seed}.csv"
+            path = outdir / f"metrics_n{spec.n}_seed{seed}.csv"
             m.to_csv(path, stride=cfg.stride)
             written.append(path)
             head = max(1, len(m.msd) // 100)
             msd_early.append(float(np.mean(m.msd[:head])))
-        summary.append((n, float(np.median(msd_early))))
+        summary.append((spec.n, float(np.median(msd_early))))
     summary_path = outdir / "scaling_summary.csv"
     with open(summary_path, "w") as fh:
         fh.write("n,median_initial_msd\n")
@@ -468,19 +458,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> ExperimentConfig:
     if bool(args.config) == bool(args.preset):
         raise ConfigError("give exactly one of --config or --preset")
-    cfg = (ExperimentConfig.from_file(args.config) if args.config
-           else preset_config(args.preset))
-    if args.seeds is not None:
-        cfg.seeds = _seed_list(args.seeds)
-    if args.updates is not None:
-        if args.updates < 0:
-            raise ConfigError("updates must be nonnegative")
-        cfg.updates = args.updates
-    if args.stride is not None:
-        if args.stride < 1:
-            raise ConfigError("stride must be at least 1")
-        cfg.stride = args.stride
-    return cfg
+    data = _read_json(args.config) if args.config else PRESETS[args.preset]
+    overrides = {key: getattr(args, key) for key in ("seeds", "updates", "stride")
+                 if getattr(args, key) is not None}
+    if isinstance(data, dict):
+        data = {**data, **overrides}
+    return ExperimentConfig.from_dict(data)
 
 
 def main(argv=None) -> int:

@@ -251,38 +251,73 @@ def repair_connectivity(net: Network, arc_template: Arc | None = None) -> Networ
     return Network(net.n, arcs, net.rates, net.clocks, net.positions)
 
 
-def generate_geometric(
-    n: int,
-    radius: float,
-    one_way_fraction: float = 0.1,
-    seed: int = 0,
-    *,
-    p_hear: float = 0.9,
-    delta_bar: float = 0.1,
-    delta_min: float = 1e-6,
-    eta_sigma: float = 0.05,
-    xi_sigma: float = 0.05,
-    gamma: float = 1.0,
-    mu: float = 1.0,
-    alpha_range: tuple[float, float] = (0.96, 1.04),
-    beta_range: tuple[float, float] = (-0.2, 0.2),
-    noise_dist: str = "normal",
-) -> Network:
+@dataclass(frozen=True)
+class GeometricSpec:
+    """Parameters of :func:`generate_geometric`, checked on construction.
+
+    Every arc gets ``arc()`` (its delay floor is at most ``delta_bar``),
+    every node the rate ``mu`` and a ``clock`` whose drift and offset are
+    uniform in ``alpha_range`` and ``beta_range``; ``noise_dist`` shapes
+    the reading noise only, the delays stay normal.
+    """
+
+    n: int
+    radius: float
+    one_way_fraction: float = 0.1
+    p_hear: float = 0.9
+    delta_bar: float = 0.1
+    delta_min: float = 1e-6
+    eta_sigma: float = 0.05
+    xi_sigma: float = 0.05
+    gamma: float = 1.0
+    mu: float = 1.0
+    alpha_range: tuple[float, float] = (0.96, 1.04)
+    beta_range: tuple[float, float] = (-0.2, 0.2)
+    noise_dist: str = "normal"
+
+    def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ValueError("n must be at least 2")
+        if not self.radius > 0.0:
+            raise ValueError("radius must be positive")
+        if not 0.0 <= self.one_way_fraction <= 1.0:
+            raise ValueError("one_way_fraction must be in [0, 1]")
+        if not self.mu > 0.0:
+            raise ValueError("mu must be positive")
+        for name in ("alpha_range", "beta_range"):
+            low, high = getattr(self, name)
+            if not low <= high:
+                raise ValueError(f"{name} must be (low, high) with low <= high")
+        low, high = self.alpha_range
+        if low <= 0.0 <= high:
+            raise ValueError("alpha_range must not contain 0 (drifts are nonzero)")
+        # the arc and clock types check the remaining values
+        self.arc()
+        self.clock(low, 0.0)
+
+    def arc(self) -> Arc:
+        """The arc every linked pair gets."""
+        delay = DelayModel(self.delta_bar, self.eta_sigma,
+                           min(self.delta_min, self.delta_bar))
+        return Arc(self.gamma, self.p_hear, delay)
+
+    def clock(self, alpha: float, beta: float) -> ClockParams:
+        """One node's clock with the given drift and offset."""
+        return ClockParams(alpha, beta, self.xi_sigma, self.noise_dist)
+
+
+def generate_geometric(spec: GeometricSpec, seed: int) -> Network:
     """Generate a directed geometric random network on the unit square.
 
-    Nodes are placed uniformly; pairs closer than ``radius`` get two-way
-    arcs; roughly ``one_way_fraction`` of those pairs keep only one
-    direction.  The result is repaired so a spanning tree exists
+    Nodes are placed uniformly; pairs closer than ``spec.radius`` get
+    two-way arcs; roughly ``spec.one_way_fraction`` of those pairs keep
+    only one direction.  The result is repaired so a spanning tree exists
     (:func:`repair_connectivity` merges source components until one is
     left, so the repair always succeeds).
     """
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    if not 0.0 <= one_way_fraction <= 1.0:
-        raise ValueError("one_way_fraction must be in [0, 1]")
+    n, radius, one_way_fraction = spec.n, spec.radius, spec.one_way_fraction
     rng = substream(seed, "netgen")
-    delay = DelayModel(delta_bar, eta_sigma, min(delta_min, delta_bar))
-    arc = Arc(gamma, p_hear, delay)
+    arc = spec.arc()
     pos = rng.uniform(0.0, 1.0, size=(n, 2))
     # pairs u < v in row order; a pair within rounding of the radius is
     # decided by the exact per-pair norm that defines the graph
@@ -303,11 +338,10 @@ def generate_geometric(
         else:
             arcs[(u, v)] = arc
             arcs[(v, u)] = arc
-    alphas = rng.uniform(*alpha_range, size=n)
-    betas = rng.uniform(*beta_range, size=n)
-    clocks = [ClockParams(float(a), float(b), xi_sigma, noise_dist)
-              for a, b in zip(alphas, betas)]
-    net = Network(n, arcs, np.full(n, mu), clocks, pos)
+    alphas = rng.uniform(*spec.alpha_range, size=n)
+    betas = rng.uniform(*spec.beta_range, size=n)
+    clocks = [spec.clock(float(a), float(b)) for a, b in zip(alphas, betas)]
+    net = Network(n, arcs, np.full(n, spec.mu), clocks, pos)
     return repair_connectivity(net, arc_template=arc)
 
 

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import strategies as st
 
 from clocksync.clock import ClockParams, DelayModel
-from clocksync.topology import Arc, Network, centers, generate_geometric, mute_in_arcs
+from clocksync.topology import (
+    Arc,
+    GeometricSpec,
+    Network,
+    centers,
+    generate_geometric,
+    mute_in_arcs,
+)
 
 
 def make_line_network(
@@ -55,14 +62,16 @@ def networks(draw):
     (``eta_sigma = 0`` gives deliveries at equal times), hearing always or
     not, and optionally a muted reference node."""
     n = draw(st.integers(2, 6))
-    net = generate_geometric(
-        n, draw(st.floats(0.2, 1.0)), draw(st.floats(0.0, 0.6)),
-        seed=draw(st.integers(0, 10_000)),
+    radius, one_way = draw(st.floats(0.2, 1.0)), draw(st.floats(0.0, 0.6))
+    seed = draw(st.integers(0, 10_000))
+    spec = GeometricSpec(
+        n, radius, one_way,
         p_hear=draw(st.one_of(st.just(1.0), st.floats(0.2, 1.0))),
         delta_bar=draw(st.sampled_from([0.05, 0.3, 2.0])),
         eta_sigma=draw(st.sampled_from([0.0, 0.0, 0.02, 0.3])),
         xi_sigma=draw(st.sampled_from([0.0, 0.05])),
         noise_dist=draw(st.sampled_from(["normal", "uniform"])))
+    net = generate_geometric(spec, seed=seed)
     rates = draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n))
     net = Network(n, net.arcs, np.array(rates), net.clocks, net.positions)
     if draw(st.booleans()):

@@ -241,7 +241,8 @@ def test_criterion_10_spectral_suite():
     worst_resid = 0.0
     for case in range(100):
         n = 3 + case % 18
-        net = topology.generate_geometric(n, 0.45, 0.15, seed=1000 + case)
+        net = topology.generate_geometric(
+            topology.GeometricSpec(n, 0.45, 0.15), seed=1000 + case)
         rep = analysis.spectral_check(analysis.build_B_bar(net))
         ok &= rep.ok
         q = np.eye(n - 1)

@@ -33,6 +33,7 @@ from clocksync.sync import (
     make_reference,
 )
 from clocksync.topology import (
+    GeometricSpec,
     centers,
     expected_laplacian,
     generate_geometric,
@@ -70,7 +71,7 @@ class TestSpectralCheck:
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(3, 20), seed=st.integers(0, 10_000))
     def test_generated_networks_pass(self, n, seed):
-        net = generate_geometric(n, 0.4, 0.2, seed=seed)
+        net = generate_geometric(GeometricSpec(n, 0.4, 0.2), seed=seed)
         rep = spectral_check(build_B_bar(net))
         assert rep.ok
 
@@ -101,21 +102,21 @@ class TestLyapunov:
 class TestRateBound:
     def test_exponents_below_one(self):
         # zeta' < 1: the admissible scaled exponent is variant-specific
-        net = generate_geometric(10, 0.5, 0.1, seed=0)
+        net = generate_geometric(GeometricSpec(10, 0.5, 0.1), seed=0)
         zp = 0.99
         assert rate_bound(DriftA(1), zp, net).zeta_d_max == pytest.approx(zp - 0.5)
         assert rate_bound(DriftB(0.5), zp, net).zeta_d_max == pytest.approx(0.5 + zp)
         assert rate_bound(DriftC(0), zp, net).zeta_d_max == pytest.approx(zp)
 
     def test_zeta_prime_one_uses_lyapunov(self):
-        net = generate_geometric(10, 0.5, 0.1, seed=1)
+        net = generate_geometric(GeometricSpec(10, 0.5, 0.1), seed=1)
         b = rate_bound(DriftA(1), 1.0, net)
         assert 0.0 < b.d_max <= 0.5
         assert b.r > 0.0
 
     def test_reuses_given_spectral_report(self, monkeypatch):
         # the report's own check, passed in, replaces a second eigenvalue solve
-        net = generate_geometric(10, 0.5, 0.1, seed=1)
+        net = generate_geometric(GeometricSpec(10, 0.5, 0.1), seed=1)
         for variant in (DriftA(1), DriftB(0.5)):
             zeta = StepSchedule(zeta_prime=1.0).drift_zeta(variant)
             rep = spectral_check(build_B_bar(net, zeta=zeta))
@@ -125,7 +126,7 @@ class TestRateBound:
                 assert rate_bound(variant, 1.0, net, report=rep) == expected
 
     def test_q_constants(self):
-        net = generate_geometric(10, 0.5, 0.1, seed=2)
+        net = generate_geometric(GeometricSpec(10, 0.5, 0.1), seed=2)
         mu_c = float(net.rates.sum())
         assert rate_bound(DriftC(0), 0.99, net).q == pytest.approx(1.0 / mu_c)
         assert rate_bound(DriftB(0.25), 0.99, net).q == pytest.approx(0.75 / mu_c)
@@ -135,7 +136,7 @@ class TestIncrementStats:
     def test_mean_matches_thinned_poisson(self):
         # Lemma-3 style check at unit scale: mean inter-reception time on
         # one arc is (l - m) / (mu_j * p_hear)
-        net = generate_geometric(6, 0.7, 0.0, seed=3)
+        net = generate_geometric(GeometricSpec(6, 0.7, 0.0), seed=3)
         res = engine.run(net, SyncConfig(drift=DriftA(1), offset=None),
                          max_updates=30000, seed=3)
         # fixed arc: selecting e.g. the busiest arc would bias the gaps low
@@ -146,7 +147,7 @@ class TestIncrementStats:
 
 class TestMetrics:
     def test_derived_quantities(self):
-        net = generate_geometric(5, 0.7, 0.0, seed=4)
+        net = generate_geometric(GeometricSpec(5, 0.7, 0.0), seed=4)
         res = engine.run(net, SyncConfig(), max_updates=50, seed=4)
         m = metrics(res)
         alpha, beta = net.alphas(), net.betas()
@@ -161,7 +162,7 @@ class TestMetrics:
         assert m.vclock_gap[k] == pytest.approx(vc.max() - vc.min())
 
     def test_scaled_disagreement(self):
-        net = generate_geometric(5, 0.7, 0.0, seed=4)
+        net = generate_geometric(GeometricSpec(5, 0.7, 0.0), seed=4)
         m = metrics(engine.run(net, SyncConfig(), max_updates=20, seed=4))
         sd = scaled_disagreement(m, 1.0)
         assert sd == pytest.approx(m.k.astype(float) ** 2 * m.msd)
@@ -171,18 +172,18 @@ class TestMetrics:
 
 class TestConsensusMixing:
     def test_row_stochastic(self):
-        net = generate_geometric(8, 0.5, 0.1, seed=5)
+        net = generate_geometric(GeometricSpec(8, 0.5, 0.1), seed=5)
         c = consensus_mixing_matrix(net, probability_profile(net), 0.5)
         assert np.allclose(c.sum(axis=1), 1.0)
         assert np.all(c >= 0.0)
 
     def test_sigma_one_is_identity(self):
-        net = generate_geometric(8, 0.5, 0.1, seed=5)
+        net = generate_geometric(GeometricSpec(8, 0.5, 0.1), seed=5)
         c = consensus_mixing_matrix(net, probability_profile(net), 1.0)
         assert np.allclose(c, np.eye(8))
 
     def test_left_fixed_vector(self):
-        net = generate_geometric(8, 0.5, 0.1, seed=6)
+        net = generate_geometric(GeometricSpec(8, 0.5, 0.1), seed=6)
         c = consensus_mixing_matrix(net, probability_profile(net), 0.5)
         phi = left_fixed_vector(c)
         assert phi.sum() == pytest.approx(1.0)
@@ -191,14 +192,14 @@ class TestConsensusMixing:
 
 class TestFixedPointResidual:
     def test_empty_trace_rejected(self):
-        net = generate_geometric(5, 0.7, 0.0, seed=7)
+        net = generate_geometric(GeometricSpec(5, 0.7, 0.0), seed=7)
         res = engine.run(net, SyncConfig(), max_updates=0, seed=7)
         with pytest.raises(ValueError):
             fixed_point_residual(res)
 
     def test_reports_convergence_flag(self):
-        net = generate_geometric(8, 0.5, 0.1, seed=8,
-                                 eta_sigma=0.0, xi_sigma=0.0)
+        net = generate_geometric(
+            GeometricSpec(8, 0.5, 0.1, eta_sigma=0.0, xi_sigma=0.0), seed=8)
         res = engine.run(net, SyncConfig(drift=DriftA(100), offset=OffsetA()),
                          max_updates=20000, seed=8)
         rep = fixed_point_residual(res)
@@ -255,14 +256,14 @@ class TestOffsetFixedPoint:
 
     @pytest.mark.parametrize("offset", [OffsetA(), OffsetB(0.5)])
     def test_expected_innovation_vanishes(self, offset):
-        net = generate_geometric(6, 0.6, 0.2, seed=11)
+        net = generate_geometric(GeometricSpec(6, 0.6, 0.2), seed=11)
         res = engine.run(net, SyncConfig(drift=DriftA(10), offset=offset),
                          max_updates=3000, seed=11)
         profile = probability_profile(net)
         lap = expected_laplacian(net, profile)
         a = res.trace.a_hat[-1]
         s = res.trace.b_hat[-1] + res.trace.c_hat[-1]
-        b = offset_fixed_point(res, profile) - a * net.betas()
+        b = offset_fixed_point(res) - a * net.betas()
         if isinstance(offset, OffsetB):
             phi = left_fixed_vector(
                 consensus_mixing_matrix(net, profile, offset.sigma))
@@ -310,7 +311,7 @@ class TestFrozenCompensationDrift:
 
 class TestFlooding:
     def test_reference_b_bar_admissible(self):
-        net = generate_geometric(8, 0.5, 0.0, seed=9)
+        net = generate_geometric(GeometricSpec(8, 0.5, 0.0), seed=9)
         ref = make_reference(net, centers(net)[0])
         rep = spectral_check(build_B_bar(ref))
         assert rep.ok

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import clocksync
 from clocksync import analysis, engine, experiments
 from clocksync.sync import OffsetA, OffsetB, SyncConfig
-from clocksync.topology import generate_geometric
+from clocksync.topology import GeometricSpec, generate_geometric
 
 from conftest import networks
 
@@ -135,7 +135,7 @@ class TestBlocksMatchDense:
 
     @pytest.mark.parametrize("stride", [1, 3])
     def test_empty_run(self, tmp_path, stride):
-        net = generate_geometric(5, 0.6, 0.1, seed=0)
+        net = generate_geometric(GeometricSpec(5, 0.6, 0.1), seed=0)
         result = engine.run(net, SyncConfig(), max_updates=0, seed=0)
         assert len(result.trace) == 0
         with mock.patch.object(engine, "_BLOCK_ELEMENTS", 5):
@@ -162,7 +162,7 @@ class TestBlocksMatchDense:
         assert (tmp_path / "t.csv").read_bytes() == dense_csv(tr, 2)
 
     def test_row_counts_from_the_end(self):
-        net = generate_geometric(6, 0.6, 0.1, seed=2)
+        net = generate_geometric(GeometricSpec(6, 0.6, 0.1), seed=2)
         tr = engine.run(net, SyncConfig(), max_updates=40, seed=2).trace
         for a, b in zip(tr.row(-1), tr.row(39)):
             assert np.array_equal(a, b)
@@ -178,7 +178,7 @@ DENSE_VIEWS = ("a_hat", "b_hat", "c_hat")
 
 
 def test_analysis_and_csv_leave_the_dense_views_unbuilt(tmp_path):
-    net = generate_geometric(8, 0.5, 0.1, seed=1)
+    net = generate_geometric(GeometricSpec(8, 0.5, 0.1), seed=1)
     result = engine.run(net, SyncConfig(offset=OffsetA()), max_updates=600, seed=1)
     m = analysis.metrics(result)
     m.to_csv(tmp_path / "metrics.csv", stride=3)

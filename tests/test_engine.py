@@ -21,7 +21,7 @@ from clocksync.sync import (
     StepSchedule,
     SyncConfig,
 )
-from clocksync.topology import Network, generate_geometric
+from clocksync.topology import GeometricSpec, Network, generate_geometric
 
 from conftest import make_line_network, networks
 from sync_oracle import OracleState
@@ -93,7 +93,7 @@ def heap_run(net, cfg, *, max_updates=None, horizon=None, seed=0) -> dict:
 
 class TestScheduleTicks:
     def test_times_strictly_increasing(self):
-        net = generate_geometric(5, 0.6, 0.0, seed=0)
+        net = generate_geometric(GeometricSpec(5, 0.6, 0.0), seed=0)
         ticks = list(itertools.islice(engine.schedule_ticks(net, 0), 500))
         times = [t for t, _ in ticks]
         assert all(b > a for a, b in zip(times, times[1:]))
@@ -101,7 +101,7 @@ class TestScheduleTicks:
     def test_merged_rate(self):
         # inter-tick gaps are Exp(mu_c); the mean over many ticks should
         # match 1/mu_c to within a few standard errors
-        net = generate_geometric(5, 0.6, 0.0, seed=0, mu=2.0)
+        net = generate_geometric(GeometricSpec(5, 0.6, 0.0, mu=2.0), seed=0)
         n_ticks = 40000
         ticks = list(itertools.islice(engine.schedule_ticks(net, 1), n_ticks))
         mu_c = float(net.rates.sum())
@@ -163,8 +163,8 @@ class TestScheduleOracle:
     def test_ties(self, seed):
         # eta_sigma = 0: every delivery of a tick lands at the same time,
         # so only the insertion order separates them
-        net = generate_geometric(8, 0.9, 0.0, seed=seed, eta_sigma=0.0,
-                                 p_hear=1.0, delta_bar=1.5)
+        net = generate_geometric(GeometricSpec(8, 0.9, 0.0, eta_sigma=0.0,
+                                               p_hear=1.0, delta_bar=1.5), seed=seed)
         res = engine.run(net, SyncConfig(), max_updates=400, seed=seed)
         same = np.flatnonzero(np.diff(res.trace.t) == 0.0)
         assert len(same) > 100
@@ -186,7 +186,7 @@ class TestRun:
         assert res.updates == 0 and res.silent_nodes == []
 
     def test_update_count_and_trace_shape(self):
-        net = generate_geometric(6, 0.6, 0.0, seed=0)
+        net = generate_geometric(GeometricSpec(6, 0.6, 0.0), seed=0)
         res = engine.run(net, SyncConfig(), max_updates=300, seed=0)
         assert res.updates == 300
         assert len(res.trace) == 300
@@ -194,25 +194,25 @@ class TestRun:
         assert res.trace.k[0] == 1 and res.trace.k[-1] == 300
 
     def test_horizon_respected(self):
-        net = generate_geometric(6, 0.6, 0.0, seed=0)
+        net = generate_geometric(GeometricSpec(6, 0.6, 0.0), seed=0)
         res = engine.run(net, SyncConfig(), horizon=50.0, seed=0)
         assert res.updates > 0
         assert np.all(res.trace.t <= 50.0)
 
     def test_nu_sums_to_update_count(self):
-        net = generate_geometric(6, 0.6, 0.0, seed=1)
+        net = generate_geometric(GeometricSpec(6, 0.6, 0.0), seed=1)
         res = engine.run(net, SyncConfig(), max_updates=500, seed=1)
         assert int(res.nu.sum()) == res.updates
 
     def test_delivery_never_precedes_send(self):
-        net = generate_geometric(6, 0.6, 0.0, seed=2)
+        net = generate_geometric(GeometricSpec(6, 0.6, 0.0), seed=2)
         res = engine.run(net, SyncConfig(), max_updates=500, seed=2)
         for sample in res.initial_samples.values():
             assert sample.t_recv > sample.t_send
 
     def test_initial_sample_noise_bookkeeping(self):
         # the logged noise components must reconstruct the raw readings
-        net = generate_geometric(6, 0.6, 0.0, seed=3)
+        net = generate_geometric(GeometricSpec(6, 0.6, 0.0), seed=3)
         res = engine.run(net, SyncConfig(), max_updates=200, seed=3)
         for (j, i), s in res.initial_samples.items():
             cj, ci = net.clocks[j], net.clocks[i]
@@ -225,7 +225,7 @@ class TestRun:
 
 class TestDivergence:
     def test_non_finite_estimate_raises(self):
-        net = generate_geometric(10, 0.5, 0.1, seed=0)
+        net = generate_geometric(GeometricSpec(10, 0.5, 0.1), seed=0)
         cfg = SyncConfig(steps=StepSchedule(constant_step=50.0))
         with pytest.raises(FloatingPointError,
                            match=r"node \d+ .* iteration k=\d+"):
@@ -235,7 +235,7 @@ class TestDivergence:
 class TestTraceViews:
     @pytest.fixture(scope="class")
     def trace(self):
-        net = generate_geometric(12, 0.4, 0.1, seed=9)
+        net = generate_geometric(GeometricSpec(12, 0.4, 0.1), seed=9)
         return engine.run(net, SyncConfig(), max_updates=600, seed=9).trace
 
     def test_matches_loop_forward_fill(self, trace):
@@ -287,14 +287,14 @@ class TestTraceViews:
         assert trace.a_hat is trace.a_hat
 
     def test_empty_run_has_n_columns(self):
-        net = generate_geometric(7, 0.5, 0.1, seed=0)
+        net = generate_geometric(GeometricSpec(7, 0.5, 0.1), seed=0)
         res = engine.run(net, SyncConfig(), horizon=1e-3, seed=0)
         assert res.updates == 0
         for view in (res.trace.a_hat, res.trace.b_hat, res.trace.c_hat):
             assert view.shape == (0, 7) and view.dtype == np.float64
 
     def test_adjacency_matches_arc_scan(self):
-        net = generate_geometric(15, 0.4, 0.2, seed=3)
+        net = generate_geometric(GeometricSpec(15, 0.4, 0.2), seed=3)
         for v in range(net.n):
             assert list(net.out_neighbors(v)) == sorted(
                 i for (j, i) in net.arcs if j == v)
@@ -304,7 +304,7 @@ class TestTraceViews:
 
 class TestDeterminism:
     def test_identical_runs_identical_traces(self):
-        net = generate_geometric(8, 0.5, 0.1, seed=4)
+        net = generate_geometric(GeometricSpec(8, 0.5, 0.1), seed=4)
         cfg = SyncConfig(drift=DriftA(5), offset=OffsetA())
         r1 = engine.run(net, cfg, max_updates=400, seed=4)
         r2 = engine.run(net, cfg, max_updates=400, seed=4)
@@ -313,7 +313,7 @@ class TestDeterminism:
         assert np.array_equal(r1.trace.b_hat, r2.trace.b_hat)
 
     def test_byte_identical_csv(self, tmp_path):
-        net = generate_geometric(8, 0.5, 0.1, seed=5)
+        net = generate_geometric(GeometricSpec(8, 0.5, 0.1), seed=5)
         cfg = SyncConfig()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         engine.run(net, cfg, max_updates=300, seed=5).trace.to_csv(p1)
@@ -323,7 +323,7 @@ class TestDeterminism:
     def test_common_noise_across_variants(self):
         # different algorithms, same seed: identical tick times, identical
         # send times, identical readings -- only the estimates differ
-        net = generate_geometric(8, 0.5, 0.1, seed=6)
+        net = generate_geometric(GeometricSpec(8, 0.5, 0.1), seed=6)
         ra = engine.run(net, SyncConfig(drift=DriftA(1)), max_updates=400, seed=6)
         rb = engine.run(net, SyncConfig(drift=DriftB(0.5)), max_updates=400, seed=6)
         assert np.array_equal(ra.trace.t, rb.trace.t)
@@ -331,7 +331,7 @@ class TestDeterminism:
         assert ra.send_times == rb.send_times
 
     def test_seed_changes_realization(self):
-        net = generate_geometric(8, 0.5, 0.1, seed=7)
+        net = generate_geometric(GeometricSpec(8, 0.5, 0.1), seed=7)
         r1 = engine.run(net, SyncConfig(), max_updates=200, seed=7)
         r2 = engine.run(net, SyncConfig(), max_updates=200, seed=8)
         assert not np.array_equal(r1.trace.t, r2.trace.t)

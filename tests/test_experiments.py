@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clocksync import experiments, sync
-from clocksync.topology import generate_geometric
+from clocksync.topology import GeometricSpec, generate_geometric
 from clocksync.experiments import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -208,7 +208,7 @@ class TestCli:
     def test_reference_past_file_network_is_validation_error(
             self, tmp_path, capsys):
         net_path = tmp_path / "net.json"
-        generate_geometric(6, 0.6, 0.1, seed=0).save(net_path)
+        generate_geometric(GeometricSpec(6, 0.6, 0.1), seed=0).save(net_path)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_minimal(
             network={"kind": "file", "path": str(net_path)}, reference_node=6)))
@@ -218,6 +218,35 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: reference_node 6 is out of range for n=6"]
         assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("over, nodes", [
+        ({"network": {"kind": "file", "path": "net.json"}}, ["10", "50"]),
+        ({}, ["4", "1"]),
+        ({"network": {"kind": "geometric", "n": 10, "radius": 0.6},
+          "reference_node": 9}, ["20", "5"]),
+    ], ids=["file-network", "one-node", "reference-past-a-count"])
+    def test_scaling_checks_before_it_writes(self, tmp_path, capsys, over, nodes):
+        net_path = tmp_path / "net.json"
+        generate_geometric(GeometricSpec(6, 0.6, 0.1), seed=0).save(net_path)
+        data = _minimal(**over)
+        if data["network"]["kind"] == "file":
+            data["network"]["path"] = str(net_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        code = main(["scaling", "--config", str(cfg_path), "--nodes", *nodes,
+                     "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_file_is_validation_error(self, tmp_path, capsys):
+        code = main(["run", "--config", str(tmp_path / "absent.json"),
+                     "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_bare_seeds_flag_is_validation_error(self, tmp_path, capsys):
         code = main(["run", "--preset", "fig1a", "--seeds",

@@ -21,7 +21,7 @@ from clocksync.sync import (
     SyncConfig,
     make_reference,
 )
-from clocksync.topology import Network, generate_geometric
+from clocksync.topology import GeometricSpec, Network, generate_geometric
 
 from conftest import make_line_network, networks
 from sync_oracle import (
@@ -266,7 +266,7 @@ class TestSyncState:
 
 class TestMakeReference:
     def test_mutes_in_arcs_of_center(self):
-        net = generate_geometric(8, 0.5, 0.0, seed=1)
+        net = generate_geometric(GeometricSpec(8, 0.5, 0.0), seed=1)
         from clocksync.topology import centers
         node = centers(net)[0]
         ref = make_reference(net, node)
@@ -384,8 +384,8 @@ class TestKernelOracle:
     def test_ties_and_muted_reference(self, drift, offset):
         # eta_sigma = 0: a tick's deliveries share one time; the muted
         # center's deliveries count in nu but update nothing
-        net = generate_geometric(8, 0.9, 0.0, seed=3, eta_sigma=0.0,
-                                 p_hear=1.0, delta_bar=1.5)
+        net = generate_geometric(GeometricSpec(8, 0.9, 0.0, eta_sigma=0.0,
+                                               p_hear=1.0, delta_bar=1.5), seed=3)
         net = make_reference(net, 0)
         cfg = SyncConfig(drift=drift, offset=offset)
         assert_kernel_matches_oracle(net, cfg, 1500, None, 3)

@@ -1,5 +1,7 @@
 """Network construction, serialization, probabilities and expected matrices."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from clocksync.clock import ClockParams, DelayModel
 from clocksync.streams import substream
 from clocksync.topology import (
     Arc,
+    GeometricSpec,
     Network,
     centers,
     expected_gamma_d,
@@ -55,7 +58,7 @@ class TestValidation:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        net = generate_geometric(8, 0.5, 0.2, seed=3)
+        net = generate_geometric(GeometricSpec(8, 0.5, 0.2), seed=3)
         path = tmp_path / "net.json"
         net.save(path)
         loaded = Network.load(path)
@@ -101,7 +104,7 @@ class TestConnectivity:
 
 class TestGenerate:
     def test_basic_properties(self):
-        net = generate_geometric(10, 0.5, 0.1, seed=0)
+        net = generate_geometric(GeometricSpec(10, 0.5, 0.1), seed=0)
         assert net.n == 10
         assert has_spanning_tree(net)
         alphas = net.alphas()
@@ -110,13 +113,13 @@ class TestGenerate:
         assert np.all((betas >= -0.2) & (betas <= 0.2))
 
     def test_deterministic(self):
-        a = generate_geometric(10, 0.5, 0.1, seed=7)
-        b = generate_geometric(10, 0.5, 0.1, seed=7)
+        a = generate_geometric(GeometricSpec(10, 0.5, 0.1), seed=7)
+        b = generate_geometric(GeometricSpec(10, 0.5, 0.1), seed=7)
         assert a.to_dict() == b.to_dict()
 
     def test_seed_changes_layout(self):
-        a = generate_geometric(10, 0.5, 0.1, seed=1)
-        b = generate_geometric(10, 0.5, 0.1, seed=2)
+        a = generate_geometric(GeometricSpec(10, 0.5, 0.1), seed=1)
+        b = generate_geometric(GeometricSpec(10, 0.5, 0.1), seed=2)
         assert a.to_dict() != b.to_dict()
 
     @staticmethod
@@ -136,7 +139,7 @@ class TestGenerate:
         return arcs, rng.uniform(0.96, 1.04, size=n)
 
     def assert_matches_pair_loop(self, n, radius, one_way, seed):
-        net = generate_geometric(n, radius, one_way, seed=seed)
+        net = generate_geometric(GeometricSpec(n, radius, one_way), seed=seed)
         arcs, alphas = self.pair_loop(n, radius, one_way, seed)
         # repair appends arcs after the geometric ones
         assert list(net.arcs)[:len(arcs)] == arcs
@@ -158,10 +161,26 @@ class TestGenerate:
             radius = float(np.linalg.norm(pos[u] - pos[v]))
             self.assert_matches_pair_loop(n, radius, 0.3, seed)
 
+    @pytest.mark.parametrize("over", [
+        {"n": 1},
+        {"radius": 0.0},
+        {"radius": -1.0},
+        {"alpha_range": (1.04, 0.96)},
+        {"beta_range": (0.2, -0.2)},
+        {"alpha_range": (-0.1, 0.1)},
+        {"alpha_range": (0.0, 0.0)},
+    ], ids=["one-node", "zero-radius", "negative-radius", "reversed-alpha",
+            "reversed-beta", "alpha-around-0", "alpha-at-0"])
+    def test_spec_rejects_out_of_range(self, over):
+        with pytest.raises(ValueError):
+            GeometricSpec(**{"n": 5, "radius": 0.5, **over})
+        with pytest.raises(ValueError):
+            replace(GeometricSpec(5, 0.5), **over)
+
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(3, 20), seed=st.integers(0, 10_000))
     def test_always_repaired(self, n, seed):
-        net = generate_geometric(n, 0.4, 0.2, seed=seed)
+        net = generate_geometric(GeometricSpec(n, 0.4, 0.2), seed=seed)
         assert has_spanning_tree(net)
 
 
@@ -177,7 +196,7 @@ class TestProbabilityProfile:
         assert prof.p == pytest.approx([0.0, 1.0])
 
     def test_pi_sums_to_one(self):
-        net = generate_geometric(12, 0.5, 0.1, seed=5)
+        net = generate_geometric(GeometricSpec(12, 0.5, 0.1), seed=5)
         prof = probability_profile(net)
         assert prof.pi.sum() == pytest.approx(1.0)
         assert prof.p.sum() == pytest.approx(1.0)
@@ -192,7 +211,7 @@ class TestProbabilityProfile:
 
 class TestExpectedMatrices:
     def test_laplacian_row_sums_zero(self):
-        net = generate_geometric(10, 0.5, 0.1, seed=2)
+        net = generate_geometric(GeometricSpec(10, 0.5, 0.1), seed=2)
         lap = expected_laplacian(net, probability_profile(net))
         assert np.allclose(lap.sum(axis=1), 0.0)
 
@@ -204,14 +223,14 @@ class TestExpectedMatrices:
         assert lap == pytest.approx(np.array([[0.0, 0.0], [0.5, -0.5]]))
 
     def test_gamma_d_is_minus_diagonal(self):
-        net = generate_geometric(10, 0.5, 0.1, seed=4)
+        net = generate_geometric(GeometricSpec(10, 0.5, 0.1), seed=4)
         prof = probability_profile(net)
         lap = expected_laplacian(net, prof)
         gd = expected_gamma_d(net, prof)
         assert np.allclose(np.diag(gd), -np.diag(lap))
 
     def test_mute_in_arcs(self):
-        net = generate_geometric(8, 0.5, 0.1, seed=6)
+        net = generate_geometric(GeometricSpec(8, 0.5, 0.1), seed=6)
         muted = mute_in_arcs(net, 3)
         for (j, i), arc in muted.arcs.items():
             if i == 3:

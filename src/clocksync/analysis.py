@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from clocksync.engine import SimResult, column_blocks, write_csv
+from clocksync.engine import SimResult, Trace, column_blocks, write_csv
 from clocksync.sync import DriftA, DriftB, DriftVariant, OffsetB, StepSchedule, anchor_index
 from clocksync.topology import (
     Network,
@@ -214,15 +214,15 @@ def increment_stats(
     ``(l - m) / (mu_sender * p_hear)``; for variants with growing
     increments the expectation is averaged over the realized receptions.
     """
-    times = result.send_times[arc]
-    j = arc[0]
+    j, i = arc
+    tr = result.trace
+    times = tr.t_send[(tr.sender == j) & (tr.receiver == i)]
     rate = float(result.net.rates[j]) * result.net.arcs[arc].p_hear
     l = np.arange(1, len(times))
     m = anchor_index(result.cfg.drift, l)
     l, m = l[m >= 0], m[m >= 0]
     if len(l) == 0:
         raise ValueError("not enough receptions on this arc")
-    times = np.array(times)
     deltas = times[l] - times[m]
     spans = l - m
     return IncrementStats(
@@ -315,8 +315,16 @@ class FixedPointReport:
     c_con_spread: float | None = None
 
 
+def first_deliveries(trace: Trace) -> np.ndarray:
+    """Row of each link's first delivery, its initial exchange, in the
+    order of those rows."""
+    code = trace.sender.astype(np.int64) * trace.n + trace.receiver
+    return np.sort(np.unique(code, return_index=True)[1])
+
+
 def _initial_noise_means(result: SimResult, profile: ProbabilityProfile):
-    """Weighted means of the logged initial-reception noise per node.
+    """Weighted means of the initial-exchange noise per node: the
+    receiver's reading noise, the delay jitter and the mean delay.
 
     Weights are the arc update probabilities (gamma * pi), matching the
     expectation that enters the stationarity condition of the offset
@@ -324,23 +332,22 @@ def _initial_noise_means(result: SimResult, profile: ProbabilityProfile):
     the sender-side initial noise cannot be folded into a per-node value
     and the residual is only approximate.
     """
-    net = result.net
-    n = net.n
-    w_in = np.zeros(n)
-    xi0 = np.zeros(n)
-    eta0 = np.zeros(n)
-    delta0 = np.zeros(n)
-    for (j, i), sample in result.initial_samples.items():
-        w = net.arcs[(j, i)].gamma * profile.pi_arc[i, j]
-        w_in[i] += w
-        xi0[i] += w * sample.xi_receiver
-        eta0[i] += w * sample.eta
-        delta0[i] += w * sample.delta_bar
+    net, tr = result.net, result.trace
+    first = first_deliveries(tr)
+    j, i = tr.sender[first], tr.receiver[first]
+    arcs = [net.arcs[arc] for arc in zip(j.tolist(), i.tolist())]
+    w = np.array([arc.gamma for arc in arcs]) * profile.pi_arc[i, j]
+    delta_bar = np.array([arc.delay.delta_bar for arc in arcs])
+    t_recv = tr.t[first]
+    xi = tr.tau_recv[first] - (net.alphas()[i] * t_recv + net.betas()[i])
+    eta = (t_recv - tr.t_send[first]) - delta_bar
+    # bincount sums each node's terms in row order
+    w_in = np.bincount(i, w, net.n)
+    means = [np.bincount(i, w * x, net.n) for x in (xi, eta, delta_bar)]
     nz = w_in > 0.0
-    xi0[nz] /= w_in[nz]
-    eta0[nz] /= w_in[nz]
-    delta0[nz] /= w_in[nz]
-    return xi0, eta0, delta0
+    for mean in means:
+        mean[nz] /= w_in[nz]
+    return means
 
 
 def _cauchy_converged(result: SimResult, f_last: np.ndarray, c_last: np.ndarray,
@@ -458,12 +465,14 @@ def _initial_exchange_terms(
     """Weights ``w[i, j] = gamma * pi_arc[i, j]`` of the arcs that
     delivered a message, and per node the weighted sum of
     ``a_j tau_j0 - a_i tau_i0`` over the initial exchanges on its in-arcs."""
+    tr = result.trace
+    first = first_deliveries(tr)
+    j, i = tr.sender[first], tr.receiver[first]
     lap = expected_laplacian(result.net, profile)
     w = np.zeros_like(lap)
-    q = np.zeros(result.net.n)
-    for (j, i), sample in result.initial_samples.items():
-        w[i, j] = lap[i, j]
-        q[i] += w[i, j] * (a[j] * sample.tau_sender - a[i] * sample.tau_receiver)
+    w[i, j] = lap[i, j]
+    q = np.bincount(i, w[i, j] * (a[j] * tr.tau_sent[first] - a[i] * tr.tau_recv[first]),
+                    result.net.n)
     return w, q
 
 

@@ -49,10 +49,13 @@ class ClockParams:
     dist: str = "normal"
 
     def __post_init__(self) -> None:
-        if self.alpha == 0.0:
-            raise ValueError("clock drift alpha must be nonzero")
-        if self.xi_sigma < 0.0:
-            raise ValueError("xi_sigma must be nonnegative")
+        # each check is negated, so that NaN fails it
+        if not (math.isfinite(self.alpha) and self.alpha != 0.0):
+            raise ValueError("clock drift alpha must be finite and nonzero")
+        if not math.isfinite(self.beta):
+            raise ValueError("clock offset beta must be finite")
+        if not 0.0 <= self.xi_sigma < math.inf:
+            raise ValueError("xi_sigma must be finite and nonnegative")
         if self.dist not in NOISE_DISTS:
             raise ValueError(f"noise dist {self.dist!r} is not one of {NOISE_DISTS}")
 
@@ -71,12 +74,13 @@ class DelayModel:
     dist: str = "normal"
 
     def __post_init__(self) -> None:
-        if self.delta_bar <= 0.0:
-            raise ValueError("mean delay delta_bar must be positive")
-        if self.eta_sigma < 0.0:
-            raise ValueError("eta_sigma must be nonnegative")
-        if self.delta_min <= 0.0:
-            raise ValueError("delta_min must be positive")
+        # each check is negated, so that NaN fails it
+        if not 0.0 < self.delta_bar < math.inf:
+            raise ValueError("mean delay delta_bar must be finite and positive")
+        if not 0.0 <= self.eta_sigma < math.inf:
+            raise ValueError("eta_sigma must be finite and nonnegative")
+        if not 0.0 < self.delta_min < math.inf:
+            raise ValueError("delta_min must be finite and positive")
         if self.dist not in NOISE_DISTS:
             raise ValueError(f"noise dist {self.dist!r} is not one of {NOISE_DISTS}")
 

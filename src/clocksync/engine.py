@@ -37,24 +37,6 @@ from clocksync.topology import Network
 CSV_FLOAT_FORMAT = "%.17g"
 
 
-@dataclass(frozen=True)
-class InitialSample:
-    """Ground-truth record of the first heard message on one link.
-
-    Kept for the analysis layer only (fixed-point residuals need the
-    realized initial noise); nodes never see these values.
-    """
-
-    t_send: float
-    t_recv: float
-    tau_sender: float
-    tau_receiver: float
-    xi_sender: float
-    xi_receiver: float
-    eta: float
-    delta_bar: float
-
-
 #: elements per dense block: a pass over the (K, n) estimate views holds
 #: (rows, n) blocks of ``max(1, _BLOCK_ELEMENTS // n)`` rows, and a CSV
 #: block of (K,) columns as many elements
@@ -65,8 +47,10 @@ _INITIAL = (CorrectionState.a_hat, CorrectionState.b_hat, CorrectionState.c_hat)
 
 @dataclass
 class Trace:
-    """One row per processed delivery: iteration, time, participants and
-    the receiver's post-update estimates.
+    """One row per processed delivery: iteration, time, participants, the
+    send time and both raw clock readings, and the receiver's post-update
+    estimates.  Link (j, i) is the rows with ``sender == j`` and
+    ``receiver == i``; its first row is its initial exchange.
 
     A delivery changes only the receiver's (a, b, c), so each update is
     stored as one event and the trace takes O(K) memory.  Every node's
@@ -82,6 +66,9 @@ class Trace:
     t: np.ndarray          # (K,) absolute time of each update
     receiver: np.ndarray   # (K,) updating node
     sender: np.ndarray     # (K,) broadcaster
+    t_send: np.ndarray     # (K,) absolute time of the broadcaster's tick
+    tau_sent: np.ndarray   # (K,) broadcaster's raw reading at its tick
+    tau_recv: np.ndarray   # (K,) receiver's raw reading at the delivery
     a_i: np.ndarray        # (K,) receiver's a_hat after the update
     b_i: np.ndarray        # (K,) receiver's b_hat after the update
     c_i: np.ndarray        # (K,) receiver's c_hat after the update
@@ -196,17 +183,29 @@ def write_csv(path, header: list[str], blocks: Iterable[list[np.ndarray]]) -> No
 
 @dataclass
 class SimResult:
-    """Everything a run produces: the trace plus per-link bookkeeping."""
+    """Everything a run produces: the network, the config, the seed and
+    the trace; the per-node counts are derived from the trace."""
 
     net: Network
     cfg: SyncConfig
     seed: int
     trace: Trace
-    nu: np.ndarray
-    updates: int
-    send_times: dict[tuple[int, int], list[float]]
-    initial_samples: dict[tuple[int, int], InitialSample]
-    silent_nodes: list[int]
+
+    @property
+    def updates(self) -> int:
+        """Processed deliveries."""
+        return len(self.trace)
+
+    @property
+    def nu(self) -> np.ndarray:
+        """(n,) updates per node."""
+        return np.bincount(self.trace.receiver, minlength=self.net.n)
+
+    @property
+    def silent_nodes(self) -> list[int]:
+        """Nodes with in-arcs that never received a message."""
+        nu = self.nu
+        return [i for i in range(self.net.n) if not nu[i] and self.net.in_neighbors(i)]
 
 
 def schedule_ticks(net: Network, seed: int) -> Iterator[tuple[float, int]]:
@@ -277,7 +276,7 @@ class Schedule:
     tick: np.ndarray         # (E,) index of the event's tick
     receiver: np.ndarray     # (E,) receiving node, -1 at a tick
     tau: np.ndarray          # (E,) raw reading
-    tick_t: list[float]      # (G,) time of each tick
+    tick_t: np.ndarray       # (G,) time of each tick
     tick_sender: np.ndarray  # (G,) broadcaster of each tick
 
 
@@ -370,7 +369,7 @@ def build_schedule(
             idx = by_node[lo:hi]
             tau[idx] = read_local_time(net.clocks[m], t[idx], read_rngs[m])
     return Schedule(t=t, tick=tick, receiver=receiver, tau=tau,
-                    tick_t=tick_t[:n_ticks], tick_sender=tick_sender)
+                    tick_t=np.array(tick_t[:n_ticks]), tick_sender=tick_sender)
 
 
 #: events replayed per chunk: bounds the Python lists the loop works on
@@ -447,45 +446,10 @@ def run(
                       tau_sent, tau_recv)
     a_i, b_i, c_i = replay(state, sched)
     trace = Trace(n=net.n, t=sched.t[dlv], receiver=receiver, sender=sender,
+                  t_send=sched.tick_t[tick], tau_sent=tau_sent, tau_recv=tau_recv,
                   a_i=a_i, b_i=b_i, c_i=c_i)
     _check_finite(trace)
-    send_times, initials = _link_records(net, sched.tick_t, tick, arc, trace,
-                                         tau_sent, tau_recv)
-    heard = np.zeros(net.n, dtype=bool)
-    heard[trace.receiver] = True
-    silent = [i for i in range(net.n) if not heard[i] and net.in_neighbors(i)]
-    return SimResult(
-        net=net, cfg=cfg, seed=seed, trace=trace,
-        nu=np.bincount(receiver, minlength=net.n), updates=len(trace),
-        send_times=send_times, initial_samples=initials,
-        silent_nodes=silent)
-
-
-def _link_records(net: Network, tick_t: list[float], tick: np.ndarray,
-                  arc: np.ndarray, trace: Trace, tau_sent: np.ndarray,
-                  tau_recv: np.ndarray) -> tuple[dict, dict]:
-    """Per arc: the send time of every delivery, in order, and the ground
-    truth of the first one, the arcs in first-delivery order."""
-    arcs = list(net.arcs)
-    # one float object per tick, shared by its deliveries
-    by_arc = np.argsort(arc, kind="stable")
-    flat = list(map(tick_t.__getitem__, tick[by_arc].tolist()))
-    ends = np.cumsum(np.bincount(arc, minlength=len(arcs))).tolist()
-    send_times = {key: flat[lo:hi] for key, lo, hi in zip(arcs, [0] + ends, ends)}
-
-    first = np.sort(np.unique(arc, return_index=True)[1])
-    j, i = trace.sender[first], trace.receiver[first]
-    t_send = np.array(tick_t)[tick[first]]
-    t_recv = trace.t[first]
-    alpha, beta = net.alphas(), net.betas()
-    delta_bar = np.array([a.delay.delta_bar for a in net.arcs.values()])[arc[first]]
-    columns = (t_send, t_recv, tau_sent[first], tau_recv[first],
-               tau_sent[first] - (alpha[j] * t_send + beta[j]),
-               tau_recv[first] - (alpha[i] * t_recv + beta[i]),
-               (t_recv - t_send) - delta_bar, delta_bar)
-    initials = {arcs[a]: InitialSample(*values) for a, *values in
-                zip(arc[first].tolist(), *(col.tolist() for col in columns))}
-    return send_times, initials
+    return SimResult(net=net, cfg=cfg, seed=seed, trace=trace)
 
 
 def _check_finite(trace: Trace) -> None:

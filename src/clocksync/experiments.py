@@ -48,9 +48,10 @@ _OFFSET_KEYS = {"variant", "sigma"}
 @dataclass
 class ExperimentConfig:
     """Validated description of one experiment (possibly many seeds);
-    ``network`` is a geometric network's spec or a network file's path."""
+    ``network`` is a geometric network's spec or a network loaded from a
+    file."""
 
-    network: topology.GeometricSpec | str
+    network: topology.GeometricSpec | topology.Network
     drift: sync.DriftVariant
     offset: sync.OffsetVariant | None
     steps: sync.StepSchedule
@@ -68,17 +69,13 @@ class ExperimentConfig:
             freeze_compensation=self.freeze_compensation)
 
     def build_network(self, seed: int) -> topology.Network:
-        if isinstance(self.network, str):
-            net = topology.Network.load(self.network)
-        else:
-            net = topology.generate_geometric(self.network, seed)
-        if self.reference_node is not None:
-            node = self.reference_node
-            if node == "center":
-                node = topology.centers(net)[0]
-            _check_reference(node, net.n)
-            net = sync.make_reference(net, node)
-        return net
+        net = self.network
+        if isinstance(net, topology.GeometricSpec):
+            net = topology.generate_geometric(net, seed)
+        node = self.reference_node
+        if node == "center":
+            node = topology.centers(net)[0]
+        return net if node is None else sync.make_reference(net, node)
 
     # -- parsing ---------------------------------------------------------
 
@@ -122,8 +119,7 @@ class ExperimentConfig:
         if ref is not None and ref != "center":
             if not _is_int(ref) or ref < 0:
                 raise ConfigError("reference_node must be a node id or 'center'")
-            if isinstance(network, topology.GeometricSpec):
-                _check_reference(ref, network.n)
+            _check_reference(ref, network.n)
         return cls(network=network, drift=drift, offset=offset, steps=steps,
                    drop_t_terms=_bool(data, "drop_t_terms"),
                    freeze_compensation=_bool(data, "freeze_compensation"),
@@ -193,7 +189,7 @@ _SPEC_TYPES = {
 }
 
 
-def _parse_network(net) -> topology.GeometricSpec | str:
+def _parse_network(net) -> topology.GeometricSpec | topology.Network:
     if not isinstance(net, dict):
         raise ConfigError("network must be a JSON object")
     unknown = set(net) - _NETWORK_KEYS
@@ -204,7 +200,16 @@ def _parse_network(net) -> topology.GeometricSpec | str:
     if net["kind"] == "file":
         if not isinstance(net.get("path"), str):
             raise ConfigError("network.kind 'file' needs a path")
-        return net["path"]
+        extra = set(net) - {"kind", "path"}
+        if extra:
+            raise ConfigError(f"network keys {sorted(extra)} are read only with "
+                              "kind 'geometric'")
+        try:
+            return topology.Network.load(net["path"])
+        except (OSError, ValueError, KeyError, TypeError, AttributeError,
+                IndexError) as exc:
+            raise ConfigError(f"cannot load network file {net['path']}: "
+                              f"{type(exc).__name__}: {exc}") from exc
     if "path" in net:
         raise ConfigError("network.path is read only with kind 'file'")
     if "n" not in net or "radius" not in net:

@@ -13,6 +13,7 @@ spectral diagnostics in :mod:`clocksync.analysis`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import networkx as nx
@@ -39,8 +40,9 @@ class Arc:
     delay: DelayModel
 
     def __post_init__(self) -> None:
-        if self.gamma < 0.0:
-            raise ValueError("arc weight gamma must be nonnegative")
+        # each check is negated, so that NaN fails it
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError("arc weight gamma must be finite and nonnegative")
         if not 0.0 < self.p_hear <= 1.0:
             raise ValueError("p_hear must be in (0, 1]")
 
@@ -64,8 +66,9 @@ class Network:
         if self.n < 1:
             raise ValueError("need at least one node")
         self.rates = np.asarray(self.rates, dtype=float)
-        if self.rates.shape != (self.n,) or np.any(self.rates <= 0.0):
-            raise ValueError("rates must be positive, one per node")
+        if self.rates.shape != (self.n,) or not np.all(
+                (self.rates > 0.0) & (self.rates < math.inf)):
+            raise ValueError("rates must be finite and positive, one per node")
         if len(self.clocks) != self.n:
             raise ValueError("need one ClockParams per node")
         out: list[list[int]] = [[] for _ in range(self.n)]
@@ -134,7 +137,7 @@ class Network:
             raise ValueError("unsupported network schema version")
         n = data["n"]
         clocks = []
-        rates = np.empty(n)
+        rates = np.full(n, np.nan)  # a node missing from the list fails the check
         positions = []
         have_pos = True
         for node in sorted(data["nodes"], key=lambda d: d["id"]):

@@ -62,7 +62,9 @@ def _summaries(preset: str) -> tuple:
 
         # per-arc mean increment vs the thinned-Poisson expectation
         arc_ratios = []
-        for (j, i), times in r.send_times.items():
+        tr = r.trace
+        for j, i in r.net.arcs:
+            times = tr.t_send[(tr.sender == j) & (tr.receiver == i)]
             if len(times) < 100:
                 continue
             gaps = np.diff(times)

@@ -1,6 +1,8 @@
 """Spectral checks, Lyapunov solves, rate bounds, metrics and fitting
 helpers, verified against hand-derivable oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from clocksync import analysis, engine
 from clocksync.analysis import (
     build_B_bar,
     consensus_mixing_matrix,
+    first_deliveries,
     fixed_point_residual,
     frozen_compensation_drift,
     geometric_decay_fit,
@@ -30,6 +33,7 @@ from clocksync.sync import (
     OffsetB,
     StepSchedule,
     SyncConfig,
+    anchor_index,
     make_reference,
 )
 from clocksync.topology import (
@@ -40,7 +44,8 @@ from clocksync.topology import (
     probability_profile,
 )
 
-from conftest import make_line_network
+from conftest import make_line_network, networks
+from sync_oracle import heap_run
 
 
 def _complete_negative_laplacian(n):
@@ -140,7 +145,7 @@ class TestIncrementStats:
         res = engine.run(net, SyncConfig(drift=DriftA(1), offset=None),
                          max_updates=30000, seed=3)
         # fixed arc: selecting e.g. the busiest arc would bias the gaps low
-        arc = sorted(res.send_times)[0]
+        arc = sorted(net.arcs)[0]
         stats = increment_stats(res, arc)
         assert stats.mean == pytest.approx(stats.expected_mean, rel=0.05)
 
@@ -215,10 +220,12 @@ def _line_run(offset, updates=5000, **cfg):
 
 def _initial_bias(res):
     """e_i = a_j tau_j0 - a_i tau_i0 on the single in-arc (j, i) of node i."""
-    a = res.trace.a_hat[-1]
+    tr = res.trace
+    a = tr.a_hat[-1]
     e = np.zeros(2)
-    for (j, i), smp in res.initial_samples.items():
-        e[i] = a[j] * smp.tau_sender - a[i] * smp.tau_receiver
+    for r in first_deliveries(tr):
+        j, i = tr.sender[r], tr.receiver[r]
+        e[i] = a[j] * tr.tau_sent[r] - a[i] * tr.tau_recv[r]
     return a, e
 
 
@@ -270,12 +277,15 @@ class TestOffsetFixedPoint:
             c = np.full(net.n, phi @ s - phi @ b)
         else:
             c = s - b
+        tr = res.trace
+        first = first_deliveries(tr)
         innovation = np.zeros(net.n)
-        for (j, i), smp in res.initial_samples.items():
+        for r in first:
+            j, i = tr.sender[r], tr.receiver[r]
             innovation[i] += lap[i, j] * (
-                a[j] * smp.tau_sender + b[j]
-                - a[i] * smp.tau_receiver - b[i] + c[i])
-        assert len(res.initial_samples) == len(net.arcs)
+                a[j] * tr.tau_sent[r] + b[j]
+                - a[i] * tr.tau_recv[r] - b[i] + c[i])
+        assert len(first) == len(net.arcs)
         assert np.abs(innovation).max() <= 1e-12
 
     def test_ablations_share_the_intact_fixed_point(self):
@@ -307,6 +317,124 @@ class TestFrozenCompensationDrift:
         res = _line_run(OffsetA(), updates=100)
         with pytest.raises(ValueError):
             frozen_compensation_drift(res, 100)
+
+
+# ---------------------------------------------------------------------------
+# The trace readers against per-link records, bit for bit
+# ---------------------------------------------------------------------------
+
+def _link_records(rows):
+    """From the heap oracle's rows: each link's send times in order, and
+    its initial exchange (t_send, t_recv, tau_sender, tau_receiver), the
+    links in first-delivery order."""
+    send_times, initials = {}, {}
+    for t, i, j, t_send, tau_sent, tau_recv, *_ in rows:
+        send_times.setdefault((j, i), []).append(t_send)
+        initials.setdefault((j, i), (t_send, t, tau_sent, tau_recv))
+    return send_times, initials
+
+
+def _ref_initial_noise_means(initials):
+    """``analysis._initial_noise_means`` summed link by link over the
+    records."""
+    def means(result, profile):
+        net = result.net
+        alpha, beta = net.alphas(), net.betas()
+        w_in, xi0, eta0, delta0 = (np.zeros(net.n) for _ in range(4))
+        for (j, i), (t_send, t_recv, _, tau_receiver) in initials.items():
+            arc = net.arcs[(j, i)]
+            w = arc.gamma * profile.pi_arc[i, j]
+            w_in[i] += w
+            xi0[i] += w * (tau_receiver - (alpha[i] * t_recv + beta[i]))
+            eta0[i] += w * ((t_recv - t_send) - arc.delay.delta_bar)
+            delta0[i] += w * arc.delay.delta_bar
+        nz = w_in > 0.0
+        for v in (xi0, eta0, delta0):
+            v[nz] /= w_in[nz]
+        return xi0, eta0, delta0
+    return means
+
+
+def _ref_initial_exchange_terms(initials):
+    """``analysis._initial_exchange_terms`` summed link by link over the
+    records."""
+    def terms(result, profile, a):
+        lap = expected_laplacian(result.net, profile)
+        w = np.zeros_like(lap)
+        q = np.zeros(result.net.n)
+        for (j, i), (_, _, tau_sender, tau_receiver) in initials.items():
+            w[i, j] = lap[i, j]
+            q[i] += w[i, j] * (a[j] * tau_sender - a[i] * tau_receiver)
+        return w, q
+    return terms
+
+
+def _ref_increment_stats(result, arc, times):
+    """``increment_stats`` over one link's recorded send times."""
+    rate = float(result.net.rates[arc[0]]) * result.net.arcs[arc].p_hear
+    l = np.arange(1, len(times))
+    m = anchor_index(result.cfg.drift, l)
+    l, m = l[m >= 0], m[m >= 0]
+    if len(l) == 0:
+        raise ValueError("not enough receptions on this arc")
+    times = np.array(times)
+    deltas = times[l] - times[m]
+    return analysis.IncrementStats(mean=float(deltas.mean()), var=float(deltas.var()),
+                                   expected_mean=float(np.mean(l - m) / rate),
+                                   samples=len(deltas))
+
+
+def _bits(value):
+    """A value's exact bits: per field of a dataclass, the bytes of an
+    array, the repr of anything else (exact for a float)."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(v) for v in vars(value).values())
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return repr(value)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)`` as bits, or the exception it raised."""
+    try:
+        return _bits(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - both sides must fail alike
+        return type(exc).__name__, str(exc)
+
+
+def _readers(res, stats):
+    """Outcome of every reader of the initial exchanges and the send
+    times, with ``stats(res, arc)`` for the increment statistics."""
+    start = len(res.trace) // 2
+    return [_outcome(fixed_point_residual, res), _outcome(offset_fixed_point, res),
+            _outcome(frozen_compensation_drift, res, start),
+            *(_outcome(stats, res, arc) for arc in res.net.arcs)]
+
+
+class TestReadersMatchLinkRecords:
+    """The analysis reads each link's send times and initial exchange
+    from the trace's columns; the same formulas over per-link records
+    built from the heap oracle give the same bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=networks(),
+           drift=st.sampled_from([DriftA(1), DriftA(4), DriftB(0.5), DriftC(0), DriftC(2)]),
+           offset=st.sampled_from([OffsetA(), OffsetB(0.5), None]),
+           freeze=st.booleans(), updates=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_for_bit(self, net, drift, offset, freeze, updates, seed):
+        cfg = SyncConfig(drift=drift, offset=offset, freeze_compensation=freeze)
+        res = engine.run(net, cfg, max_updates=updates, seed=seed)
+        send_times, initials = _link_records(
+            heap_run(net, cfg, max_updates=updates, seed=seed)["rows"])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_initial_noise_means",
+                       _ref_initial_noise_means(initials))
+            mp.setattr(analysis, "_initial_exchange_terms",
+                       _ref_initial_exchange_terms(initials))
+            expected = _readers(res, lambda r, arc: _ref_increment_stats(
+                r, arc, send_times.get(arc, [])))
+        assert _readers(res, increment_stats) == expected
 
 
 class TestFlooding:

@@ -147,6 +147,8 @@ class TestBlocksMatchDense:
         tr = engine.Trace(n=3, t=np.arange(1.0, 8.0),
                           receiver=np.array([0, 2, 2, 0, 0, 2, 0]),
                           sender=np.array([1, 1, 0, 1, 2, 1, 2]),
+                          t_send=np.arange(0.5, 7.0), tau_sent=np.arange(0.5, 7.0),
+                          tau_recv=np.arange(1.0, 8.0),
                           a_i=np.linspace(0.9, 1.1, 7), b_i=np.linspace(-1, 1, 7),
                           c_i=np.linspace(2, 3, 7))
         views = dense_views(tr)

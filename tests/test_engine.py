@@ -1,7 +1,6 @@
 """Discrete-event engine: tick scheduling, delivery ordering, determinism
 and the cross-variant common-noise property."""
 
-import heapq
 import itertools
 
 import numpy as np
@@ -10,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clocksync import engine
-from clocksync.clock import read_local_time, sample_delay
-from clocksync.streams import substream, substreams
 from clocksync.sync import (
     DriftA,
     DriftB,
@@ -24,71 +21,7 @@ from clocksync.sync import (
 from clocksync.topology import GeometricSpec, Network, generate_geometric
 
 from conftest import make_line_network, networks
-from sync_oracle import OracleState
-
-
-def heap_run(net, cfg, *, max_updates=None, horizon=None, seed=0) -> dict:
-    """Reference simulator: an event heap keyed by (time, insertion) that
-    draws every random number one at a time, when its event is handled.
-
-    Each tick reads the sender's clock, draws hearing and then delay per
-    out-arc in out-neighbour order, pushes the deliveries and then the
-    next tick; each delivery reads the receiver's clock and updates it.
-    """
-    state = OracleState(net, cfg)
-    arcs = list(net.arcs)
-    read_rngs = substreams(seed, "read", range(net.n))
-    hear_rngs = dict(zip(arcs, substreams(seed, "hear", arcs)))
-    delay_rngs = dict(zip(arcs, substreams(seed, "jitter", arcs)))
-    tick_rng = substream(seed, "ticks")
-    mu_c = float(net.rates.sum())
-    cum = np.cumsum(net.rates / mu_c)
-    cum[-1] = 1.0
-    tick_time = 0.0
-
-    def next_tick():
-        nonlocal tick_time
-        tick_time += tick_rng.exponential(1.0 / mu_c)
-        return tick_time, int(np.searchsorted(cum, tick_rng.random(), side="right"))
-
-    heap, seq = [], itertools.count()
-    t0, j0 = next_tick()
-    heapq.heappush(heap, (t0, next(seq), j0, None))
-    cap = max_updates if max_updates is not None else 1 << 62
-    rows = []
-    send_times = {key: [] for key in net.arcs}
-    initials = {}
-    while len(rows) < cap:
-        t, _, node, data = heapq.heappop(heap)
-        if horizon is not None and t > horizon:
-            break
-        if data is None:  # tick of `node`
-            tau = read_local_time(net.clocks[node], t, read_rngs[node])
-            msg = state.payload(node, tau)
-            for i in net.out_neighbors(node):
-                arc = net.arcs[(node, i)]
-                if hear_rngs[(node, i)].random() < arc.p_hear:
-                    d = sample_delay(arc.delay, delay_rngs[(node, i)])
-                    heapq.heappush(heap, (t + d, next(seq), i, (msg, t)))
-            tn, jn = next_tick()
-            heapq.heappush(heap, (tn, next(seq), jn, None))
-        else:  # delivery to `node`
-            msg, t_send = data
-            j, i = msg.sender, node
-            tau_i = read_local_time(net.clocks[i], t, read_rngs[i])
-            if state.process_message(i, msg, tau_i).first_message:
-                cj, ci = net.clocks[j], net.clocks[i]
-                delta_bar = net.arcs[(j, i)].delay.delta_bar
-                initials[(j, i)] = engine.InitialSample(
-                    t_send, t, msg.tau_sent, tau_i,
-                    msg.tau_sent - (cj.alpha * t_send + cj.beta),
-                    tau_i - (ci.alpha * t + ci.beta),
-                    (t - t_send) - delta_bar, delta_bar)
-            send_times[(j, i)].append(t_send)
-            s = state.est[i]
-            rows.append((t, i, j, s.a_hat, s.b_hat, s.c_hat))
-    return {"rows": rows, "nu": state.nu, "send_times": send_times,
-            "initials": initials}
+from sync_oracle import heap_run
 
 
 class TestScheduleTicks:
@@ -141,13 +74,12 @@ def assert_matches_heap(net, cfg, max_updates, horizon, seed):
     ref = heap_run(net, cfg, max_updates=max_updates, horizon=horizon,
                    seed=seed)
     tr = res.trace
-    rows = list(zip(tr.t.tolist(), tr.receiver.tolist(), tr.sender.tolist(),
-                    tr.a_i.tolist(), tr.b_i.tolist(), tr.c_i.tolist()))
+    rows = list(zip(*(col.tolist() for col in (
+        tr.t, tr.receiver, tr.sender, tr.t_send, tr.tau_sent, tr.tau_recv,
+        tr.a_i, tr.b_i, tr.c_i))))
     assert rows == ref["rows"]
     assert res.updates == len(ref["rows"])
     assert res.nu.tolist() == ref["nu"]
-    assert list(res.send_times.items()) == list(ref["send_times"].items())
-    assert list(res.initial_samples.items()) == list(ref["initials"].items())
 
 
 class TestScheduleOracle:
@@ -207,20 +139,20 @@ class TestRun:
     def test_delivery_never_precedes_send(self):
         net = generate_geometric(GeometricSpec(6, 0.6, 0.0), seed=2)
         res = engine.run(net, SyncConfig(), max_updates=500, seed=2)
-        for sample in res.initial_samples.values():
-            assert sample.t_recv > sample.t_send
+        assert np.all(res.trace.t > res.trace.t_send)
 
     def test_initial_sample_noise_bookkeeping(self):
-        # the logged noise components must reconstruct the raw readings
-        net = generate_geometric(GeometricSpec(6, 0.6, 0.0), seed=3)
-        res = engine.run(net, SyncConfig(), max_updates=200, seed=3)
-        for (j, i), s in res.initial_samples.items():
-            cj, ci = net.clocks[j], net.clocks[i]
-            assert s.tau_sender == pytest.approx(
-                cj.alpha * s.t_send + cj.beta + s.xi_sender)
-            assert s.tau_receiver == pytest.approx(
-                ci.alpha * s.t_recv + ci.beta + s.xi_receiver)
-            assert s.t_recv - s.t_send == pytest.approx(s.delta_bar + s.eta)
+        # without reading noise and jitter the trace's columns are the
+        # clocks' readings and the mean delay, exactly
+        spec = GeometricSpec(6, 0.6, 0.0, eta_sigma=0.0, xi_sigma=0.0)
+        net = generate_geometric(spec, seed=3)
+        tr = engine.run(net, SyncConfig(), max_updates=200, seed=3).trace
+        alpha, beta = net.alphas(), net.betas()
+        j, i = tr.sender, tr.receiver
+        assert np.all(tr.t > tr.t_send)
+        assert np.array_equal(tr.tau_sent, alpha[j] * tr.t_send + beta[j])
+        assert np.array_equal(tr.tau_recv, alpha[i] * tr.t + beta[i])
+        assert np.array_equal(tr.t, tr.t_send + spec.delta_bar)
 
 
 class TestDivergence:
@@ -266,6 +198,9 @@ class TestTraceViews:
     def test_hand_built_events(self):
         tr = engine.Trace(n=3, t=np.array([1.0, 2.0, 3.0]),
                           receiver=np.array([1, 1, 2]), sender=np.array([0, 0, 1]),
+                          t_send=np.array([0.5, 1.5, 2.5]),
+                          tau_sent=np.array([0.5, 1.5, 2.5]),
+                          tau_recv=np.array([1.0, 2.0, 3.0]),
                           a_i=np.array([5.0, 6.0, 7.0]), b_i=np.array([0.5, 0.6, 0.7]),
                           c_i=np.array([-1.0, -2.0, -3.0]))
         assert np.array_equal(tr.a_hat, [[1, 5, 1], [1, 6, 1], [1, 6, 7]])
@@ -328,7 +263,8 @@ class TestDeterminism:
         rb = engine.run(net, SyncConfig(drift=DriftB(0.5)), max_updates=400, seed=6)
         assert np.array_equal(ra.trace.t, rb.trace.t)
         assert np.array_equal(ra.trace.receiver, rb.trace.receiver)
-        assert ra.send_times == rb.send_times
+        for col in ("t_send", "tau_sent", "tau_recv"):
+            assert np.array_equal(getattr(ra.trace, col), getattr(rb.trace, col))
 
     def test_seed_changes_realization(self):
         net = generate_geometric(GeometricSpec(8, 0.5, 0.1), seed=7)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clocksync import experiments, sync
-from clocksync.topology import GeometricSpec, generate_geometric
+from clocksync.topology import GeometricSpec, Network, generate_geometric
 from clocksync.experiments import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -218,6 +218,53 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: reference_node 6 is out of range for n=6"]
         assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("edit, extra", [
+        (lambda d: d, {"n": 50}),
+        (lambda d: d["arcs"][0].update(gamma=-1.0), {}),
+        (lambda d: d["arcs"][0].update(gamma=math.nan), {}),
+        (lambda d: d["nodes"][1].update(alpha=math.nan), {}),
+        (lambda d: d["nodes"][1].update(beta=math.inf), {}),
+        (lambda d: d["nodes"][1].update(rate=math.nan), {}),
+        (lambda d: d["arcs"][0].pop("p_hear"), {}),
+        (lambda d: d.update(nodes=d["nodes"][:-1]), {}),
+        (lambda d: d.update(arcs=5), {}),
+    ], ids=["geometric-key-on-file", "negative-gamma", "nan-gamma", "nan-alpha",
+            "inf-beta", "nan-rate", "missing-key", "missing-node", "arcs-not-a-list"])
+    def test_invalid_network_file_is_validation_error(self, tmp_path, capsys,
+                                                      edit, extra):
+        # the file is loaded and checked with the config, before any output
+        data = generate_geometric(GeometricSpec(6, 0.6, 0.1), seed=0).to_dict()
+        edit(data)
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(data))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_minimal(
+            network={"kind": "file", "path": str(net_path), **extra})))
+        code = main(["run", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_file_network_is_loaded_once(self, tmp_path, monkeypatch):
+        net_path = tmp_path / "net.json"
+        generate_geometric(GeometricSpec(6, 0.6, 0.1), seed=0).save(net_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_minimal(
+            network={"kind": "file", "path": str(net_path)}, seeds=[0, 1, 2])))
+        loads = []
+        load = Network.load
+
+        def counted_load(path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(Network, "load", counted_load)
+        assert main(["run", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "out")]) == EXIT_OK
+        assert loads == [str(net_path)]
 
     @pytest.mark.parametrize("over, nodes", [
         ({"network": {"kind": "file", "path": "net.json"}}, ["10", "50"]),

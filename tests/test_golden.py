@@ -1,11 +1,14 @@
-"""Byte-level behaviour contract: SHA-256 of the trace and metrics CSVs.
+"""Byte-level behaviour contract: SHA-256 of the trace and metrics CSVs,
+and of the report.
 
 Each case runs two seeds of a few thousand updates and hashes
 ``trace_seed{S}.csv`` and ``metrics_seed{S}.csv`` (stride 1).  The hashes
 were recorded before the engine stored its trace as per-update events; a
-refactor that changes any byte fails here.  Never regenerate them to make
-a change pass: a change that is meant to alter the bytes says so and
-records new hashes with its reason.
+refactor that changes any byte fails here.  ``report.txt`` of the offset
+presets pins the spectral, rate-bound and fixed-point lines; its hashes
+were recorded before the run kept its per-link records as trace
+columns.  Never regenerate them to make a change pass: a change that is
+meant to alter the bytes says so and records new hashes with its reason.
 """
 
 import copy
@@ -14,6 +17,7 @@ import hashlib
 import pytest
 
 from clocksync import analysis, engine, experiments
+from clocksync.experiments import EXIT_OK, main
 
 SEEDS = (0, 1)
 UPDATES = 3000
@@ -120,3 +124,18 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_csv_bytes_unchanged(case, tmp_path):
     assert _digests(case, tmp_path) == GOLDEN[case]
+
+
+REPORT_GOLDEN = {
+    "fig2a": "9967ccb2f5927ff6ef968336c921b617f97fc30eb2be06125a9d8e8c5329f806",
+    "fig2b": "e7450306bb03251fd307822df8fa1e0b8e6dc54e7af3845c77f8798156780241",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(REPORT_GOLDEN))
+def test_report_bytes_unchanged(preset, tmp_path):
+    args = ["--preset", preset, "--updates", str(UPDATES),
+            "--seeds", *map(str, SEEDS), "--outdir", str(tmp_path)]
+    assert main(["run", *args]) == EXIT_OK
+    assert main(["report", *args]) == EXIT_OK
+    assert _sha(tmp_path / "report.txt") == REPORT_GOLDEN[preset]

@@ -1,5 +1,6 @@
 """Network construction, serialization, probabilities and expected matrices."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -54,6 +55,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             Network(2, {}, np.array([1.0, 0.0]),
                     [ClockParams(1.0), ClockParams(1.0)])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("build", [
+        lambda x: Arc(x, 0.9, DelayModel(0.1)),
+        lambda x: Arc(1.0, x, DelayModel(0.1)),
+        lambda x: DelayModel(x),
+        lambda x: DelayModel(0.1, eta_sigma=x),
+        lambda x: DelayModel(0.1, delta_min=x),
+        lambda x: ClockParams(x),
+        lambda x: ClockParams(1.0, beta=x),
+        lambda x: ClockParams(1.0, xi_sigma=x),
+        lambda x: Network(2, {}, np.array([1.0, x]), [ClockParams(1.0)] * 2),
+    ], ids=["gamma", "p_hear", "delta_bar", "eta_sigma", "delta_min", "alpha",
+            "beta", "xi_sigma", "rate"])
+    def test_non_finite_rejected(self, build, value):
+        # comparisons with NaN are false, so a check must fail on them
+        with pytest.raises(ValueError):
+            build(value)
 
 
 class TestSerialization:

@@ -564,7 +564,8 @@ def frozen_compensation_drift(
     probability.  Weights ``v_i ~ psi_i pi_in_i / S_i``, with psi the left
     null vector of L, cancel L f: the weighted mean ``v^T f`` moves by
     ``psi^T r / sum(v)`` however the offsets spread.  The drift estimates
-    are held at their last value.
+    are held at their last value.  Raises ``ValueError`` when no node
+    that psi weights takes an offset step in the window.
     """
     net = result.net
     tr = result.trace
@@ -588,6 +589,10 @@ def frozen_compensation_drift(
     v = np.divide(psi * profile.pi_arc.sum(axis=1), s,
                   out=np.zeros(n), where=s > 0.0)
     total = float(v.sum())
+    if total == 0.0:
+        raise ValueError(
+            f"no psi-weighted node took an offset step between row {start} "
+            "and the last row")
     f_move = (a - a0) * beta + b - b0
     return CommonModeDrift(observed=float(v @ f_move) / total,
                            predicted=float(psi @ r) / total)

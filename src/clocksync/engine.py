@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from clocksync.clock import CorrectionState, read_local_time, sample_delay
-from clocksync.streams import substream, substreams
+from clocksync.streams import UniformStreams, substream, substreams
 from clocksync.sync import SyncConfig, SyncState
 from clocksync.topology import Network
 
@@ -244,23 +244,20 @@ def broadcast(
     net: Network,
     j: int,
     times: np.ndarray,
-    hear_rngs: dict,
+    heard: np.ndarray,
     delay_rngs: dict,
 ) -> Deliveries:
-    """Hearing and delay draws for node j's ticks at ``times``.
+    """Delay draws for node j's ticks at ``times``.
 
-    Each out-arc draws one hearing variate per tick and one delay per
-    heard tick from its own streams, each as one block, which equals the
+    ``heard`` is the (out-degree, ticks) matrix of which out-arc, in
+    out-neighbour order, heard which tick.  Each out-arc draws one delay
+    per heard tick from its own stream, as one block, which equals the
     scalar draws tick by tick.  Messages are grouped by out-arc.
     """
     out = net.out_neighbors(j)
-    arcs = [net.arcs[(j, i)] for i in out]
-    draws = np.array([hear_rngs[(j, i)].random(len(times)) for i in out])
-    heard = draws.reshape(len(out), len(times)) < np.array(
-        [arc.p_hear for arc in arcs]).reshape(-1, 1)
     row, tick = np.nonzero(heard)
-    delays = [sample_delay(arc.delay, delay_rngs[(j, i)], m) for i, arc, m
-              in zip(out, arcs, np.count_nonzero(heard, axis=1).tolist()) if m]
+    delays = [sample_delay(net.arcs[(j, i)].delay, delay_rngs[(j, i)], m)
+              for i, m in zip(out, np.count_nonzero(heard, axis=1).tolist()) if m]
     return Deliveries(tick, np.array(out, dtype=np.intp)[row],
                       times[tick] + (np.concatenate(delays) if delays else 0.0))
 
@@ -297,13 +294,21 @@ def build_schedule(
     in chunks, sized from the expected deliveries per tick, until the
     stopping rule (the ``max_updates``-th delivery, or the last event at
     or before ``horizon``) falls before it; what was drawn for later
-    ticks is never read.  Hearing and jitter are drawn per arc and
-    chunk, readings per node in processing order, each as one block.
+    ticks is never read.  A chunk's hearing draws, one per tick of an
+    arc's sender, come from one :class:`~clocksync.streams.UniformStreams`
+    call over every arc in (sender, receiver) order.  An arc's jitter
+    stream is made in the chunk of its first heard message and kept for
+    the later chunks; its delays are drawn per chunk, and the readings
+    per node in processing order, each as one block.
     """
     n = net.n
-    arcs = list(net.arcs)
-    hear_rngs = dict(zip(arcs, substreams(seed, "hear", arcs)))
-    delay_rngs = dict(zip(arcs, substreams(seed, "jitter", arcs)))
+    arcs = sorted(net.arcs)
+    arc_sender = np.array([j for j, _ in arcs], dtype=np.intp)
+    out_degree = np.bincount(arc_sender, minlength=n)
+    p_hear = np.array([net.arcs[arc].p_hear for arc in arcs])
+    hear = UniformStreams(seed, "hear", arcs)
+    delay_rngs: dict = {}
+    jittered = np.zeros(len(arcs), dtype=bool)
     mu_c = float(net.rates.sum())
     per_tick = sum(float(net.rates[j]) * arc.p_hear
                    for (j, _), arc in net.arcs.items()) / mu_c
@@ -331,11 +336,26 @@ def build_schedule(
         parts_t = [t, ct]
         parts_key = [key, np.arange(g0, len(tick_t), dtype=np.int64) * slots]
         by_sender = np.argsort(cj, kind="stable")
-        bounds = np.cumsum(np.bincount(cj, minlength=n)).tolist()
-        for j, lo, hi in zip(range(n), [0] + bounds, bounds):
+        n_ticks = np.bincount(cj, minlength=n)
+        # every arc's hearing draws, one per tick of its sender: sender
+        # j's out-arcs hold a contiguous (out-degree, ticks) block
+        counts = n_ticks[arc_sender]
+        heard = hear.random(counts) < np.repeat(p_hear, counts)
+        # an arc draws delays once it hears: its jitter stream is made in
+        # the chunk of its first heard message
+        hearing = np.zeros(len(arcs), dtype=bool)
+        hearing[np.repeat(np.arange(len(arcs)), counts)[heard]] = True
+        new = [arcs[a] for a in np.flatnonzero(hearing & ~jittered).tolist()]
+        delay_rngs.update(zip(new, substreams(seed, "jitter", new)))
+        jittered |= hearing
+        bounds = np.cumsum(n_ticks).tolist()
+        draws = np.cumsum(out_degree * n_ticks).tolist()
+        for j, lo, hi, d_lo, d_hi in zip(range(n), [0] + bounds, bounds,
+                                         [0] + draws, draws):
             if hi > lo:
                 pos = by_sender[lo:hi]
-                d = broadcast(net, j, ct[pos], hear_rngs, delay_rngs)
+                d = broadcast(net, j, ct[pos],
+                              heard[d_lo:d_hi].reshape(-1, hi - lo), delay_rngs)
                 parts_t.append(d.t)
                 parts_key.append((g0 + pos[d.tick]) * slots + d.receiver + 1)
         t, key = np.concatenate(parts_t), np.concatenate(parts_key)

@@ -120,6 +120,10 @@ class ExperimentConfig:
             if not _is_int(ref) or ref < 0:
                 raise ConfigError("reference_node must be a node id or 'center'")
             _check_reference(ref, network.n)
+        if (ref == "center" and isinstance(network, topology.Network)
+                and not topology.centers(network)):
+            raise ConfigError("reference_node 'center' needs a node that reaches "
+                              "every other node, and the network file has none")
         return cls(network=network, drift=drift, offset=offset, steps=steps,
                    drop_t_terms=_bool(data, "drop_t_terms"),
                    freeze_compensation=_bool(data, "freeze_compensation"),

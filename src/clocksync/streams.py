@@ -15,13 +15,27 @@ and building a ``SeedSequence`` for each costs far more than the
 generator itself, so the words are hashed here instead:
 :func:`_pcg64_seeds` repeats NumPy's ``SeedSequence`` pool mixing and
 ``generate_state(4, uint64)`` as array arithmetic over all streams of a
-batch at once.  NumPy keeps ``SeedSequence`` and ``PCG64``
-output stable across releases (NEP 19), and ``tests/test_streams.py``
-compares every path here with ``SeedSequence`` itself.
+batch at once.
+
+A hearing stream serves one uniform per tick of the arc's sender, often
+only one or two in a run, so it is not built as a generator at all:
+:class:`UniformStreams` holds each stream's 128-bit PCG64 state as two
+uint64 array words, seeded as ``PCG64`` seeds it, and computes
+``Generator.random``'s uniforms (the XSL-RR output of each LCG step,
+shifted right by 11 and scaled by 2**-53; O'Neill 2014, "PCG: A Family
+of Simple Fast Space-Efficient Statistically Good Algorithms for Random
+Number Generation") for every stream of a batch as array arithmetic,
+jumping ahead with ``(MULT^t, sum_{k<t} MULT^k)`` tables.  Only the
+tick, jitter and reading streams are still ``Generator`` objects, since
+they draw exponentials and normals.  NumPy keeps ``SeedSequence`` and
+``PCG64`` output stable across releases (NEP 19), and
+``tests/test_streams.py`` compares every path here with ``SeedSequence``
+and ``Generator`` themselves.
 """
 
 from __future__ import annotations
 
+import functools
 import zlib
 
 import numpy as np
@@ -118,6 +132,18 @@ def _word(part) -> int:
     return int(part) & _MASK32
 
 
+def _words(seed: int, name: str, ids) -> np.ndarray:
+    """The (m, w) uint32 key words ``[seed, name, *row]`` of each row of
+    ``ids``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    ids = ids.reshape(len(ids), -1) if len(ids) else ids.reshape(0, 0)
+    words = np.empty((ids.shape[0], 2 + ids.shape[1]), dtype=np.uint32)
+    words[:, 0] = int(seed) & _MASK32
+    words[:, 1] = _word(name)
+    words[:, 2:] = ids & _MASK32
+    return words
+
+
 def substream(seed: int, *key) -> np.random.Generator:
     """Return a generator for the sub-stream identified by ``key``.
 
@@ -137,9 +163,210 @@ def substreams(seed: int, name: str, ids) -> list[np.random.Generator]:
     """
     if len(ids) == 0:
         return []
-    ids = np.asarray(ids, dtype=np.int64).reshape(len(ids), -1)
-    words = np.empty((ids.shape[0], 2 + ids.shape[1]), dtype=np.uint32)
-    words[:, 0] = int(seed) & _MASK32
-    words[:, 1] = _word(name)
-    words[:, 2:] = ids & _MASK32
-    return _generators(words)
+    return _generators(_words(seed, name, ids))
+
+
+# -- PCG64 as array arithmetic --------------------------------------------
+#
+# A 128-bit value is a (high, low) pair of uint64 arrays; uint64 array
+# arithmetic wraps mod 2**64, and the products below carry across words.
+
+#: PCG64's LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW32 = np.uint64(_MASK32)
+#: the longest block of :meth:`UniformStreams.random`: 2**_BLOCK_BITS draws
+_BLOCK_BITS = 5
+#: most draws of one window of :meth:`UniformStreams.random`
+_WINDOW = 1 << 15
+
+
+def _u128(value: int) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([value >> 64], dtype=np.uint64),
+            np.array([value & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))
+
+
+def _take(x, idx):
+    return x[0][idx], x[1][idx]
+
+
+def _cat(x, y):
+    return np.concatenate((x[0], y[0])), np.concatenate((x[1], y[1]))
+
+
+def _column(x):
+    return x[0][:, None], x[1][:, None]
+
+
+def _iadd(x, y):
+    """x += y mod 2**128, in place; returns x."""
+    hi, lo = x
+    lo += y[1]
+    hi += y[0]
+    hi += lo < y[1]
+    return x
+
+
+def _mul(x, y, work=None):
+    """x * y mod 2**128, broadcast: the low words' full 128-bit product
+    from 32-bit halves, plus the cross terms.  The result is written to
+    ``work[0]`` (high) and ``work[1]`` (low), with ``work[2:6]`` as
+    scratch, when ``work`` is given."""
+    (xh, xl), (yh, yl) = x, y
+    if work is None:
+        shape = np.broadcast_shapes(xl.shape, yl.shape)
+        work = [np.empty(shape, dtype=np.uint64) for _ in range(6)]
+    hi, lo, p00, p01, p10, tmp = work
+    x0, x1, y0, y1 = xl & _LOW32, xl >> 32, yl & _LOW32, yl >> 32
+    np.multiply(xl, yl, out=lo)
+    np.multiply(x0, y0, out=p00)
+    np.multiply(x0, y1, out=p01)
+    np.multiply(x1, y0, out=p10)
+    np.multiply(x1, y1, out=hi)
+    # the middle column's sum, then the carries it and p01, p10 pass up
+    p00 >>= 32
+    p00 += np.bitwise_and(p01, _LOW32, out=tmp)
+    p00 += np.bitwise_and(p10, _LOW32, out=tmp)
+    p00 >>= 32
+    p01 >>= 32
+    p10 >>= 32
+    hi += p00
+    hi += p01
+    hi += p10
+    hi += np.multiply(xh, yl, out=tmp)
+    hi += np.multiply(xl, yh, out=tmp)
+    return hi, lo
+
+
+class _Jumps:
+    """Jump-ahead table of the LCG ``x -> M x + inc``: entry q is the pair
+    (A, C) for which q jumps of entry 1 take x to ``A x + C inc``.  Entry
+    1 is given; the table grows by doubling."""
+
+    def __init__(self, a, c) -> None:
+        zero, one = _u128(0), _u128(1)
+        self.a, self.c = _cat(one, a), _cat(zero, c)
+
+    def __len__(self) -> int:
+        return len(self.a[0])
+
+    def __getitem__(self, q):
+        return _take(self.a, q), _take(self.c, q)
+
+    def upto(self, count: int) -> "_Jumps":
+        """Grow the table to at least ``count`` entries."""
+        while len(self) < count:
+            (a1, c1), (a, c) = self[[1]], self[[len(self) - 1]]
+            # entry L is entry 1 after entry L - 1, and entry L + q is
+            # entry L after entry q
+            a, c = _mul(a1, a), _iadd(_mul(a1, c), c1)
+            self.a, self.c = _cat(self.a, _mul(a, self.a)), _cat(
+                self.c, _iadd(_mul(a, self.c), c))
+        return self
+
+
+@functools.cache
+def _jumps(steps: int) -> _Jumps:
+    """The jump table by multiples of ``steps``, a power of two.  Its
+    entries are constants of PCG64, so one table per step serves every
+    stream and is only ever extended."""
+    if steps == 1:
+        return _Jumps(_u128(_PCG_MULT), _u128(1))
+    return _Jumps(*_jumps(steps // 2).upto(3)[[2]])
+
+
+def _next_double(state, scratch: np.ndarray) -> None:
+    """``Generator.random``'s value for each PCG64 state: the XSL-RR
+    output, shifted right by 11 and scaled by 2**-53.  Overwrites the
+    state, and leaves the values as float64 in ``scratch``."""
+    high, low = state
+    low ^= high
+    high >>= 58
+    np.right_shift(low, high, out=scratch)
+    np.subtract(64, high, out=high)
+    high &= 63
+    low <<= high
+    low |= scratch
+    low >>= 11
+    np.multiply(low, 2.0 ** -53, out=scratch.view(np.float64))
+
+
+class UniformStreams:
+    """The streams ``substreams(seed, name, ids)`` as bare PCG64 states,
+    whose ``Generator.random`` uniforms are drawn as array arithmetic.
+
+    Each stream keeps its 128-bit LCG state and increment as uint64
+    array words, seeded as ``PCG64`` seeds them.  :meth:`random` draws
+    any number of uniforms from every stream in one call.
+    """
+
+    def __init__(self, seed: int, name: str, ids) -> None:
+        s = _pcg64_seeds(_words(seed, name, ids))
+        # PCG64 seeding: the seed words are initstate (s0 high, s1 low)
+        # and initseq (s2, s3); inc = initseq << 1 | 1, then from state
+        # 0: one step, += initstate, one step
+        self._inc = (s[:, 2] << 1) | (s[:, 3] >> 63), (s[:, 3] << 1) | 1
+        state = _iadd((s[:, 0].copy(), s[:, 1].copy()), self._inc)
+        self._state = _iadd(_mul(_u128(_PCG_MULT), state), self._inc)
+        self._work = np.empty((6, 0), dtype=np.uint64)
+
+    def random(self, counts) -> np.ndarray:
+        """The next ``counts[r]`` uniforms of every stream r, stream after
+        stream: what ``substreams(seed, name, ids)[r].random(counts[r])``
+        returns, call after call."""
+        m = np.asarray(counts, dtype=np.intp)
+        end = np.cumsum(m)
+        out = np.empty(int(end[-1]) if len(m) else 0)
+        # windows of at most _WINDOW draws bound the work arrays; a
+        # stream cut by a window boundary goes on in the next window
+        for lo in range(0, len(out), _WINDOW):
+            hi = min(len(out), lo + _WINDOW)
+            r0 = int(np.searchsorted(end, lo, side="right"))
+            r1 = int(np.searchsorted(end, hi - 1, side="right")) + 1
+            part = np.minimum(end[r0:r1], hi) - np.maximum(end[r0:r1] - m[r0:r1], lo)
+            self._draw(slice(r0, r1), part, out[lo:hi])
+        return out
+
+    def _draw(self, streams: slice, m: np.ndarray, out: np.ndarray) -> None:
+        """Write the next ``m[r]`` uniforms of each stream r of ``streams``
+        to ``out``.
+
+        Each stream's draws are cut into blocks of B, and draw k of block
+        q (0 <= k < B) is read from the state ``q * B + k + 1`` steps on:
+        ``A_{k+1} P_q + C_{k+1} inc``, with block start P_q a jump from
+        the current state and the (stream, k) terms ``C_{k+1} inc``
+        shared by the stream's blocks, so each draw costs one product.
+        The draws are laid out as a (blocks, B) array, the last block of
+        each stream padded.
+        """
+        state, inc = _take(self._state, streams), _take(self._inc, streams)
+        # B is a power of two at most the mean count of the streams that
+        # draw, so the padding at most doubles the work
+        mean = int(m.sum()) // int(np.count_nonzero(m))
+        bits = min(_BLOCK_BITS, mean.bit_length() - 1)
+        b = 1 << bits
+        n_blocks = (m + b - 1) >> bits
+        block_first = np.cumsum(n_blocks) - n_blocks
+        owner = np.repeat(np.arange(len(m)), n_blocks)
+        q = np.arange(len(owner)) - block_first[owner]
+        start = _take(state, owner)
+        later = np.flatnonzero(q)
+        if len(later):
+            a, c = _jumps(b).upto(int(q.max()) + 1)[q[later]]
+            start[0][later], start[1][later] = _iadd(
+                _mul(a, _take(start, later)), _mul(c, _take(inc, owner[later])))
+        a, c = _jumps(1).upto(b + 1)[np.arange(1, b + 1)]
+        terms = _mul(c, _column(inc))
+        size = len(owner) * b
+        if self._work.shape[1] < size:
+            self._work = np.empty((6, size), dtype=np.uint64)
+        work = [w[:size].reshape(-1, b) for w in self._work]
+        drawn = _mul(a, _column(start), work)
+        _iadd(drawn, (np.take(terms[0], owner, axis=0, out=work[2]),
+                      np.take(terms[1], owner, axis=0, out=work[3])))
+        busy = m > 0
+        row, col = (block_first + n_blocks - 1)[busy], ((m - 1) & (b - 1))[busy]
+        state[0][busy], state[1][busy] = drawn[0][row, col], drawn[1][row, col]
+        _next_double(drawn, work[2])
+        np.compress((np.arange(b) < (m[owner] - (q << bits))[:, None]).ravel(),
+                    work[2].view(np.float64), out=out)
+

@@ -261,7 +261,7 @@ class GeometricSpec:
     Every arc gets ``arc()`` (its delay floor is at most ``delta_bar``),
     every node the rate ``mu`` and a ``clock`` whose drift and offset are
     uniform in ``alpha_range`` and ``beta_range``; ``noise_dist`` shapes
-    the reading noise only, the delays stay normal.
+    both the reading noise and the delay jitter.
     """
 
     n: int
@@ -301,7 +301,7 @@ class GeometricSpec:
     def arc(self) -> Arc:
         """The arc every linked pair gets."""
         delay = DelayModel(self.delta_bar, self.eta_sigma,
-                           min(self.delta_min, self.delta_bar))
+                           min(self.delta_min, self.delta_bar), self.noise_dist)
         return Arc(self.gamma, self.p_hear, delay)
 
     def clock(self, alpha: float, beta: float) -> ClockParams:

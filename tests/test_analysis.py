@@ -318,6 +318,13 @@ class TestFrozenCompensationDrift:
         with pytest.raises(ValueError):
             frozen_compensation_drift(res, 100)
 
+    def test_window_without_offset_steps(self):
+        net = generate_geometric(GeometricSpec(2, 1.0), seed=0)
+        res = engine.run(net, SyncConfig(freeze_compensation=True),
+                         max_updates=1, seed=0)
+        with pytest.raises(ValueError, match="no psi-weighted node took an offset step"):
+            frozen_compensation_drift(res, 0)
+
 
 # ---------------------------------------------------------------------------
 # The trace readers against per-link records, bit for bit

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clocksync import engine
+from clocksync.clock import ClockParams, DelayModel
 from clocksync.sync import (
     DriftA,
     DriftB,
@@ -18,7 +19,7 @@ from clocksync.sync import (
     StepSchedule,
     SyncConfig,
 )
-from clocksync.topology import GeometricSpec, Network, generate_geometric
+from clocksync.topology import Arc, GeometricSpec, Network, generate_geometric
 
 from conftest import make_line_network, networks
 from sync_oracle import heap_run
@@ -102,6 +103,78 @@ class TestScheduleOracle:
         assert len(same) > 100
         assert np.all(np.diff(res.trace.receiver)[same] > 0)
         assert_matches_heap(net, SyncConfig(), 400, None, seed)
+
+
+class TestScheduleEdges:
+    """Hand-built schedules against the event-heap reference: the hearing
+    draws of a chunk come from one array kernel, and an arc's jitter
+    stream is made in the chunk of its first heard message."""
+
+    @staticmethod
+    def hub(p_hear):
+        # node 0 broadcasts rarely to every other node; nodes 2..11 tick
+        # but have no out-arcs
+        n = 12
+        arc = Arc(1.0, p_hear, DelayModel(0.2, 0.05))
+        arcs = {(0, i): arc for i in range(1, n)}
+        arcs[(1, 0)] = arc
+        rates = np.array([0.05] + [1.0] * (n - 1))
+        clocks = [ClockParams(1.0 + 0.01 * k, 0.1 * k, 0.01) for k in range(n)]
+        return Network(n, arcs, rates, clocks)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sender_without_out_arcs(self, seed, monkeypatch):
+        arc = Arc(1.0, 0.8, DelayModel(0.1, 0.02))
+        net = Network(3, {(0, 1): arc, (1, 0): arc}, np.ones(3),
+                      [ClockParams(1.0), ClockParams(1.01, 0.1, 0.01),
+                       ClockParams(0.99, -0.1, 0.01)])
+        senders = []
+        broadcast = engine.broadcast
+
+        def recorded(net, j, *args):
+            senders.append(j)
+            return broadcast(net, j, *args)
+
+        monkeypatch.setattr(engine, "broadcast", recorded)
+        engine.run(net, SyncConfig(), max_updates=200, seed=seed)
+        assert 2 in senders
+        monkeypatch.undo()
+        assert_matches_heap(net, SyncConfig(), 200, None, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_message_heard(self, seed):
+        net = generate_geometric(GeometricSpec(7, 0.6, 0.3, p_hear=1.0), seed=seed)
+        assert_matches_heap(net, SyncConfig(), 300, None, seed)
+        assert_matches_heap(net, SyncConfig(), None, 30.0, seed)
+
+    def test_first_heard_message_in_a_later_chunk(self, monkeypatch):
+        net, seed = self.hub(0.5), 7
+        chunks, jitter = [], []
+        random, substreams = engine.UniformStreams.random, engine.substreams
+
+        def counted(self, counts):
+            chunks.append(len(counts))
+            return random(self, counts)
+
+        def recorded(seed, name, ids):
+            if name == "jitter":
+                jitter.append(list(ids))
+            return substreams(seed, name, ids)
+
+        monkeypatch.setattr(engine.UniformStreams, "random", counted)
+        monkeypatch.setattr(engine, "substreams", recorded)
+        res = engine.run(net, SyncConfig(), max_updates=40, seed=seed)
+        monkeypatch.undo()
+        assert len(chunks) >= 3
+        # one jitter call per chunk, and each arc in at most one of them
+        assert len(jitter) == len(chunks)
+        made = [arc for call in jitter for arc in call]
+        assert len(made) == len(set(made))
+        delivered = set(zip(res.trace.sender.tolist(), res.trace.receiver.tolist()))
+        assert delivered <= set(made)
+        # some arc that delivers heard nothing in the first chunk
+        assert delivered & {arc for call in jitter[1:] for arc in call}
+        assert_matches_heap(net, SyncConfig(), 40, None, seed)
 
 
 class TestRun:

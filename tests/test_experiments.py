@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clocksync import experiments, sync
-from clocksync.topology import GeometricSpec, Network, generate_geometric
+from clocksync.clock import ClockParams, DelayModel
+from clocksync.topology import Arc, GeometricSpec, Network, generate_geometric
 from clocksync.experiments import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -218,6 +219,25 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: reference_node 6 is out of range for n=6"]
         assert not list((tmp_path / "out").glob("*"))
+
+    def test_center_of_file_network_without_one_is_validation_error(
+            self, tmp_path, capsys):
+        # arcs 0 -> 1 and 2 -> 1: no node reaches every other node
+        arc = Arc(1.0, 0.9, DelayModel(0.1))
+        net = Network(3, {(0, 1): arc, (2, 1): arc}, np.ones(3),
+                      [ClockParams(1.0)] * 3)
+        net_path = tmp_path / "net.json"
+        net.save(net_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_minimal(
+            network={"kind": "file", "path": str(net_path)},
+            reference_node="center")))
+        code = main(["run", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: reference_node 'center'")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edit, extra", [
         (lambda d: d, {"n": 50}),

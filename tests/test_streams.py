@@ -1,4 +1,5 @@
-"""The batched stream seeding against NumPy's own SeedSequence.
+"""The batched stream seeding against NumPy's own SeedSequence, and the
+array PCG64 kernel against NumPy's own Generator.
 
 The oracle builds each stream the way the package always defined it:
 ``np.random.default_rng(np.random.SeedSequence(words))`` with the seed
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clocksync.streams import substream, substreams
+from clocksync import streams
+from clocksync.streams import UniformStreams, substream, substreams
 
 SEEDS = st.one_of(
     st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 7, 2**64 + 3, -1, -(2**40)]),
@@ -104,3 +106,37 @@ class TestSubstreams:
     def test_three_word_ids_raise(self):
         with pytest.raises(ValueError, match="at most 4 words"):
             substreams(0, "hear", [(1, 2, 3)])
+
+
+class TestUniformStreams:
+    """The array PCG64 kernel against ``Generator.random`` on the same
+    streams, bit for bit, over successive draw calls."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, name=NAMES,
+           ids=st.lists(st.tuples(IDS, IDS), min_size=1, max_size=8),
+           data=st.data())
+    def test_matches_generator_random(self, seed, name, ids, data):
+        streams._jumps.cache_clear()  # every example grows the jump tables
+        kernel = UniformStreams(seed, name, ids)
+        ref = substreams(seed, name, ids)
+        # zeros, and counts past the first block and the first jump tables
+        counts = st.one_of(st.integers(0, 3), st.integers(0, 70),
+                           st.integers(0, 3000))
+        for _ in range(data.draw(st.integers(1, 4))):
+            m = data.draw(st.lists(counts, min_size=len(ids), max_size=len(ids)))
+            got = kernel.random(m)
+            want = np.concatenate([rng.random(k) for rng, k in zip(ref, m)])
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_long_stream_across_windows(self, monkeypatch):
+        monkeypatch.setattr(streams, "_WINDOW", 1000)
+        ids = [(0, 1), (1, 0), (2, 1)]
+        kernel, ref = UniformStreams(5, "hear", ids), substreams(5, "hear", ids)
+        for m in ([2500, 0, 3], [1, 4000, 999], [0, 0, 0], [1000, 1, 1]):
+            want = np.concatenate([rng.random(k) for rng, k in zip(ref, m)])
+            np.testing.assert_array_equal(kernel.random(m).view(np.uint64),
+                                          want.view(np.uint64))
+
+    def test_no_streams(self):
+        assert UniformStreams(0, "hear", []).random([]).shape == (0,)

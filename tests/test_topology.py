@@ -1,5 +1,6 @@
 """Network construction, serialization, probabilities and expected matrices."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clocksync import engine
 from clocksync.clock import ClockParams, DelayModel
 from clocksync.streams import substream
+from clocksync.sync import SyncConfig
 from clocksync.topology import (
     Arc,
     GeometricSpec,
@@ -131,6 +134,22 @@ class TestGenerate:
         assert np.all((alphas >= 0.96) & (alphas <= 1.04))
         betas = net.betas()
         assert np.all((betas >= -0.2) & (betas <= 0.2))
+
+    def test_noise_dist_shapes_the_delays(self, tmp_path):
+        spec = GeometricSpec(8, 0.6, 0.1, delta_bar=0.1, delta_min=0.04,
+                             eta_sigma=0.05, noise_dist="uniform")
+        generate_geometric(spec, seed=3).save(tmp_path / "net.json")
+        saved = json.loads((tmp_path / "net.json").read_text())
+        assert {arc["delay_dist"] for arc in saved["arcs"]} == {"uniform"}
+        net = Network.load(tmp_path / "net.json")
+        tr = engine.run(net, SyncConfig(), max_updates=3000, seed=3).trace
+        delay = tr.t - tr.t_send
+        half = math.sqrt(3.0) * 0.05
+        # the jitter is bounded, and the floor clamps the lower tail
+        assert np.all(delay <= 0.1 + half + 1e-12)
+        assert np.all(delay >= 0.04 - 1e-12)
+        assert delay.max() > 0.1 + 0.9 * half
+        assert np.mean(delay < 0.04 + 1e-12) > 0.05
 
     def test_deterministic(self):
         a = generate_geometric(GeometricSpec(10, 0.5, 0.1), seed=7)

@@ -120,10 +120,16 @@ class ExperimentConfig:
             if not _is_int(ref) or ref < 0:
                 raise ConfigError("reference_node must be a node id or 'center'")
             _check_reference(ref, network.n)
-        if (ref == "center" and isinstance(network, topology.Network)
-                and not topology.centers(network)):
-            raise ConfigError("reference_node 'center' needs a node that reaches "
-                              "every other node, and the network file has none")
+        if ref is not None and isinstance(network, topology.Network):
+            centers = topology.centers(network)
+            if ref == "center" and not centers:
+                raise ConfigError("reference_node 'center' needs a node that "
+                                  "reaches every other node, and the network "
+                                  "file has none")
+            if ref != "center" and ref not in centers:
+                raise ConfigError(f"reference_node {ref} is not a center of the "
+                                  "network file: flooding needs a root that "
+                                  "reaches every node")
         return cls(network=network, drift=drift, offset=offset, steps=steps,
                    drop_t_terms=_bool(data, "drop_t_terms"),
                    freeze_compensation=_bool(data, "freeze_compensation"),

@@ -24,18 +24,18 @@ uint64 array words, seeded as ``PCG64`` seeds it, and computes
 ``Generator.random``'s uniforms (the XSL-RR output of each LCG step,
 shifted right by 11 and scaled by 2**-53; O'Neill 2014, "PCG: A Family
 of Simple Fast Space-Efficient Statistically Good Algorithms for Random
-Number Generation") for every stream of a batch as array arithmetic,
-jumping ahead with ``(MULT^t, sum_{k<t} MULT^k)`` tables.  Only the
-tick, jitter and reading streams are still ``Generator`` objects, since
-they draw exponentials and normals.  NumPy keeps ``SeedSequence`` and
-``PCG64`` output stable across releases (NEP 19), and
-``tests/test_streams.py`` compares every path here with ``SeedSequence``
-and ``Generator`` themselves.
+Number Generation") for every stream of a batch as array arithmetic.
+Each draw is one jump from its stream's current state, by a table of
+PCG64 constants shared by every stream.  Only the tick, jitter and
+reading streams are still ``Generator`` objects, since they draw
+exponentials and normals.  NumPy keeps ``SeedSequence`` and ``PCG64``
+output stable across releases (NEP 19), and ``tests/test_streams.py``
+compares every path here with ``SeedSequence`` and ``Generator``
+themselves.
 """
 
 from __future__ import annotations
 
-import functools
 import zlib
 
 import numpy as np
@@ -171,30 +171,19 @@ def substreams(seed: int, name: str, ids) -> list[np.random.Generator]:
 # A 128-bit value is a (high, low) pair of uint64 arrays; uint64 array
 # arithmetic wraps mod 2**64, and the products below carry across words.
 
-#: PCG64's LCG multiplier
+#: PCG64's LCG multiplier, 4 Q + 1 with Q odd
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_Q = _PCG_MULT >> 2
+_MASK64 = (1 << 64) - 1
 _LOW32 = np.uint64(_MASK32)
-#: the longest block of :meth:`UniformStreams.random`: 2**_BLOCK_BITS draws
-_BLOCK_BITS = 5
 #: most draws of one window of :meth:`UniformStreams.random`
-_WINDOW = 1 << 15
+_WINDOW = 1 << 13
 
 
 def _u128(value: int) -> tuple[np.ndarray, np.ndarray]:
-    return (np.array([value >> 64], dtype=np.uint64),
-            np.array([value & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))
-
-
-def _take(x, idx):
-    return x[0][idx], x[1][idx]
-
-
-def _cat(x, y):
-    return np.concatenate((x[0], y[0])), np.concatenate((x[1], y[1]))
-
-
-def _column(x):
-    return x[0][:, None], x[1][:, None]
+    """``value mod 2**128`` as one-element (high, low) arrays."""
+    return (np.array([value >> 64 & _MASK64], dtype=np.uint64),
+            np.array([value & _MASK64], dtype=np.uint64))
 
 
 def _iadd(x, y):
@@ -206,108 +195,59 @@ def _iadd(x, y):
     return x
 
 
-def _mul(x, y, work=None):
+def _mul(x, y):
     """x * y mod 2**128, broadcast: the low words' full 128-bit product
-    from 32-bit halves, plus the cross terms.  The result is written to
-    ``work[0]`` (high) and ``work[1]`` (low), with ``work[2:6]`` as
-    scratch, when ``work`` is given."""
+    from 32-bit halves, plus the cross terms."""
     (xh, xl), (yh, yl) = x, y
-    if work is None:
-        shape = np.broadcast_shapes(xl.shape, yl.shape)
-        work = [np.empty(shape, dtype=np.uint64) for _ in range(6)]
-    hi, lo, p00, p01, p10, tmp = work
     x0, x1, y0, y1 = xl & _LOW32, xl >> 32, yl & _LOW32, yl >> 32
-    np.multiply(xl, yl, out=lo)
-    np.multiply(x0, y0, out=p00)
-    np.multiply(x0, y1, out=p01)
-    np.multiply(x1, y0, out=p10)
-    np.multiply(x1, y1, out=hi)
+    p01, p10 = x0 * y1, x1 * y0
     # the middle column's sum, then the carries it and p01, p10 pass up
-    p00 >>= 32
-    p00 += np.bitwise_and(p01, _LOW32, out=tmp)
-    p00 += np.bitwise_and(p10, _LOW32, out=tmp)
-    p00 >>= 32
-    p01 >>= 32
-    p10 >>= 32
-    hi += p00
-    hi += p01
-    hi += p10
-    hi += np.multiply(xh, yl, out=tmp)
-    hi += np.multiply(xl, yh, out=tmp)
-    return hi, lo
+    mid = (x0 * y0 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
+    hi = x1 * y1 + (mid >> 32) + (p01 >> 32) + (p10 >> 32) + xh * yl + xl * yh
+    return hi, xl * yl
 
 
-class _Jumps:
-    """Jump-ahead table of the LCG ``x -> M x + inc``: entry q is the pair
-    (A, C) for which q jumps of entry 1 take x to ``A x + C inc``.  Entry
-    1 is given; the table grows by doubling."""
+class _Steps:
+    """Jump table of the LCG ``x -> MULT x + inc``: entry k is
+    ``D_k = (MULT^k - 1) / 4 mod 2**128``, with which k steps take x to
+    ``x + D_k (4 x + inc / Q)`` (see :meth:`UniformStreams._draw`).
+    The entries are constants of PCG64, so one table serves every
+    stream and is only ever extended.  It grows by doubling: L + k steps
+    are k steps after L, so ``D_{L+k} = MULT^L D_k + D_L``.
+    """
 
-    def __init__(self, a, c) -> None:
-        zero, one = _u128(0), _u128(1)
-        self.a, self.c = _cat(one, a), _cat(zero, c)
+    def __init__(self) -> None:
+        self.d = _u128(0)
 
-    def __len__(self) -> int:
-        return len(self.a[0])
-
-    def __getitem__(self, q):
-        return _take(self.a, q), _take(self.c, q)
-
-    def upto(self, count: int) -> "_Jumps":
-        """Grow the table to at least ``count`` entries."""
-        while len(self) < count:
-            (a1, c1), (a, c) = self[[1]], self[[len(self) - 1]]
-            # entry L is entry 1 after entry L - 1, and entry L + q is
-            # entry L after entry q
-            a, c = _mul(a1, a), _iadd(_mul(a1, c), c1)
-            self.a, self.c = _cat(self.a, _mul(a, self.a)), _cat(
-                self.c, _iadd(_mul(a, self.c), c))
-        return self
+    def upto(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (high, low) words of the table, grown to at least
+        ``count`` entries."""
+        while len(self.d[1]) < count:
+            # MULT^L = 4 D_L + 1 for L the table's length
+            mult_l = pow(_PCG_MULT, len(self.d[1]), 1 << 130)
+            later = _iadd(_mul(_u128(mult_l), self.d), _u128(mult_l >> 2))
+            self.d = tuple(map(np.concatenate, zip(self.d, later)))
+        return self.d
 
 
-@functools.cache
-def _jumps(steps: int) -> _Jumps:
-    """The jump table by multiples of ``steps``, a power of two.  Its
-    entries are constants of PCG64, so one table per step serves every
-    stream and is only ever extended."""
-    if steps == 1:
-        return _Jumps(_u128(_PCG_MULT), _u128(1))
-    return _Jumps(*_jumps(steps // 2).upto(3)[[2]])
-
-
-def _next_double(state, scratch: np.ndarray) -> None:
-    """``Generator.random``'s value for each PCG64 state: the XSL-RR
-    output, shifted right by 11 and scaled by 2**-53.  Overwrites the
-    state, and leaves the values as float64 in ``scratch``."""
-    high, low = state
-    low ^= high
-    high >>= 58
-    np.right_shift(low, high, out=scratch)
-    np.subtract(64, high, out=high)
-    high &= 63
-    low <<= high
-    low |= scratch
-    low >>= 11
-    np.multiply(low, 2.0 ** -53, out=scratch.view(np.float64))
+_STEPS = _Steps()
 
 
 class UniformStreams:
     """The streams ``substreams(seed, name, ids)`` as bare PCG64 states,
-    whose ``Generator.random`` uniforms are drawn as array arithmetic.
-
-    Each stream keeps its 128-bit LCG state and increment as uint64
-    array words, seeded as ``PCG64`` seeds them.  :meth:`random` draws
-    any number of uniforms from every stream in one call.
-    """
+    whose ``Generator.random`` uniforms are drawn as array arithmetic:
+    each stream's 128-bit LCG state, and its increment divided by Q, are
+    uint64 array words, seeded as ``PCG64`` seeds them."""
 
     def __init__(self, seed: int, name: str, ids) -> None:
         s = _pcg64_seeds(_words(seed, name, ids))
         # PCG64 seeding: the seed words are initstate (s0 high, s1 low)
         # and initseq (s2, s3); inc = initseq << 1 | 1, then from state
         # 0: one step, += initstate, one step
-        self._inc = (s[:, 2] << 1) | (s[:, 3] >> 63), (s[:, 3] << 1) | 1
-        state = _iadd((s[:, 0].copy(), s[:, 1].copy()), self._inc)
-        self._state = _iadd(_mul(_u128(_PCG_MULT), state), self._inc)
-        self._work = np.empty((6, 0), dtype=np.uint64)
+        inc = (s[:, 2] << 1) | (s[:, 3] >> 63), (s[:, 3] << 1) | 1
+        state = _iadd((s[:, 0].copy(), s[:, 1].copy()), inc)
+        self._state = _iadd(_mul(_u128(_PCG_MULT), state), inc)
+        self._inc_q = _mul(_u128(pow(_Q, -1, 1 << 128)), inc)
 
     def random(self, counts) -> np.ndarray:
         """The next ``counts[r]`` uniforms of every stream r, stream after
@@ -330,43 +270,29 @@ class UniformStreams:
         """Write the next ``m[r]`` uniforms of each stream r of ``streams``
         to ``out``.
 
-        Each stream's draws are cut into blocks of B, and draw k of block
-        q (0 <= k < B) is read from the state ``q * B + k + 1`` steps on:
-        ``A_{k+1} P_q + C_{k+1} inc``, with block start P_q a jump from
-        the current state and the (stream, k) terms ``C_{k+1} inc``
-        shared by the stream's blocks, so each draw costs one product.
-        The draws are laid out as a (blocks, B) array, the last block of
-        each stream padded.
+        k LCG steps take a state x to ``MULT^k x + C_k inc``, with
+        ``C_k = sum_{i<k} MULT^i``.  As ``MULT^k = 4 D_k + 1`` and
+        ``(MULT - 1) C_k = MULT^k - 1`` give ``Q C_k = D_k``, that state
+        is ``x + D_k w`` with ``w = 4 x + inc / Q`` (Q is odd, so it has
+        an inverse mod 2**128).  Draw k (from 1) of a stream is thus one
+        product from its current state, and no draw waits for another;
+        the stream then keeps the state of its last draw.
         """
-        state, inc = _take(self._state, streams), _take(self._inc, streams)
-        # B is a power of two at most the mean count of the streams that
-        # draw, so the padding at most doubles the work
-        mean = int(m.sum()) // int(np.count_nonzero(m))
-        bits = min(_BLOCK_BITS, mean.bit_length() - 1)
-        b = 1 << bits
-        n_blocks = (m + b - 1) >> bits
-        block_first = np.cumsum(n_blocks) - n_blocks
-        owner = np.repeat(np.arange(len(m)), n_blocks)
-        q = np.arange(len(owner)) - block_first[owner]
-        start = _take(state, owner)
-        later = np.flatnonzero(q)
-        if len(later):
-            a, c = _jumps(b).upto(int(q.max()) + 1)[q[later]]
-            start[0][later], start[1][later] = _iadd(
-                _mul(a, _take(start, later)), _mul(c, _take(inc, owner[later])))
-        a, c = _jumps(1).upto(b + 1)[np.arange(1, b + 1)]
-        terms = _mul(c, _column(inc))
-        size = len(owner) * b
-        if self._work.shape[1] < size:
-            self._work = np.empty((6, size), dtype=np.uint64)
-        work = [w[:size].reshape(-1, b) for w in self._work]
-        drawn = _mul(a, _column(start), work)
-        _iadd(drawn, (np.take(terms[0], owner, axis=0, out=work[2]),
-                      np.take(terms[1], owner, axis=0, out=work[3])))
+        state = self._state[0][streams], self._state[1][streams]
+        inc_q = self._inc_q[0][streams], self._inc_q[1][streams]
+        w = _iadd((state[0] << 2 | state[1] >> 62, state[1] << 2), inc_q)
+        owner = np.repeat(np.arange(len(m)), m)
+        end = np.cumsum(m)
+        k = np.arange(1, len(out) + 1) - np.repeat(end - m, m)
+        d = _STEPS.upto(int(m.max()) + 1)
+        hi, lo = _iadd(_mul((d[0].take(k), d[1].take(k)),
+                            (w[0].take(owner), w[1].take(owner))),
+                       (state[0].take(owner), state[1].take(owner)))
         busy = m > 0
-        row, col = (block_first + n_blocks - 1)[busy], ((m - 1) & (b - 1))[busy]
-        state[0][busy], state[1][busy] = drawn[0][row, col], drawn[1][row, col]
-        _next_double(drawn, work[2])
-        np.compress((np.arange(b) < (m[owner] - (q << bits))[:, None]).ravel(),
-                    work[2].view(np.float64), out=out)
-
+        state[0][busy], state[1][busy] = hi[end[busy] - 1], lo[end[busy] - 1]
+        # Generator.random: the XSL-RR output, shifted right by 11 and
+        # scaled by 2**-53
+        rot = hi >> 58
+        lo ^= hi
+        lo = (lo >> rot) | (lo << ((64 - rot) & 63))
+        np.multiply(lo >> 11, 2.0 ** -53, out=out)

@@ -289,7 +289,7 @@ def make_reference(net: Network, node: int) -> Network:
     parameters stay fixed and propagate outward.  Requires the node to be
     a center, i.e. every other node must be reachable from it.
     """
-    if node in (None,) or not 0 <= node < net.n:
+    if node is None or not 0 <= node < net.n:
         raise ValueError("reference node id out of range")
     if node not in centers(net):
         raise ValueError(

@@ -136,26 +136,25 @@ class Network:
         if data.get("schema_version") != SCHEMA_VERSION:
             raise ValueError("unsupported network schema version")
         n = data["n"]
-        clocks = []
-        rates = np.full(n, np.nan)  # a node missing from the list fails the check
-        positions = []
-        have_pos = True
-        for node in sorted(data["nodes"], key=lambda d: d["id"]):
-            clocks.append(ClockParams(node["alpha"], node["beta"],
-                                      node["xi_sigma"], node.get("dist", "normal")))
-            rates[node["id"]] = node["rate"]
-            if node.get("position") is None:
-                have_pos = False
-            else:
-                positions.append(node["position"])
+        nodes = sorted(data["nodes"], key=lambda d: d["id"])
+        ids = [node["id"] for node in nodes]
+        if ids != list(range(n)) or not all(type(i) is int for i in ids):
+            raise ValueError(f"node ids must be 0..{n - 1}, each exactly once")
+        clocks = [ClockParams(node["alpha"], node["beta"], node["xi_sigma"],
+                              node.get("dist", "normal")) for node in nodes]
+        rates = [node["rate"] for node in nodes]
+        positions = [node.get("position") for node in nodes]
         arcs = {}
         for rec in data["arcs"]:
-            arcs[(rec["sender"], rec["receiver"])] = Arc(
+            arc = (rec["sender"], rec["receiver"])
+            if arc in arcs or not all(type(end) is int for end in arc):
+                raise ValueError(f"arc {arc} must be two node ids, listed once")
+            arcs[arc] = Arc(
                 rec["gamma"], rec["p_hear"],
                 DelayModel(rec["delta_bar"], rec["eta_sigma"],
                            rec["delta_min"], rec.get("delay_dist", "normal")))
-        return cls(n, arcs, rates, clocks,
-                   np.array(positions) if have_pos else None)
+        return cls(n, arcs, rates, clocks, None if any(
+            p is None for p in positions) else np.array(positions))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -184,11 +183,15 @@ class ProbabilityProfile:
     p: np.ndarray
 
 
-def _digraph(net: Network) -> nx.DiGraph:
+def _source_components(n: int, arcs) -> list[list[int]]:
+    """The members, sorted, of each source component of the condensation
+    of the digraph on nodes ``0..n-1`` with ``arcs``."""
     g = nx.DiGraph()
-    g.add_nodes_from(range(net.n))
-    g.add_edges_from(net.arcs.keys())
-    return g
+    g.add_nodes_from(range(n))
+    g.add_edges_from(arcs)
+    cond = nx.condensation(g)
+    return [sorted(cond.nodes[c]["members"])
+            for c in cond.nodes if cond.in_degree(c) == 0]
 
 
 def has_spanning_tree(net: Network) -> bool:
@@ -202,12 +205,8 @@ def centers(net: Network) -> list[int]:
     The condensation of the arc digraph has a spanning tree iff it has a
     unique source component; its members are exactly the centers.
     """
-    g = _digraph(net)
-    cond = nx.condensation(g)
-    sources = [c for c in cond.nodes if cond.in_degree(c) == 0]
-    if len(sources) != 1:
-        return []
-    return sorted(cond.nodes[sources[0]]["members"])
+    sources = _source_components(net.n, net.arcs)
+    return sources[0] if len(sources) == 1 else []
 
 
 def repair_connectivity(net: Network, arc_template: Arc | None = None) -> Network:
@@ -225,12 +224,7 @@ def repair_connectivity(net: Network, arc_template: Arc | None = None) -> Networ
             1.0, 0.9, DelayModel(0.1))
     arcs = dict(net.arcs)
     while True:
-        g = nx.DiGraph()
-        g.add_nodes_from(range(net.n))
-        g.add_edges_from(arcs.keys())
-        cond = nx.condensation(g)
-        sources = [sorted(cond.nodes[c]["members"])
-                   for c in cond.nodes if cond.in_degree(c) == 0]
+        sources = _source_components(net.n, arcs)
         if len(sources) <= 1:
             break
         best = None

@@ -239,6 +239,24 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: reference_node 'center'")
         assert not (tmp_path / "out").exists()
 
+    def test_reference_not_a_center_of_file_network_is_validation_error(
+            self, tmp_path, capsys):
+        # the line 0 -> 1 -> 2: only node 0 reaches every other node
+        arc = Arc(1.0, 0.9, DelayModel(0.1))
+        net = Network(3, {(0, 1): arc, (1, 2): arc}, np.ones(3),
+                      [ClockParams(1.0)] * 3)
+        net_path = tmp_path / "net.json"
+        net.save(net_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_minimal(
+            network={"kind": "file", "path": str(net_path)}, reference_node=2)))
+        code = main(["run", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: reference_node 2 is not")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("edit, extra", [
         (lambda d: d, {"n": 50}),
         (lambda d: d["arcs"][0].update(gamma=-1.0), {}),
@@ -249,8 +267,16 @@ class TestCli:
         (lambda d: d["arcs"][0].pop("p_hear"), {}),
         (lambda d: d.update(nodes=d["nodes"][:-1]), {}),
         (lambda d: d.update(arcs=5), {}),
+        (lambda d: d["arcs"].append(dict(d["arcs"][0], gamma=5.0)), {}),
+        (lambda d: d["arcs"][0].update(sender=False), {}),
+        (lambda d: d["nodes"][-1].update(id=-1), {}),
+        (lambda d: d["nodes"][1].update(id=True), {}),
+        (lambda d: d["nodes"][2].update(id=1), {}),
+        (lambda d: d["nodes"][2].update(id=2.0), {}),
     ], ids=["geometric-key-on-file", "negative-gamma", "nan-gamma", "nan-alpha",
-            "inf-beta", "nan-rate", "missing-key", "missing-node", "arcs-not-a-list"])
+            "inf-beta", "nan-rate", "missing-key", "missing-node", "arcs-not-a-list",
+            "repeated-arc", "bool-arc-sender", "negative-node-id", "bool-node-id", "repeated-node-id",
+            "float-node-id"])
     def test_invalid_network_file_is_validation_error(self, tmp_path, capsys,
                                                       edit, extra):
         # the file is loaded and checked with the config, before any output

@@ -117,10 +117,10 @@ class TestUniformStreams:
            ids=st.lists(st.tuples(IDS, IDS), min_size=1, max_size=8),
            data=st.data())
     def test_matches_generator_random(self, seed, name, ids, data):
-        streams._jumps.cache_clear()  # every example grows the jump tables
+        streams._STEPS = streams._Steps()  # every example grows the step table
         kernel = UniformStreams(seed, name, ids)
         ref = substreams(seed, name, ids)
-        # zeros, and counts past the first block and the first jump tables
+        # zeros, and counts past several doublings of the step table
         counts = st.one_of(st.integers(0, 3), st.integers(0, 70),
                            st.integers(0, 3000))
         for _ in range(data.draw(st.integers(1, 4))):
@@ -137,6 +137,21 @@ class TestUniformStreams:
             want = np.concatenate([rng.random(k) for rng, k in zip(ref, m)])
             np.testing.assert_array_equal(kernel.random(m).view(np.uint64),
                                           want.view(np.uint64))
+
+    def test_step_table(self):
+        # entry k is D_k = (MULT^k - 1) / 4: 4 D_k + 1 is MULT^k and
+        # D_k is Q times the geometric sum, mod 2**128, across doublings
+        mult, mod = 0x2360ED051FC65DA44385DF649FCCF645, 2**128
+        table = streams._Steps()
+        for count in (1, 2, 3, 100, 4097):
+            hi, lo = table.upto(count)
+            assert count <= len(lo) < 2 * count
+            geometric = 0
+            for k in range(len(lo)):
+                d = int(hi[k]) << 64 | int(lo[k])
+                assert (4 * d + 1) % mod == pow(mult, k, mod)
+                assert d == (mult >> 2) * geometric % mod
+                geometric += pow(mult, k, mod)
 
     def test_no_streams(self):
         assert UniformStreams(0, "hear", []).random([]).shape == (0,)

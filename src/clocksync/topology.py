@@ -138,7 +138,7 @@ class Network:
         n = data["n"]
         nodes = sorted(data["nodes"], key=lambda d: d["id"])
         ids = [node["id"] for node in nodes]
-        if ids != list(range(n)) or not all(type(i) is int for i in ids):
+        if ids != list(range(n)) or not all(type(i) is int for i in [n, *ids]):
             raise ValueError(f"node ids must be 0..{n - 1}, each exactly once")
         clocks = [ClockParams(node["alpha"], node["beta"], node["xi_sigma"],
                               node.get("dist", "normal")) for node in nodes]

@@ -273,10 +273,11 @@ class TestCli:
         (lambda d: d["nodes"][1].update(id=True), {}),
         (lambda d: d["nodes"][2].update(id=1), {}),
         (lambda d: d["nodes"][2].update(id=2.0), {}),
+        (lambda d: d.update(n=True, nodes=d["nodes"][:1], arcs=[]), {}),
     ], ids=["geometric-key-on-file", "negative-gamma", "nan-gamma", "nan-alpha",
             "inf-beta", "nan-rate", "missing-key", "missing-node", "arcs-not-a-list",
-            "repeated-arc", "bool-arc-sender", "negative-node-id", "bool-node-id", "repeated-node-id",
-            "float-node-id"])
+            "repeated-arc", "bool-arc-sender", "negative-node-id", "bool-node-id",
+            "repeated-node-id", "float-node-id", "bool-n"])
     def test_invalid_network_file_is_validation_error(self, tmp_path, capsys,
                                                       edit, extra):
         # the file is loaded and checked with the config, before any output

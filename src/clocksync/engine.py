@@ -8,12 +8,11 @@ global iteration counter by one.
 
 None of this noise depends on the synchronization algorithm, so a run
 takes two steps.  :func:`build_schedule` draws every event up to the
-stopping rule, in processing order, with the clock reading each one
-takes.  :class:`~clocksync.sync.SyncState` derives every input of every
-update from it except the estimates, and :func:`replay` walks the
-events, snapshotting the broadcaster's (a, b, c) at each tick and making
-one :meth:`~clocksync.sync.SyncState.process_message` call at each
-delivery.
+stopping rule and returns the deliveries, in processing order, with
+their clock readings.  :class:`~clocksync.sync.SyncState` derives every
+input of every update from them except the estimates, and :func:`replay`
+makes one :meth:`~clocksync.sync.SyncState.process_message` call per
+delivery, with the sender's (a, b, c) as they stood at its tick.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from clocksync.clock import CorrectionState, read_local_time, sample_delay
-from clocksync.streams import UniformStreams, substream, substreams
-from clocksync.sync import SyncConfig, SyncState
+from clocksync.streams import MAX_SEED, UniformStreams, substream, substreams
+from clocksync.sync import SyncConfig, SyncState, is_int
 from clocksync.topology import Network
 
 #: printf format of every float written to a CSV: 17 significant digits
@@ -264,17 +263,20 @@ def broadcast(
 
 @dataclass
 class Schedule:
-    """Every event of one run, in processing order, with the raw clock
-    reading it takes: the broadcaster's at a tick, the receiver's at a
-    delivery.  Event e is tick ``tick[e]`` itself when ``receiver[e]`` is
-    -1, and a delivery of it otherwise."""
+    """The K deliveries of one run, in processing order.  Delivery k
+    carries what ``sender[k]`` broadcast at its tick: its raw reading
+    ``tau_sent[k]``, and its estimates as they stood after delivery
+    ``src[k]``, the last one it received before the tick (-1 when there
+    is none: the initial estimates)."""
 
-    t: np.ndarray            # (E,) absolute time
-    tick: np.ndarray         # (E,) index of the event's tick
-    receiver: np.ndarray     # (E,) receiving node, -1 at a tick
-    tau: np.ndarray          # (E,) raw reading
-    tick_t: np.ndarray       # (G,) time of each tick
-    tick_sender: np.ndarray  # (G,) broadcaster of each tick
+    t: np.ndarray         # (K,) absolute time of the delivery
+    receiver: np.ndarray  # (K,) updating node
+    sender: np.ndarray    # (K,) broadcaster
+    t_send: np.ndarray    # (K,) absolute time of the broadcaster's tick
+    tau_sent: np.ndarray  # (K,) broadcaster's raw reading at its tick
+    tau_recv: np.ndarray  # (K,) receiver's raw reading at the delivery
+    arc: np.ndarray       # (K,) index of (sender, receiver) in sorted(net.arcs)
+    src: np.ndarray       # (K,) last delivery to the sender before its tick, or -1
 
 
 def build_schedule(
@@ -299,11 +301,13 @@ def build_schedule(
     call over every arc in (sender, receiver) order.  An arc's jitter
     stream is made in the chunk of its first heard message and kept for
     the later chunks; its delays are drawn per chunk, and the readings
-    per node in processing order, each as one block.
+    per node in processing order, each as one block.  Ticks are
+    processed in tick order, which places each delivery's ``src``.
     """
     n = net.n
     arcs = sorted(net.arcs)
-    arc_sender = np.array([j for j, _ in arcs], dtype=np.intp)
+    arc_key = np.array([j * n + i for j, i in arcs], dtype=np.intp)
+    arc_sender = arc_key // n
     out_degree = np.bincount(arc_sender, minlength=n)
     p_hear = np.array([net.arcs[arc].p_hear for arc in arcs])
     hear = UniformStreams(seed, "hear", arcs)
@@ -314,7 +318,7 @@ def build_schedule(
                    for (j, _), arc in net.arcs.items()) / mu_c
     if per_tick == 0.0 and horizon is None:
         raise ValueError("a network without arcs never reaches max_updates")
-    cap = math.inf if max_updates is None else max(max_updates, 0)
+    cap = math.inf if max_updates is None else max_updates
     end = math.inf if horizon is None else horizon
     # an event's insertion key: tick g is g * slots, its delivery to
     # node i is g * slots + i + 1, so out-neighbours keep their order
@@ -377,9 +381,9 @@ def build_schedule(
     t, key = t[:stop], key[:stop]
     tick, receiver = np.divmod(key, slots)
     receiver -= 1
-    n_ticks = int(np.count_nonzero(receiver < 0))
-    tick_sender = np.array(tick_j[:n_ticks], dtype=np.intp)
-    node = np.where(receiver < 0, tick_sender[tick], receiver)
+    dlv = receiver >= 0
+    tick_sender = np.array(tick_j, dtype=np.intp)
+    node = np.where(dlv, receiver, tick_sender[tick])
     tau = np.empty(stop)
     read_rngs = substreams(seed, "read", range(n))
     by_node = np.argsort(node, kind="stable")
@@ -388,45 +392,45 @@ def build_schedule(
         if hi > lo:
             idx = by_node[lo:hi]
             tau[idx] = read_local_time(net.clocks[m], t[idx], read_rngs[m])
-    return Schedule(t=t, tick=tick, receiver=receiver, tau=tau,
-                    tick_t=np.array(tick_t[:n_ticks]), tick_sender=tick_sender)
+    tick, receiver = tick[dlv], receiver[dlv]
+    sender = tick_sender[tick]
+    # src is the sender's last delivery with an index below the number of
+    # deliveries processed before the tick
+    before = np.cumsum(dlv)[~dlv][tick]
+    by_receiver = np.argsort(receiver, kind="stable")
+    q = np.searchsorted(receiver[by_receiver] * stop + by_receiver,
+                        sender * stop + before) - 1
+    prev = by_receiver[q]
+    return Schedule(t=t[dlv], receiver=receiver, sender=sender,
+                    t_send=np.array(tick_t)[tick], tau_sent=tau[~dlv][tick],
+                    tau_recv=tau[dlv],
+                    arc=np.searchsorted(arc_key, sender * n + receiver),
+                    src=np.where((q >= 0) & (receiver[prev] == sender), prev, -1))
 
 
-#: events replayed per chunk: bounds the Python lists the loop works on
+#: deliveries replayed per chunk: bounds the Python lists of update inputs
 _REPLAY_CHUNK = 1 << 12
 
 
-def replay(state: SyncState, sched: Schedule) -> np.ndarray:
-    """Apply a schedule to ``state``: snapshot the broadcaster's estimates
-    at each tick and process each delivery.  Returns the (3, K) receiver
-    estimates a, b, c after each of the K deliveries."""
+def replay(state: SyncState, src: np.ndarray) -> np.ndarray:
+    """Apply each delivery to ``state`` in order, with its sender's
+    estimates as they stood after delivery ``src[k]`` (-1: the initial
+    ones).  Returns the (3, K) receiver estimates a, b, c after each of
+    the K deliveries."""
     a, b, c = state.a, state.b, state.c
     process = state.process_message
-    snaps: list[tuple | None] = [None] * len(sched.tick_t)
-    K = len(state.nu)
-    out = np.empty((3, K))
-    k = 0
-    for lo in range(0, len(sched.t) if K else 0, _REPLAY_CHUNK):
+    # the receiver's estimates after delivery k at index k + 1
+    ao, bo, co = ([v] for v in _INITIAL)
+    for lo in range(0, len(src), _REPLAY_CHUNK):
         rows = slice(lo, lo + _REPLAY_CHUNK)
-        receiver, tick = sched.receiver[rows], sched.tick[rows]
-        dlv = receiver >= 0
-        # a tick carries ~sender, and the (unread) inputs of a nearby delivery
-        node = np.where(dlv, receiver, ~sched.tick_sender[tick])
-        near = np.clip(k + np.cumsum(dlv) - 1, 0, K - 1)
-        ao, bo, co = [], [], []
-        for i, g, code, eg_a, d_j, d_i, eg_b, tau_j, t_j, tau_i, t_i in zip(
-                node.tolist(), tick.tolist(), *state.inputs(near)):
-            if i < 0:
-                snaps[g] = (a[~i], b[~i], c[~i])
-            else:
-                process(i, snaps[g], code, eg_a, d_j, d_i, eg_b, tau_j, t_j,
-                        tau_i, t_i)
-                ao.append(a[i])
-                bo.append(b[i])
-                co.append(c[i])
-        out[:, k:k + len(ao)] = (ao, bo, co)
-        k += len(ao)
-    return out
+        for s, i, code, eg_a, d_j, d_i, eg_b, tau_j, t_j, tau_i, t_i in zip(
+                (src[rows] + 1).tolist(), *state.inputs(rows)):
+            process(i, ao[s], bo[s], co[s], code, eg_a, d_j, d_i, eg_b,
+                    tau_j, t_j, tau_i, t_i)
+            ao.append(a[i])
+            bo.append(b[i])
+            co.append(c[i])
+    return np.array((ao, bo, co))[:, 1:]
 
 
 def run(
@@ -441,33 +445,27 @@ def run(
 
     ``max_updates`` counts processed deliveries (the global iteration
     number); ``horizon`` is an absolute-time cutoff.  At least one of the
-    two must be given.  Raises ``FloatingPointError`` if the run diverges,
-    i.e. some update leaves a non-finite estimate.
+    two must be given.  ``seed`` lies in 0..:data:`~clocksync.streams.MAX_SEED`.
+    Raises ``FloatingPointError`` if the run diverges, i.e. some update
+    leaves a non-finite estimate.
     """
     if max_updates is None and horizon is None:
         raise ValueError("need max_updates or horizon")
-    if horizon is not None and horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    if max_updates is not None and not (is_int(max_updates) and max_updates >= 0):
+        raise ValueError("max_updates must be a nonnegative integer")
+    if horizon is not None and not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
+    if not (is_int(seed) and 0 <= seed <= MAX_SEED):
+        raise ValueError(f"seed must be an integer in 0..{MAX_SEED}")
 
     sched = build_schedule(net, seed, max_updates, horizon)
-    dlv = sched.receiver >= 0
-    receiver, tick = sched.receiver[dlv], sched.tick[dlv]
-    sender = sched.tick_sender[tick]
-    tick_tau = np.empty(len(sched.tick_t))
-    tick_tau[sched.tick[~dlv]] = sched.tau[~dlv]
-    tau_sent, tau_recv = tick_tau[tick], sched.tau[dlv]
-    arcs = list(net.arcs)
-    codes = np.array([j * net.n + i for j, i in arcs], dtype=np.int64)
-    sorter = np.argsort(codes)
-    arc = sorter[np.searchsorted(codes, sender * net.n + receiver, sorter=sorter)]
-
-    state = SyncState(cfg, net.n, receiver, arc,
-                      np.array([a.gamma for a in net.arcs.values()]),
-                      tau_sent, tau_recv)
-    a_i, b_i, c_i = replay(state, sched)
-    trace = Trace(n=net.n, t=sched.t[dlv], receiver=receiver, sender=sender,
-                  t_send=sched.tick_t[tick], tau_sent=tau_sent, tau_recv=tau_recv,
-                  a_i=a_i, b_i=b_i, c_i=c_i)
+    state = SyncState(cfg, net.n, sched.receiver, sched.arc,
+                      np.array([arc.gamma for _, arc in sorted(net.arcs.items())]),
+                      sched.tau_sent, sched.tau_recv)
+    a_i, b_i, c_i = replay(state, sched.src)
+    trace = Trace(n=net.n, t=sched.t, receiver=sched.receiver, sender=sched.sender,
+                  t_send=sched.t_send, tau_sent=sched.tau_sent,
+                  tau_recv=sched.tau_recv, a_i=a_i, b_i=b_i, c_i=c_i)
     _check_finite(trace)
     return SimResult(net=net, cfg=cfg, seed=seed, trace=trace)
 

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from clocksync import analysis, engine, sync, topology
+from clocksync.streams import MAX_SEED
 
 CONFIG_SCHEMA_VERSION = 1
 OUTPUT_ROOT_ENV = "CLOCKSYNC_OUTPUT_ROOT"
@@ -87,7 +88,7 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         version = data.get("schema_version")
-        if not _is_int(version) or version != CONFIG_SCHEMA_VERSION:
+        if not sync.is_int(version) or version != CONFIG_SCHEMA_VERSION:
             raise ConfigError("missing or unsupported schema_version")
 
         network = _parse_network(
@@ -108,16 +109,18 @@ class ExperimentConfig:
         if updates < 0:
             raise ConfigError("updates must be nonnegative")
         seeds = data.get("seeds", list(range(10)))
-        if not isinstance(seeds, list) or not all(_is_int(s) for s in seeds):
+        if not isinstance(seeds, list) or not all(sync.is_int(s) for s in seeds):
             raise ConfigError("seeds must be a list of integers")
         if not seeds:
             raise ConfigError("seeds must list at least one seed")
+        if not all(0 <= s <= MAX_SEED for s in seeds) or len(set(seeds)) < len(seeds):
+            raise ConfigError(f"seeds must be distinct integers in 0..{MAX_SEED}")
         stride = _int(data, "stride", 1)
         if stride < 1:
             raise ConfigError("stride must be at least 1")
         ref = data.get("reference_node")
         if ref is not None and ref != "center":
-            if not _is_int(ref) or ref < 0:
+            if not sync.is_int(ref) or ref < 0:
                 raise ConfigError("reference_node must be a node id or 'center'")
             _check_reference(ref, network.n)
         if ref is not None and isinstance(network, topology.Network):
@@ -152,12 +155,8 @@ def _read_json(path):
 
 
 def _check_reference(ref, n: int) -> None:
-    if _is_int(ref) and ref >= n:
+    if sync.is_int(ref) and ref >= n:
         raise ConfigError(f"reference_node {ref} is out of range for n={n}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -167,7 +166,7 @@ def _is_real(value) -> bool:
 
 def _int(spec: dict, key: str, default) -> int:
     value = spec.get(key, default)
-    if not _is_int(value):
+    if not sync.is_int(value):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
 
@@ -189,7 +188,7 @@ def _bool(spec: dict, key: str) -> bool:
 # JSON type of each GeometricSpec field, by its annotation; the spec
 # checks the ranges.
 _SPEC_TYPES = {
-    "int": (_is_int, "an integer"),
+    "int": (sync.is_int, "an integer"),
     "float": (_is_real, "a finite number"),
     "tuple[float, float]": (
         lambda v: (isinstance(v, (list, tuple)) and len(v) == 2

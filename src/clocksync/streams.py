@@ -42,6 +42,9 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 _MASK32 = 0xFFFFFFFF
+#: the largest seed: a seed is masked to 32 bits, so any seed outside
+#: 0..MAX_SEED runs exactly as one inside
+MAX_SEED = _MASK32
 _POOL_SIZE = 4  # SeedSequence's default pool size, in uint32 words
 # SeedSequence's hashing constants
 _INIT_A = 0x43B0D7E5

@@ -29,6 +29,11 @@ from clocksync.topology import Network, centers, mute_in_arcs
 # Variants and schedules
 # ---------------------------------------------------------------------------
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer, Python's or NumPy's, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DriftA:
     """Sliding-window increments: the past sample sits L receptions back."""
@@ -36,7 +41,7 @@ class DriftA:
     L: int = 1
 
     def __post_init__(self) -> None:
-        if self.L < 1:
+        if not (is_int(self.L) and self.L >= 1):
             raise ValueError("window length L must be a positive integer")
 
 
@@ -58,8 +63,8 @@ class DriftC:
     l0: int = 0
 
     def __post_init__(self) -> None:
-        if self.l0 < 0:
-            raise ValueError("l0 must be nonnegative")
+        if not (is_int(self.l0) and self.l0 >= 0):
+            raise ValueError("l0 must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -195,14 +200,14 @@ def _ranks(key: np.ndarray, size: int):
 class SyncState:
     """Every node's estimates, plus the inputs of each update of one run.
 
-    Deliveries come in processing order: delivery k reaches ``receiver[k]``
-    over link ``link[k]`` (weight ``gamma[link[k]]``), carrying the
-    sender's reading ``tau_sent[k]`` at its tick; the receiver reads
+    The columns are a schedule's deliveries, in processing order: delivery
+    k reaches ``receiver[k]`` over link ``link[k]`` (weight ``gamma[link[k]]``),
+    carrying the sender's reading ``tau_sent[k]``; the receiver reads
     ``tau_recv[k]``.  The update count nu, the reception index l on the
     link, the link's initial pair and anchor pair and both step sizes
     follow from these alone and are derived here for the whole run, as
-    integer index arrays; :meth:`inputs` gathers the float inputs of a
-    block of deliveries from them.
+    integer index arrays; :meth:`inputs` gathers every input of a block
+    of deliveries from them but the sender's estimates.
     """
 
     def __init__(self, cfg: SyncConfig, n: int, receiver: np.ndarray,
@@ -215,7 +220,7 @@ class SyncState:
         self.sigma = cfg.offset.sigma if isinstance(cfg.offset, OffsetB) else None
         self.frozen = cfg.freeze_compensation
         self.drop_t_terms = cfg.drop_t_terms
-        self.tau_sent, self.tau_recv = tau_sent, tau_recv
+        self.receiver, self.tau_sent, self.tau_recv = receiver, tau_sent, tau_recv
         self.link, self.gamma = link, gamma
         #: the receiver's update count after each delivery (first is 1)
         self.nu = _ranks(receiver, n)[0] + 1
@@ -232,8 +237,8 @@ class SyncState:
         self.drift_steps = cfg.steps.drift_steps(cfg.drift, top)
         self.offset_steps = cfg.steps.offset_steps(top)
 
-    def inputs(self, rows: np.ndarray) -> list[list]:
-        """The arguments of :meth:`process_message` after the sender's
+    def inputs(self, rows: slice) -> list[list]:
+        """The arguments of :meth:`process_message` but the sender's
         estimates, for deliveries ``rows``: one list per argument."""
         nu, gamma = self.nu[rows], self.gamma[self.link[rows]]
         tau_j, tau_i = self.tau_sent[rows], self.tau_recv[rows]
@@ -243,28 +248,27 @@ class SyncState:
         else:
             t_j, t_i = tau_j - self.tau_sent[f], tau_i - self.tau_recv[f]
         return [col.tolist() for col in (
-            self.code[rows], self.drift_steps[nu] * gamma,
+            self.receiver[rows], self.code[rows], self.drift_steps[nu] * gamma,
             tau_j - self.tau_sent[m], tau_i - self.tau_recv[m],
             self.offset_steps[nu] * gamma, tau_j, t_j, tau_i, t_i)]
 
-    def process_message(self, i: int, sender: tuple[float, float, float],
+    def process_message(self, i: int, a_j: float, b_j: float, c_j: float,
                         code: int, eg_a: float, d_j: float, d_i: float,
                         eg_b: float, tau_j: float, t_j: float,
                         tau_i: float, t_i: float) -> Outcome:
         """Apply one delivery to its receiver i.
 
-        ``sender`` holds the broadcaster's (a, b, c) at its tick.  The
-        drift step compares the sender's corrected local-time increment
-        since the anchor reception, ``d_j`` scaled by its a, with the
-        receiver's own, ``d_i``.  The offset step compares both corrected
-        readings stripped of their growth ``t_j``, ``t_i`` since the
-        link's initial exchange; c absorbs the mean delay.  ``eg_a`` and
-        ``eg_b`` are each step's size times the arc weight gamma.
+        ``a_j``, ``b_j`` and ``c_j`` are the broadcaster's estimates at its
+        tick.  The drift step compares the sender's corrected local-time
+        increment since the anchor reception, ``d_j`` scaled by its a,
+        with the receiver's own, ``d_i``.  The offset step compares both
+        corrected readings stripped of their growth ``t_j``, ``t_i`` since
+        the link's initial exchange; c absorbs the mean delay.  ``eg_a``
+        and ``eg_b`` are each step's size times the arc weight gamma.
         """
         if code & (DRIFT | OFFSET):
             a = self.a
             a_i = a[i]
-            a_j, b_j, c_j = sender
             if code & OFFSET:
                 b, c = self.b, self.c
                 if self.frozen:

@@ -271,19 +271,20 @@ class OracleState:
 
 
 def replay(net: Network, cfg: SyncConfig, sched: Schedule) -> dict:
-    """Walk a schedule with the scalar state machine: a payload snapshot
-    at each tick, one ``process_message`` at each delivery.  Returns the
-    receiver's (a, b, c) after every delivery, each delivery's update
-    count, the final counts and the outcome records."""
+    """Walk a schedule's deliveries with the scalar state machine, each
+    carrying the sender's estimates from its own row at ``src`` (the
+    initial ones at -1).  Returns the receiver's (a, b, c) after every
+    delivery, each delivery's update count, the final counts and the
+    outcome records."""
     state = OracleState(net, cfg)
-    msgs = {}
+    init = CorrectionState()
     rows, nus, records = [], [], []
-    for g, i, tau in zip(sched.tick.tolist(), sched.receiver.tolist(),
-                         sched.tau.tolist()):
-        if i < 0:
-            msgs[g] = state.payload(int(sched.tick_sender[g]), tau)
-            continue
-        records.append(state.process_message(i, msgs[g], tau))
+    for i, j, tau_j, tau_i, src in zip(
+            sched.receiver.tolist(), sched.sender.tolist(),
+            sched.tau_sent.tolist(), sched.tau_recv.tolist(), sched.src.tolist()):
+        a, b, c = rows[src] if src >= 0 else (init.a_hat, init.b_hat, init.c_hat)
+        msg = MessagePayload(j, tau_j, a, b, c)
+        records.append(state.process_message(i, msg, tau_i))
         s = state.est[i]
         rows.append((s.a_hat, s.b_hat, s.c_hat))
         nus.append(state.nu[i])

@@ -2,6 +2,7 @@
 and the cross-variant common-noise property."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -104,6 +105,21 @@ class TestScheduleOracle:
         assert np.all(np.diff(res.trace.receiver)[same] > 0)
         assert_matches_heap(net, SyncConfig(), 400, None, seed)
 
+    def test_snapshots_across_replay_chunks(self):
+        # more than two replay chunks on four nodes: some deliveries carry
+        # the estimates their sender held at the end of an earlier chunk
+        net = generate_geometric(GeometricSpec(4, 0.9, 0.1), seed=5)
+        cfg = SyncConfig(drift=DriftA(2), offset=OffsetB(0.5))
+        chunk = engine._REPLAY_CHUNK
+        assert_matches_heap(net, cfg, 2 * chunk + 500, None, 5)
+        tr = engine.run(net, cfg, max_updates=2 * chunk + 500, seed=5).trace
+        crossing = 0
+        for k in range(chunk, len(tr)):
+            held = np.flatnonzero((tr.receiver[:k] == tr.sender[k])
+                                  & (tr.t[:k] < tr.t_send[k]))
+            crossing += bool(len(held)) and held[-1] // chunk < k // chunk
+        assert crossing > 0
+
 
 class TestScheduleEdges:
     """Hand-built schedules against the event-heap reference: the hearing
@@ -182,6 +198,32 @@ class TestRun:
         net = make_line_network()
         with pytest.raises(ValueError):
             engine.run(net, SyncConfig())
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"horizon": math.nan}, "horizon"),
+        ({"horizon": math.inf}, "horizon"),
+        ({"horizon": 0.0}, "horizon"),
+        ({"max_updates": 10, "horizon": math.nan}, "horizon"),
+        ({"max_updates": -5}, "max_updates"),
+        ({"max_updates": 2.5}, "max_updates"),
+        ({"max_updates": True}, "max_updates"),
+        ({"max_updates": 10, "seed": -1}, "seed"),
+        ({"max_updates": 10, "seed": 2**32}, "seed"),
+        ({"max_updates": 10, "seed": 1.0}, "seed"),
+        ({"max_updates": 10, "seed": True}, "seed"),
+    ], ids=["nan-horizon", "inf-horizon", "zero-horizon", "nan-horizon-with-cap",
+            "negative-cap", "float-cap", "bool-cap", "negative-seed",
+            "seed-past-32-bits", "float-seed", "bool-seed"])
+    def test_invalid_arguments_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            engine.run(make_line_network(), SyncConfig(), **kwargs)
+
+    def test_numpy_integer_arguments(self):
+        net = make_line_network()
+        res = engine.run(net, SyncConfig(), max_updates=np.int64(50),
+                         seed=np.uint32(2**32 - 1))
+        ref = engine.run(net, SyncConfig(), max_updates=50, seed=2**32 - 1)
+        assert np.array_equal(res.trace.a_i, ref.trace.a_i) and res.updates == 50
 
     def test_network_without_arcs(self):
         net = Network(2, {}, np.ones(2), make_line_network().clocks)

@@ -178,6 +178,9 @@ class TestCli:
         {"reference_node": 99},
         {"seeds": ["a"]},
         {"seeds": []},
+        {"seeds": [-1]},
+        {"seeds": [2**32]},
+        {"seeds": [0, 0]},
         {"network": {"kind": "geometric", "n": 1, "radius": 0.6}},
         {"network": {"kind": "geometric", "n": 6, "radius": 0.6, "p_hear": 0}},
         {"network": {"kind": "geometric", "n": True, "radius": 0.6}},
@@ -192,7 +195,8 @@ class TestCli:
         {"freeze_compensation": "yes"},
         {"zeta_prime": True},
     ], ids=["negative-radius", "short-alpha-range", "bool-reference",
-            "reference-out-of-range", "string-seed", "no-seeds", "one-node", "p-hear-0",
+            "reference-out-of-range", "string-seed", "no-seeds", "negative-seed",
+            "seed-past-32-bits", "repeated-seed", "one-node", "p-hear-0",
             "bool-n", "alpha-range-with-0", "unknown-noise", "bool-L",
             "drift-not-object", "float-updates", "bool-stride",
             "string-flag", "bool-zeta"])
@@ -447,7 +451,8 @@ _INVALID = {
     ("reference_node",): st.one_of(st.integers(max_value=-1), st.integers(min_value=10),
                                    st.sampled_from(["middle", True, 1.5, [0], {}])),
     ("updates",): _bad_int(st.integers(max_value=-1)),
-    ("seeds",): st.sampled_from([None, 0, "0", [], [0.5], [True], ["a"], [None], [[0]]]),
+    ("seeds",): st.sampled_from([None, 0, "0", [], [0.5], [True], ["a"], [None], [[0]],
+                                 [-1], [2**32], [0, 0]]),
     ("stride",): _bad_int(st.integers(max_value=0)),
     ("network",): st.sampled_from([None, [], "geometric", 5]),
     ("network", "kind"): st.sampled_from(["file", "grid", None, 1]),

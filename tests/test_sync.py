@@ -2,6 +2,7 @@
 receiver state machine of the scalar reference, and the update kernel
 checked against it bit for bit."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -52,6 +53,19 @@ class TestVariants:
     def test_drift_c_l0_nonnegative(self):
         with pytest.raises(ValueError):
             DriftC(-1)
+
+    @pytest.mark.parametrize("variant, value, name", [
+        (DriftA, 2.5, "L"), (DriftA, math.nan, "L"), (DriftA, True, "L"),
+        (DriftA, "2", "L"), (DriftC, 0.5, "l0"), (DriftC, math.nan, "l0"),
+        (DriftC, True, "l0")],
+        ids=["float-L", "nan-L", "bool-L", "string-L", "float-l0", "nan-l0", "bool-l0"])
+    def test_drift_index_must_be_an_integer(self, variant, value, name):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            variant(value)
+
+    def test_drift_index_may_be_a_numpy_integer(self):
+        assert DriftA(np.int64(3)) == DriftA(3)
+        assert DriftC(np.uint8(2)) == DriftC(2)
 
     def test_offset_b_sigma_range(self):
         with pytest.raises(ValueError):
@@ -346,14 +360,19 @@ def assert_kernel_matches_oracle(net, cfg, max_updates, horizon, seed):
     reference: a, b, c after every delivery, each delivery's update
     count, the final counts and the outcomes agree exactly."""
     seen = {}
-    real_replay = engine.replay
+    real_schedule, real_replay = engine.build_schedule, engine.replay
 
-    def spy(state, sched):
-        seen.update(state=state, sched=sched, out=real_replay(state, sched))
+    def schedule_spy(*args):
+        seen["sched"] = real_schedule(*args)
+        return seen["sched"]
+
+    def replay_spy(state, src):
+        seen.update(state=state, out=real_replay(state, src))
         return seen["out"]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "replay", spy)
+        mp.setattr(engine, "build_schedule", schedule_spy)
+        mp.setattr(engine, "replay", replay_spy)
         try:
             res = engine.run(net, cfg, max_updates=max_updates,
                              horizon=horizon, seed=seed)

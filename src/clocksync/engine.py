@@ -301,8 +301,8 @@ def build_schedule(
     call over every arc in (sender, receiver) order.  An arc's jitter
     stream is made in the chunk of its first heard message and kept for
     the later chunks; its delays are drawn per chunk, and the readings
-    per node in processing order, each as one block.  Ticks are
-    processed in tick order, which places each delivery's ``src``.
+    per node in processing order, each as one block.  A delivery's
+    ``src`` is the last delivery to its sender processed before its tick.
     """
     n = net.n
     arcs = sorted(net.arcs)
@@ -460,7 +460,7 @@ def run(
 
     sched = build_schedule(net, seed, max_updates, horizon)
     state = SyncState(cfg, net.n, sched.receiver, sched.arc,
-                      np.array([arc.gamma for _, arc in sorted(net.arcs.items())]),
+                      np.array([net.arcs[arc].gamma for arc in sorted(net.arcs)]),
                       sched.tau_sent, sched.tau_recv)
     a_i, b_i, c_i = replay(state, sched.src)
     trace = Trace(n=net.n, t=sched.t, receiver=sched.receiver, sender=sched.sender,

@@ -19,7 +19,6 @@ from clocksync.sync import DriftA, DriftB, DriftVariant, OffsetB, StepSchedule, 
 from clocksync.topology import (
     Network,
     ProbabilityProfile,
-    expected_gamma_d,
     expected_laplacian,
     probability_profile,
 )
@@ -420,7 +419,7 @@ def fixed_point_residual(result: SimResult) -> FixedPointReport:
     net = result.net
     profile = probability_profile(net)
     lap = expected_laplacian(net, profile)
-    gam_d = expected_gamma_d(net, profile)
+    gd_vec = -np.diag(lap)  # the diagonal of Gamma_bar_d
     alpha = net.alphas()
     tr = result.trace
     if len(tr) == 0:
@@ -436,7 +435,6 @@ def fixed_point_residual(result: SimResult) -> FixedPointReport:
         c_bar = consensus_mixing_matrix(net, profile, result.cfg.offset.sigma)
         phi = left_fixed_vector(c_bar)
         c_con = float(phi @ c_star)
-        gd_vec = np.diag(gam_d)
         m1 = np.zeros((net.n + 1, net.n + 1))
         m1[: net.n, : net.n] = lap
         m1[: net.n, net.n] = gd_vec
@@ -451,7 +449,7 @@ def fixed_point_residual(result: SimResult) -> FixedPointReport:
 
     h_c = c_star - chi * alpha * (eta0 + delta0)
     h = np.concatenate([h_f, h_c])
-    m = np.hstack([lap, gam_d])
+    m = np.hstack([lap, np.diag(gd_vec)])
     resid = float(np.linalg.norm(m @ h) / np.linalg.norm(h))
     return FixedPointReport(residual=resid, h_star=h, chi_star=chi,
                             converged=converged)

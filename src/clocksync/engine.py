@@ -27,8 +27,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from clocksync.clock import CorrectionState, read_local_time, sample_delay
-from clocksync.streams import MAX_SEED, UniformStreams, substream, substreams
-from clocksync.sync import SyncConfig, SyncState, is_int
+from clocksync.streams import MAX_SEED, UniformStreams, is_int, substream, substreams
+from clocksync.sync import SyncConfig, SyncState
 from clocksync.topology import Network
 
 #: printf format of every float written to a CSV: 17 significant digits

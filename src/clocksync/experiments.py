@@ -376,6 +376,8 @@ def run_scaling(cfg: ExperimentConfig, node_counts, outdir) -> list[Path]:
         specs = [dataclasses.replace(cfg.network, n=n) for n in node_counts]
     except ValueError as exc:
         raise ConfigError(f"network: {exc}") from exc
+    if len({spec.n for spec in specs}) < len(specs):
+        raise ConfigError("node counts must be distinct")
     for spec in specs:
         _check_reference(cfg.reference_node, spec.n)
     outdir = Path(outdir)

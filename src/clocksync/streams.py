@@ -129,6 +129,11 @@ def _generators(words: np.ndarray) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(_FixedSeed(s))) for s in seeds]
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer, Python's or NumPy's, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _word(part) -> int:
     if isinstance(part, str):
         return zlib.crc32(part.encode("utf-8"))

@@ -22,17 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from clocksync.clock import CorrectionState
+from clocksync.streams import is_int
 from clocksync.topology import Network, centers, mute_in_arcs
 
 
 # ---------------------------------------------------------------------------
 # Variants and schedules
 # ---------------------------------------------------------------------------
-
-def is_int(value) -> bool:
-    """Whether ``value`` is an integer, Python's or NumPy's, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
 
 @dataclass(frozen=True)
 class DriftA:

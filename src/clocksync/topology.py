@@ -16,11 +16,11 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from clocksync.clock import ClockParams, DelayModel
-from clocksync.streams import substream
+from clocksync.streams import MAX_SEED, is_int, substream
 
 SCHEMA_VERSION = 1
 
@@ -185,13 +185,15 @@ class ProbabilityProfile:
 
 def _source_components(n: int, arcs) -> list[list[int]]:
     """The members, sorted, of each source component of the condensation
-    of the digraph on nodes ``0..n-1`` with ``arcs``."""
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(arcs)
-    cond = nx.condensation(g)
-    return [sorted(cond.nodes[c]["members"])
-            for c in cond.nodes if cond.in_degree(c) == 0]
+    of the digraph on nodes ``0..n-1`` with ``arcs``, in order of their
+    smallest member; :func:`repair_connectivity` breaks ties by this
+    order, so the arcs it adds, and a saved network's bytes, depend on it."""
+    src, dst = np.array(list(arcs), dtype=np.intp).reshape(-1, 2).T
+    adj = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    label = csgraph.connected_components(adj, connection="strong")[1]
+    entered = label[dst[label[src] != label[dst]]]
+    return sorted(np.flatnonzero(label == c).tolist()
+                  for c in set(label.tolist()) - set(entered.tolist()))
 
 
 def has_spanning_tree(net: Network) -> bool:
@@ -310,8 +312,11 @@ def generate_geometric(spec: GeometricSpec, seed: int) -> Network:
     two-way arcs; roughly ``spec.one_way_fraction`` of those pairs keep
     only one direction.  The result is repaired so a spanning tree exists
     (:func:`repair_connectivity` merges source components until one is
-    left, so the repair always succeeds).
+    left, so the repair always succeeds).  ``seed`` lies in
+    0..:data:`~clocksync.streams.MAX_SEED`.
     """
+    if not (is_int(seed) and 0 <= seed <= MAX_SEED):
+        raise ValueError(f"seed must be an integer in 0..{MAX_SEED}")
     n, radius, one_way_fraction = spec.n, spec.radius, spec.one_way_fraction
     rng = substream(seed, "netgen")
     arc = spec.arc()

@@ -322,7 +322,9 @@ class TestCli:
         ({}, ["4", "1"]),
         ({"network": {"kind": "geometric", "n": 10, "radius": 0.6},
           "reference_node": 9}, ["20", "5"]),
-    ], ids=["file-network", "one-node", "reference-past-a-count"])
+        ({}, ["10", "10"]),
+    ], ids=["file-network", "one-node", "reference-past-a-count",
+            "repeated-count"])
     def test_scaling_checks_before_it_writes(self, tmp_path, capsys, over, nodes):
         net_path = tmp_path / "net.json"
         generate_geometric(GeometricSpec(6, 0.6, 0.1), seed=0).save(net_path)

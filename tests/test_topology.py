@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import clocksync
 from clocksync import engine
 from clocksync.clock import ClockParams, DelayModel
 from clocksync.streams import substream
@@ -16,6 +21,7 @@ from clocksync.topology import (
     Arc,
     GeometricSpec,
     Network,
+    _source_components,
     centers,
     expected_gamma_d,
     expected_laplacian,
@@ -123,6 +129,36 @@ class TestConnectivity:
         assert has_spanning_tree(fixed)
         # minimal: merging two source components needs exactly one new arc
         assert len(fixed.arcs) == len(net.arcs) + 1
+        # the tie (2, 0) vs (0, 2) goes to the source listed first, [0]
+        assert set(fixed.arcs) - set(net.arcs) == {(0, 2)}
+
+    @staticmethod
+    def reachability_sources(n, arcs):
+        """Oracle: the transitive closure by repeated boolean squaring; a
+        node's component is the nodes it reaches and is reached by, and a
+        component is a source when only its own members reach it."""
+        reach = np.eye(n, dtype=np.int64)
+        for j, i in arcs:
+            reach[j, i] = 1
+        for _ in range(n.bit_length()):
+            reach = (reach @ reach > 0).astype(np.int64)
+        sources = []
+        for v in range(n):
+            into = reach[:, v] > 0
+            members = np.flatnonzero(into & (reach[v] > 0)).tolist()
+            if members[0] == v and into.sum() == len(members):
+                sources.append(members)
+        return sources
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_source_components_match_reachability(self, data, n):
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        # a list in drawn order, so the arcs come in shuffled order
+        arcs = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                         if pairs else st.just([]))
+        assert (_source_components(n, dict.fromkeys(arcs))
+                == self.reachability_sources(n, arcs))
 
 
 class TestGenerate:
@@ -216,6 +252,13 @@ class TestGenerate:
         with pytest.raises(ValueError):
             replace(GeometricSpec(5, 0.5), **over)
 
+    @pytest.mark.parametrize("seed", [-1, 2**32, True],
+                             ids=["negative", "past-max", "bool"])
+    def test_seed_out_of_range_rejected(self, seed):
+        # -1 would alias 2**32 - 1 and 2**32 would alias 0
+        with pytest.raises(ValueError, match="seed"):
+            generate_geometric(GeometricSpec(10, 0.5, 0.1), seed=seed)
+
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(3, 20), seed=st.integers(0, 10_000))
     def test_always_repaired(self, n, seed):
@@ -276,3 +319,17 @@ class TestExpectedMatrices:
                 assert arc.gamma == 0.0
             else:
                 assert arc.gamma == net.arcs[(j, i)].gamma
+
+
+def test_every_module_imports_without_networkx():
+    # the package asks no graph library: scipy finds the source components
+    child = ("import importlib, pkgutil, sys\n"
+             "sys.modules['networkx'] = None\n"
+             "import clocksync\n"
+             "for mod in pkgutil.iter_modules(clocksync.__path__):\n"
+             "    importlib.import_module('clocksync.' + mod.name)\n")
+    src = Path(clocksync.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", child],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

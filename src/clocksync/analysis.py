@@ -143,7 +143,7 @@ class RateBound:
 def _variant_q(variant: DriftVariant, net: Network) -> float:
     mu_c = float(net.rates.sum())
     if isinstance(variant, DriftA):
-        mp = max(net.rates[j] * arc.p_hear for (j, _i), arc in net.arcs.items())
+        mp = (net.rates[net.table.sender] * net.table.p_hear).max()
         return variant.L / mp
     if isinstance(variant, DriftB):
         return (1.0 - variant.nu) / mu_c
@@ -334,9 +334,9 @@ def _initial_noise_means(result: SimResult, profile: ProbabilityProfile):
     net, tr = result.net, result.trace
     first = first_deliveries(tr)
     j, i = tr.sender[first], tr.receiver[first]
-    arcs = [net.arcs[arc] for arc in zip(j.tolist(), i.tolist())]
-    w = np.array([arc.gamma for arc in arcs]) * profile.pi_arc[i, j]
-    delta_bar = np.array([arc.delay.delta_bar for arc in arcs])
+    rows = net.table.rows(j, i)
+    w = net.table.gamma[rows] * profile.pi_arc[i, j]
+    delta_bar = np.array([net.table.delay[r].delta_bar for r in rows.tolist()])
     t_recv = tr.t[first]
     xi = tr.tau_recv[first] - (net.alphas()[i] * t_recv + net.betas()[i])
     eta = (t_recv - tr.t_send[first]) - delta_bar

@@ -203,8 +203,8 @@ class SimResult:
     @property
     def silent_nodes(self) -> list[int]:
         """Nodes with in-arcs that never received a message."""
-        nu = self.nu
-        return [i for i in range(self.net.n) if not nu[i] and self.net.in_neighbors(i)]
+        has_in_arcs = np.bincount(self.net.table.receiver, minlength=self.net.n) > 0
+        return np.flatnonzero(has_in_arcs & (self.nu == 0)).tolist()
 
 
 def schedule_ticks(net: Network, seed: int) -> Iterator[tuple[float, int]]:
@@ -250,13 +250,15 @@ def broadcast(
 
     ``heard`` is the (out-degree, ticks) matrix of which out-arc, in
     out-neighbour order, heard which tick.  Each out-arc draws one delay
-    per heard tick from its own stream, as one block, which equals the
+    per heard tick from its own stream in ``delay_rngs``, keyed by its
+    row in the network's arc table, as one block, which equals the
     scalar draws tick by tick.  Messages are grouped by out-arc.
     """
     out = net.out_neighbors(j)
     row, tick = np.nonzero(heard)
-    delays = [sample_delay(net.arcs[(j, i)].delay, delay_rngs[(j, i)], m)
-              for i, m in zip(out, np.count_nonzero(heard, axis=1).tolist()) if m]
+    first = int(net.table.start[j])
+    delays = [sample_delay(net.table.delay[a], delay_rngs[a], m) for a, m in
+              enumerate(np.count_nonzero(heard, axis=1).tolist(), first) if m]
     return Deliveries(tick, np.array(out, dtype=np.intp)[row],
                       times[tick] + (np.concatenate(delays) if delays else 0.0))
 
@@ -275,7 +277,7 @@ class Schedule:
     t_send: np.ndarray    # (K,) absolute time of the broadcaster's tick
     tau_sent: np.ndarray  # (K,) broadcaster's raw reading at its tick
     tau_recv: np.ndarray  # (K,) receiver's raw reading at the delivery
-    arc: np.ndarray       # (K,) index of (sender, receiver) in sorted(net.arcs)
+    arc: np.ndarray       # (K,) the link's row in the network's arc table
     src: np.ndarray       # (K,) last delivery to the sender before its tick, or -1
 
 
@@ -298,24 +300,19 @@ def build_schedule(
     or before ``horizon``) falls before it; what was drawn for later
     ticks is never read.  A chunk's hearing draws, one per tick of an
     arc's sender, come from one :class:`~clocksync.streams.UniformStreams`
-    call over every arc in (sender, receiver) order.  An arc's jitter
+    call over the rows of the network's arc table.  An arc's jitter
     stream is made in the chunk of its first heard message and kept for
     the later chunks; its delays are drawn per chunk, and the readings
     per node in processing order, each as one block.  A delivery's
     ``src`` is the last delivery to its sender processed before its tick.
     """
-    n = net.n
-    arcs = sorted(net.arcs)
-    arc_key = np.array([j * n + i for j, i in arcs], dtype=np.intp)
-    arc_sender = arc_key // n
-    out_degree = np.bincount(arc_sender, minlength=n)
-    p_hear = np.array([net.arcs[arc].p_hear for arc in arcs])
-    hear = UniformStreams(seed, "hear", arcs)
-    delay_rngs: dict = {}
-    jittered = np.zeros(len(arcs), dtype=bool)
+    n, table = net.n, net.table
+    ends = np.column_stack((table.sender, table.receiver))
+    hear = UniformStreams(seed, "hear", ends)
+    delay_rngs: dict[int, np.random.Generator] = {}
+    jittered = np.zeros(len(ends), dtype=bool)
     mu_c = float(net.rates.sum())
-    per_tick = sum(float(net.rates[j]) * arc.p_hear
-                   for (j, _), arc in net.arcs.items()) / mu_c
+    per_tick = float(net.rates[table.sender] @ table.p_hear) / mu_c
     if per_tick == 0.0 and horizon is None:
         raise ValueError("a network without arcs never reaches max_updates")
     cap = math.inf if max_updates is None else max_updates
@@ -343,17 +340,17 @@ def build_schedule(
         n_ticks = np.bincount(cj, minlength=n)
         # every arc's hearing draws, one per tick of its sender: sender
         # j's out-arcs hold a contiguous (out-degree, ticks) block
-        counts = n_ticks[arc_sender]
-        heard = hear.random(counts) < np.repeat(p_hear, counts)
+        counts = n_ticks[table.sender]
+        heard = hear.random(counts) < np.repeat(table.p_hear, counts)
         # an arc draws delays once it hears: its jitter stream is made in
         # the chunk of its first heard message
-        hearing = np.zeros(len(arcs), dtype=bool)
-        hearing[np.repeat(np.arange(len(arcs)), counts)[heard]] = True
-        new = [arcs[a] for a in np.flatnonzero(hearing & ~jittered).tolist()]
-        delay_rngs.update(zip(new, substreams(seed, "jitter", new)))
+        hearing = np.zeros(len(ends), dtype=bool)
+        hearing[np.repeat(np.arange(len(ends)), counts)[heard]] = True
+        new = np.flatnonzero(hearing & ~jittered)
+        delay_rngs.update(zip(new.tolist(), substreams(seed, "jitter", ends[new])))
         jittered |= hearing
         bounds = np.cumsum(n_ticks).tolist()
-        draws = np.cumsum(out_degree * n_ticks).tolist()
+        draws = np.cumsum(np.diff(table.start) * n_ticks).tolist()
         for j, lo, hi, d_lo, d_hi in zip(range(n), [0] + bounds, bounds,
                                          [0] + draws, draws):
             if hi > lo:
@@ -404,7 +401,7 @@ def build_schedule(
     return Schedule(t=t[dlv], receiver=receiver, sender=sender,
                     t_send=np.array(tick_t)[tick], tau_sent=tau[~dlv][tick],
                     tau_recv=tau[dlv],
-                    arc=np.searchsorted(arc_key, sender * n + receiver),
+                    arc=table.rows(sender, receiver),
                     src=np.where((q >= 0) & (receiver[prev] == sender), prev, -1))
 
 
@@ -459,8 +456,7 @@ def run(
         raise ValueError(f"seed must be an integer in 0..{MAX_SEED}")
 
     sched = build_schedule(net, seed, max_updates, horizon)
-    state = SyncState(cfg, net.n, sched.receiver, sched.arc,
-                      np.array([net.arcs[arc].gamma for arc in sorted(net.arcs)]),
+    state = SyncState(cfg, net.n, sched.receiver, sched.arc, net.table.gamma,
                       sched.tau_sent, sched.tau_recv)
     a_i, b_i, c_i = replay(state, sched.src)
     trace = Trace(n=net.n, t=sched.t, receiver=sched.receiver, sender=sched.sender,

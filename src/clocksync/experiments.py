@@ -106,8 +106,8 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
         updates = _int(data, "updates", 100_000)
-        if updates < 0:
-            raise ConfigError("updates must be nonnegative")
+        if updates < 1:
+            raise ConfigError("updates must be a positive integer")
         seeds = data.get("seeds", list(range(10)))
         if not isinstance(seeds, list) or not all(sync.is_int(s) for s in seeds):
             raise ConfigError("seeds must be a list of integers")

@@ -104,8 +104,8 @@ class StepSchedule:
             raise ValueError("zeta_prime must be in (1/2, 1]")
         if not 0.5 < self.zeta_second <= 1.0:
             raise ValueError("zeta_second must be in (1/2, 1]")
-        if self.constant_step is not None and self.constant_step <= 0.0:
-            raise ValueError("constant_step must be positive")
+        if self.constant_step is not None and not 0.0 < self.constant_step < math.inf:
+            raise ValueError("constant_step must be positive and finite")
 
     def drift_zeta(self, variant: DriftVariant) -> float:
         return self.zeta_prime if isinstance(variant, DriftA) else 1.0 + self.zeta_prime

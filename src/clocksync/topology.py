@@ -47,13 +47,34 @@ class Arc:
             raise ValueError("p_hear must be in (0, 1]")
 
 
+@dataclass(frozen=True)
+class ArcTable:
+    """A network's arcs as columns, one row per arc in (sender, receiver)
+    order; sender j's out-arcs are the rows ``start[j]:start[j + 1]``."""
+
+    sender: np.ndarray       # (m,) intp
+    receiver: np.ndarray     # (m,) intp
+    gamma: np.ndarray        # (m,) float64
+    p_hear: np.ndarray       # (m,) float64
+    delay: list[DelayModel]  # (m,)
+    start: np.ndarray        # (n + 1,) intp
+
+    def rows(self, sender: np.ndarray, receiver: np.ndarray) -> np.ndarray:
+        """The rows of the arcs ``(sender[k], receiver[k])``, which must exist."""
+        n = len(self.start) - 1  # the rows are sorted by sender * n + receiver
+        return np.searchsorted(self.sender * n + self.receiver, sender * n + receiver)
+
+
 @dataclass
 class Network:
     """Immutable-by-convention directed network with clock and rate data.
 
-    ``arcs`` maps ``(j, i)`` (sender, receiver) to an :class:`Arc`.
-    The sorted out- and in-adjacency is built once at construction, so
-    the arc set must not change afterwards.
+    ``arcs`` maps ``(j, i)`` (sender, receiver) to an :class:`Arc`.  The
+    constructor derives :attr:`table` from it once; an arc's row in the
+    table is its index everywhere (its jitter stream, ``Schedule.arc``,
+    ``SyncState``'s links), and the engine and the expected matrices read
+    the per-arc values from it.  So the arc set and its values must not
+    change after construction: build a new ``Network`` instead.
     """
 
     n: int
@@ -61,6 +82,7 @@ class Network:
     rates: np.ndarray
     clocks: list[ClockParams]
     positions: np.ndarray | None = None
+    table: ArcTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -71,25 +93,30 @@ class Network:
             raise ValueError("rates must be finite and positive, one per node")
         if len(self.clocks) != self.n:
             raise ValueError("need one ClockParams per node")
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        inn: list[list[int]] = [[] for _ in range(self.n)]
-        for (j, i) in sorted(self.arcs):
-            if j == i:
-                raise ValueError("self-arcs are not allowed")
-            if not (0 <= j < self.n and 0 <= i < self.n):
-                raise ValueError("arc endpoints out of range")
-            out[j].append(i)
-            inn[i].append(j)
-        self._out = [tuple(nbrs) for nbrs in out]
-        self._in = [tuple(nbrs) for nbrs in inn]
+        ends = np.array(list(self.arcs) or np.empty((0, 2), dtype=np.intp))
+        if ends.dtype.kind not in "iu" or ends.shape[1:] != (2,):
+            raise ValueError("arc endpoints must be pairs of integers")
+        if np.any(ends[:, 0] == ends[:, 1]):
+            raise ValueError("self-arcs are not allowed")
+        if not np.all((ends >= 0) & (ends < self.n)):
+            raise ValueError("arc endpoints out of range")
+        order = np.lexsort(ends.T[::-1])
+        values = list(self.arcs.values())
+        arcs = [values[r] for r in order.tolist()]
+        sender, receiver = np.ascontiguousarray(ends[order].T, dtype=np.intp)
+        self.table = ArcTable(sender, receiver, np.array([a.gamma for a in arcs], float),
+                              np.array([a.p_hear for a in arcs], float),
+                              [a.delay for a in arcs],
+                              np.searchsorted(sender, np.arange(self.n + 1)))
 
     def out_neighbors(self, j: int) -> tuple[int, ...]:
         """Receivers of node j's broadcasts, in increasing order."""
-        return self._out[j]
+        t = self.table
+        return tuple(t.receiver[t.start[j]:t.start[j + 1]].tolist())
 
     def in_neighbors(self, i: int) -> tuple[int, ...]:
         """Nodes whose broadcasts node i can hear, in increasing order."""
-        return self._in[i]
+        return tuple(self.table.sender[self.table.receiver == i].tolist())
 
     def alphas(self) -> np.ndarray:
         return np.array([c.alpha for c in self.clocks])
@@ -357,8 +384,8 @@ def probability_profile(net: Network) -> ProbabilityProfile:
     mu_c = float(net.rates.sum())
     pi = net.rates / mu_c
     pi_arc = np.zeros((net.n, net.n))
-    for (j, i), arc in net.arcs.items():
-        pi_arc[i, j] = pi[j] * arc.p_hear
+    t = net.table
+    pi_arc[t.receiver, t.sender] = pi[t.sender] * t.p_hear
     n_bar = float(pi_arc.sum())
     if n_bar == 0.0:
         raise ValueError("network has no arcs")
@@ -369,9 +396,8 @@ def probability_profile(net: Network) -> ProbabilityProfile:
 def expected_laplacian(net: Network, profile: ProbabilityProfile) -> np.ndarray:
     """Expected update matrix: weighted Laplacian with zero row sums."""
     gam = np.zeros((net.n, net.n))
-    for (j, i), arc in net.arcs.items():
-        gam[i, j] = arc.gamma * profile.pi_arc[i, j]
-    np.fill_diagonal(gam, 0.0)
+    t = net.table
+    gam[t.receiver, t.sender] = t.gamma * profile.pi_arc[t.receiver, t.sender]
     gam[np.diag_indices(net.n)] = -gam.sum(axis=1)
     return gam
 

@@ -174,7 +174,7 @@ class TestScheduleEdges:
 
         def recorded(seed, name, ids):
             if name == "jitter":
-                jitter.append(list(ids))
+                jitter.append([tuple(arc) for arc in np.asarray(ids).tolist()])
             return substreams(seed, name, ids)
 
         monkeypatch.setattr(engine.UniformStreams, "random", counted)

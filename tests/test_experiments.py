@@ -323,8 +323,9 @@ class TestCli:
         ({"network": {"kind": "geometric", "n": 10, "radius": 0.6},
           "reference_node": 9}, ["20", "5"]),
         ({}, ["10", "10"]),
+        ({"updates": 0}, ["10", "12"]),
     ], ids=["file-network", "one-node", "reference-past-a-count",
-            "repeated-count"])
+            "repeated-count", "zero-updates"])
     def test_scaling_checks_before_it_writes(self, tmp_path, capsys, over, nodes):
         net_path = tmp_path / "net.json"
         generate_geometric(GeometricSpec(6, 0.6, 0.1), seed=0).save(net_path)
@@ -452,7 +453,7 @@ _INVALID = {
     ("freeze_compensation",): st.sampled_from([0, 1, 1.0, "true", None, []]),
     ("reference_node",): st.one_of(st.integers(max_value=-1), st.integers(min_value=10),
                                    st.sampled_from(["middle", True, 1.5, [0], {}])),
-    ("updates",): _bad_int(st.integers(max_value=-1)),
+    ("updates",): _bad_int(st.integers(max_value=0)),
     ("seeds",): st.sampled_from([None, 0, "0", [], [0.5], [True], ["a"], [None], [[0]],
                                  [-1], [2**32], [0, 0]]),
     ("stride",): _bad_int(st.integers(max_value=0)),

@@ -102,6 +102,11 @@ class TestStepSchedule:
         assert drift_step(s, 50, DriftC(0)) == pytest.approx(0.1 / 50)
         assert offset_step(s, 50) == 0.1
 
+    @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1.0])
+    def test_constant_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValueError, match="constant_step"):
+            StepSchedule(constant_step=step)
+
     @given(st.integers(1, 10**6), st.floats(0.51, 1.0))
     def test_step_decreasing_in_nu(self, nu, zeta):
         assert step_size(nu + 1, zeta) < step_size(nu, zeta)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -83,6 +84,88 @@ class TestValidation:
         # comparisons with NaN are false, so a check must fail on them
         with pytest.raises(ValueError):
             build(value)
+
+
+@st.composite
+def table_networks(draw):
+    """Networks whose arcs differ in gamma, p_hear and delay: generated, or
+    drawn arc by arc and repaired (repair adds arcs from its template),
+    then saved and loaded back, and with one node's in-arcs muted or not."""
+    n = draw(st.integers(2, 9))
+    if draw(st.booleans()):
+        net = generate_geometric(GeometricSpec(n, draw(st.floats(0.05, 0.8)),
+                                               draw(st.floats(0.0, 1.0))),
+                                 seed=draw(st.integers(0, 10_000)))
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = {pair: Arc(draw(st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+                          draw(st.floats(0.05, 1.0)),
+                          DelayModel(draw(st.floats(0.01, 2.0)),
+                                     draw(st.sampled_from([0.0, 0.05]))))
+                for pair in draw(st.lists(st.sampled_from(pairs), unique=True))}
+        positions = draw(st.sampled_from([None, np.random.default_rng(n).random((n, 2))]))
+        rates = draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n))
+        net = repair_connectivity(
+            Network(n, arcs, np.array(rates), [ClockParams(1.0)] * n, positions),
+            Arc(0.7, 0.6, DelayModel(0.3, 0.02)))
+    with tempfile.TemporaryDirectory() as tmp:
+        net.save(Path(tmp) / "net.json")
+        net = Network.load(Path(tmp) / "net.json")
+    if draw(st.booleans()):
+        net = mute_in_arcs(net, draw(st.integers(0, n - 1)))
+    return net
+
+
+class TestArcTable:
+    @settings(max_examples=200, deadline=None)
+    @given(net=table_networks())
+    def test_rows_are_the_sorted_arcs(self, net):
+        keys = sorted(net.arcs)
+        table = net.table
+        assert table.sender.dtype == table.receiver.dtype == np.intp
+        assert table.gamma.dtype == table.p_hear.dtype == np.float64
+        assert list(zip(table.sender.tolist(), table.receiver.tolist())) == keys
+        assert table.gamma.tolist() == [net.arcs[k].gamma for k in keys]
+        assert table.p_hear.tolist() == [net.arcs[k].p_hear for k in keys]
+        assert table.delay == [net.arcs[k].delay for k in keys]
+        for j in range(net.n):
+            out = [k for k in keys if k[0] == j]
+            assert keys[table.start[j]:table.start[j + 1]] == out
+            assert net.out_neighbors(j) == tuple(i for _, i in out)
+            assert net.in_neighbors(j) == tuple(s for s, i in keys if i == j)
+        rows = np.arange(len(keys))[::-1]
+        assert table.rows(table.sender[rows], table.receiver[rows]).tolist() == rows.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(net=table_networks())
+    def test_expected_matrices_match_a_dict_walk(self, net):
+        # the oracle fills the matrices arc by arc, in dict order
+        pi = net.rates / float(net.rates.sum())
+        pi_arc = np.zeros((net.n, net.n))
+        for (j, i), arc in net.arcs.items():
+            pi_arc[i, j] = pi[j] * arc.p_hear
+        lap = np.zeros((net.n, net.n))
+        for (j, i), arc in net.arcs.items():
+            lap[i, j] = arc.gamma * pi_arc[i, j]
+        lap[np.diag_indices(net.n)] = -lap.sum(axis=1)
+        profile = probability_profile(net)
+        assert profile.pi_arc.tobytes() == pi_arc.tobytes()
+        assert profile.n_bar == float(pi_arc.sum())
+        assert profile.p.tobytes() == (pi_arc.sum(axis=1) / profile.n_bar).tobytes()
+        assert expected_laplacian(net, profile).tobytes() == lap.tobytes()
+
+    @pytest.mark.parametrize("arc, message", [
+        ((0.5, 1), "integers"),
+        ((0, 1.0), "integers"),
+        ((2, 2), "self-arcs are not allowed"),
+        ((0, 3), "arc endpoints out of range"),
+        ((-1, 0), "arc endpoints out of range"),
+    ], ids=["float-sender", "float-receiver", "self-arc", "receiver-past-n",
+            "negative-sender"])
+    def test_endpoints_checked(self, arc, message):
+        with pytest.raises(ValueError, match=message):
+            Network(3, {(1, 2): _arc(), arc: _arc()}, np.ones(3),
+                    [ClockParams(1.0)] * 3)
 
 
 class TestSerialization:

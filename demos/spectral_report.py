@@ -16,7 +16,7 @@ def main():
                                       seed=42)
     profile = topology.probability_profile(net)
 
-    print(f"network: n={net.n}, arcs={len(net.arcs)}, "
+    print(f"network: n={net.n}, arcs={len(net.table.arc)}, "
           f"centers={topology.centers(net)}")
     print(f"update probabilities p_i: "
           f"{np.array2string(profile.p, precision=3)}")

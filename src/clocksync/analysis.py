@@ -214,9 +214,10 @@ def increment_stats(
     increments the expectation is averaged over the realized receptions.
     """
     j, i = arc
-    tr = result.trace
+    net, tr = result.net, result.trace
+    row = int(net.table.rows(j, i))
+    rate = float(net.rates[j]) * net.table.arc[row].p_hear
     times = tr.t_send[(tr.sender == j) & (tr.receiver == i)]
-    rate = float(result.net.rates[j]) * result.net.arcs[arc].p_hear
     l = np.arange(1, len(times))
     m = anchor_index(result.cfg.drift, l)
     l, m = l[m >= 0], m[m >= 0]
@@ -336,7 +337,7 @@ def _initial_noise_means(result: SimResult, profile: ProbabilityProfile):
     j, i = tr.sender[first], tr.receiver[first]
     rows = net.table.rows(j, i)
     w = net.table.gamma[rows] * profile.pi_arc[i, j]
-    delta_bar = np.array([net.table.delay[r].delta_bar for r in rows.tolist()])
+    delta_bar = np.array([net.table.arc[r].delay.delta_bar for r in rows.tolist()])
     t_recv = tr.t[first]
     xi = tr.tau_recv[first] - (net.alphas()[i] * t_recv + net.betas()[i])
     eta = (t_recv - tr.t_send[first]) - delta_bar
@@ -387,11 +388,12 @@ def consensus_mixing_matrix(
     """
     n = net.n
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), (n,))
+    j, i = net.table.sender, net.table.receiver
+    w = profile.pi_arc[i, j] / profile.n_bar * (1.0 - sig[i])
     c = np.eye(n)
-    for (j, i) in net.arcs:
-        w = profile.pi_arc[i, j] / profile.n_bar
-        c[i, i] -= w * (1.0 - sig[i])
-        c[i, j] += w * (1.0 - sig[i])
+    c[i, j] += w
+    # the diagonal loses each in-arc's weight in turn, in row order
+    np.subtract.at(c, (i, i), w)
     return c
 
 

@@ -257,7 +257,7 @@ def broadcast(
     out = net.out_neighbors(j)
     row, tick = np.nonzero(heard)
     first = int(net.table.start[j])
-    delays = [sample_delay(net.table.delay[a], delay_rngs[a], m) for a, m in
+    delays = [sample_delay(net.table.arc[a].delay, delay_rngs[a], m) for a, m in
               enumerate(np.count_nonzero(heard, axis=1).tolist(), first) if m]
     return Deliveries(tick, np.array(out, dtype=np.intp)[row],
                       times[tick] + (np.concatenate(delays) if delays else 0.0))

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
@@ -23,6 +25,16 @@ from clocksync.clock import ClockParams, DelayModel
 from clocksync.streams import MAX_SEED, is_int, substream
 
 SCHEMA_VERSION = 1
+
+_ARC_NUMBERS = itemgetter("gamma", "p_hear", "delta_bar", "eta_sigma", "delta_min")
+
+
+def _numbers(record: dict, *keys: str) -> list:
+    """A record's values at ``keys``, each a number, not a bool or a string."""
+    bad = [key for key in keys if type(record[key]) not in (int, float)]
+    if bad:
+        raise ValueError(f"{bad[0]} must be a number, got {record[bad[0]]!r}")
+    return [record[key] for key in keys]
 
 
 @dataclass(frozen=True)
@@ -49,42 +61,53 @@ class Arc:
 
 @dataclass(frozen=True)
 class ArcTable:
-    """A network's arcs as columns, one row per arc in (sender, receiver)
-    order; sender j's out-arcs are the rows ``start[j]:start[j + 1]``."""
+    """A network's arcs, one row per arc in (sender, receiver) order, with
+    its :class:`Arc` (rows may share one) and that arc's ``gamma`` and
+    ``p_hear``; sender j's out-arcs are the rows ``start[j]:start[j + 1]``."""
 
-    sender: np.ndarray       # (m,) intp
-    receiver: np.ndarray     # (m,) intp
-    gamma: np.ndarray        # (m,) float64
-    p_hear: np.ndarray       # (m,) float64
-    delay: list[DelayModel]  # (m,)
-    start: np.ndarray        # (n + 1,) intp
+    sender: np.ndarray    # (m,) intp
+    receiver: np.ndarray  # (m,) intp
+    arc: list[Arc]        # (m,)
+    gamma: np.ndarray     # (m,) float64
+    p_hear: np.ndarray    # (m,) float64
+    start: np.ndarray     # (n + 1,) intp
 
-    def rows(self, sender: np.ndarray, receiver: np.ndarray) -> np.ndarray:
-        """The rows of the arcs ``(sender[k], receiver[k])``, which must exist."""
+    def ends(self) -> list[tuple[int, int]]:
+        """The (sender, receiver) pair of each row."""
+        return list(zip(self.sender.tolist(), self.receiver.tolist()))
+
+    def rows(self, sender, receiver) -> np.ndarray:
+        """The rows of the arcs ``(sender[k], receiver[k])``; a pair that
+        is not an arc raises ``ValueError``."""
         n = len(self.start) - 1  # the rows are sorted by sender * n + receiver
-        return np.searchsorted(self.sender * n + self.receiver, sender * n + receiver)
+        sender, receiver = np.broadcast_arrays(sender, receiver)
+        want = sender * n + receiver
+        code = np.append(self.sender * n + self.receiver, -1)  # -1: past the last row
+        row = np.searchsorted(code[:-1], want)
+        bad = (code[row] != want) | (np.minimum(sender, receiver) < 0) | (receiver >= n)
+        if bad.any():
+            raise ValueError(f"({sender[bad][0]}, {receiver[bad][0]}) is not an arc")
+        return row
 
 
 @dataclass
 class Network:
     """Immutable-by-convention directed network with clock and rate data.
 
-    ``arcs`` maps ``(j, i)`` (sender, receiver) to an :class:`Arc`.  The
-    constructor derives :attr:`table` from it once; an arc's row in the
-    table is its index everywhere (its jitter stream, ``Schedule.arc``,
-    ``SyncState``'s links), and the engine and the expected matrices read
-    the per-arc values from it.  So the arc set and its values must not
-    change after construction: build a new ``Network`` instead.
+    The constructor takes ``arcs``, a mapping from ``(j, i)`` (sender,
+    receiver) to an :class:`Arc`, and keeps the arcs only as
+    :attr:`table`, where an arc's row is its index everywhere (its jitter
+    stream, ``Schedule.arc``, ``SyncState``'s links).
     """
 
     n: int
-    arcs: dict[tuple[int, int], Arc]
+    arcs: InitVar[dict[tuple[int, int], Arc]]
     rates: np.ndarray
     clocks: list[ClockParams]
     positions: np.ndarray | None = None
     table: ArcTable = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, arcs: dict[tuple[int, int], Arc]) -> None:
         if self.n < 1:
             raise ValueError("need at least one node")
         self.rates = np.asarray(self.rates, dtype=float)
@@ -93,30 +116,28 @@ class Network:
             raise ValueError("rates must be finite and positive, one per node")
         if len(self.clocks) != self.n:
             raise ValueError("need one ClockParams per node")
-        ends = np.array(list(self.arcs) or np.empty((0, 2), dtype=np.intp))
-        if ends.dtype.kind not in "iu" or ends.shape[1:] != (2,):
+        ends = np.array(list(arcs) or np.empty((0, 2), dtype=np.intp))
+        # numpy makes an int array of bools mixed with ints
+        if (ends.dtype.kind not in "iu" or ends.shape[1:] != (2,)
+                or bool in set(map(type, chain.from_iterable(arcs)))):
             raise ValueError("arc endpoints must be pairs of integers")
         if np.any(ends[:, 0] == ends[:, 1]):
             raise ValueError("self-arcs are not allowed")
         if not np.all((ends >= 0) & (ends < self.n)):
             raise ValueError("arc endpoints out of range")
         order = np.lexsort(ends.T[::-1])
-        values = list(self.arcs.values())
-        arcs = [values[r] for r in order.tolist()]
+        values = list(arcs.values())
+        rows = [values[r] for r in order.tolist()]
         sender, receiver = np.ascontiguousarray(ends[order].T, dtype=np.intp)
-        self.table = ArcTable(sender, receiver, np.array([a.gamma for a in arcs], float),
-                              np.array([a.p_hear for a in arcs], float),
-                              [a.delay for a in arcs],
+        self.table = ArcTable(sender, receiver, rows,
+                              np.array([a.gamma for a in rows], float),
+                              np.array([a.p_hear for a in rows], float),
                               np.searchsorted(sender, np.arange(self.n + 1)))
 
     def out_neighbors(self, j: int) -> tuple[int, ...]:
         """Receivers of node j's broadcasts, in increasing order."""
         t = self.table
         return tuple(t.receiver[t.start[j]:t.start[j + 1]].tolist())
-
-    def in_neighbors(self, i: int) -> tuple[int, ...]:
-        """Nodes whose broadcasts node i can hear, in increasing order."""
-        return tuple(self.table.sender[self.table.receiver == i].tolist())
 
     def alphas(self) -> np.ndarray:
         return np.array([c.alpha for c in self.clocks])
@@ -154,12 +175,14 @@ class Network:
                     "delta_min": a.delay.delta_min,
                     "delay_dist": a.delay.dist,
                 }
-                for (j, i), a in sorted(self.arcs.items())
+                for (j, i), a in zip(self.table.ends(), self.table.arc)
             ],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Network":
+        """The network a :meth:`to_dict` record describes; the arcs of one
+        value share one :class:`Arc`, so its checks run once per value."""
         if data.get("schema_version") != SCHEMA_VERSION:
             raise ValueError("unsupported network schema version")
         n = data["n"]
@@ -167,19 +190,26 @@ class Network:
         ids = [node["id"] for node in nodes]
         if ids != list(range(n)) or not all(type(i) is int for i in [n, *ids]):
             raise ValueError(f"node ids must be 0..{n - 1}, each exactly once")
-        clocks = [ClockParams(node["alpha"], node["beta"], node["xi_sigma"],
+        clocks = [ClockParams(*_numbers(node, "alpha", "beta", "xi_sigma"),
                               node.get("dist", "normal")) for node in nodes]
-        rates = [node["rate"] for node in nodes]
+        rates = [_numbers(node, "rate")[0] for node in nodes]
         positions = [node.get("position") for node in nodes]
-        arcs = {}
+        for p in positions:
+            if p is not None and not (isinstance(p, list) and len(p) == 2 and all(
+                    type(x) in (int, float) and math.isfinite(x) for x in p)):
+                raise ValueError(f"position must be null or two finite numbers, got {p!r}")
+        arcs, made = {}, {}
         for rec in data["arcs"]:
-            arc = (rec["sender"], rec["receiver"])
-            if arc in arcs or not all(type(end) is int for end in arc):
-                raise ValueError(f"arc {arc} must be two node ids, listed once")
-            arcs[arc] = Arc(
-                rec["gamma"], rec["p_hear"],
-                DelayModel(rec["delta_bar"], rec["eta_sigma"],
-                           rec["delta_min"], rec.get("delay_dist", "normal")))
+            value = (*_ARC_NUMBERS(rec), rec.get("delay_dist", "normal"))
+            # 2, 2.0 and true, and 0.0 and -0.0, are equal keys but are written apart
+            key = value + tuple([type(v) if v else repr(v) for v in value])
+            if key not in made:
+                made[key] = Arc(*_numbers(rec, "gamma", "p_hear"), DelayModel(
+                    *_numbers(rec, "delta_bar", "eta_sigma", "delta_min"), value[-1]))
+            end = (rec["sender"], rec["receiver"])
+            if end in arcs:
+                raise ValueError(f"arc {end} is listed more than once")
+            arcs[end] = made[key]
         return cls(n, arcs, rates, clocks, None if any(
             p is None for p in positions) else np.array(positions))
 
@@ -210,22 +240,16 @@ class ProbabilityProfile:
     p: np.ndarray
 
 
-def _source_components(n: int, arcs) -> list[list[int]]:
-    """The members, sorted, of each source component of the condensation
-    of the digraph on nodes ``0..n-1`` with ``arcs``, in order of their
-    smallest member; :func:`repair_connectivity` breaks ties by this
-    order, so the arcs it adds, and a saved network's bytes, depend on it."""
-    src, dst = np.array(list(arcs), dtype=np.intp).reshape(-1, 2).T
-    adj = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+def _source_components(n: int, sender: np.ndarray, receiver: np.ndarray) -> list[list[int]]:
+    """The sorted members of each source component of the condensation of
+    the digraph on nodes ``0..n-1`` with arcs ``zip(sender, receiver)``, in
+    order of their smallest member; :func:`repair_connectivity` breaks ties
+    by it, so the arcs it adds, and a saved network's bytes, depend on it."""
+    adj = csr_matrix((np.ones(len(sender)), (sender, receiver)), shape=(n, n))
     label = csgraph.connected_components(adj, connection="strong")[1]
-    entered = label[dst[label[src] != label[dst]]]
+    entered = label[receiver[label[sender] != label[receiver]]]
     return sorted(np.flatnonzero(label == c).tolist()
                   for c in set(label.tolist()) - set(entered.tolist()))
-
-
-def has_spanning_tree(net: Network) -> bool:
-    """True iff some node reaches every other node along broadcast arcs."""
-    return centers(net) != []
 
 
 def centers(net: Network) -> list[int]:
@@ -234,47 +258,35 @@ def centers(net: Network) -> list[int]:
     The condensation of the arc digraph has a spanning tree iff it has a
     unique source component; its members are exactly the centers.
     """
-    sources = _source_components(net.n, net.arcs)
+    sources = _source_components(net.n, net.table.sender, net.table.receiver)
     return sources[0] if len(sources) == 1 else []
 
 
-def repair_connectivity(net: Network, arc_template: Arc | None = None) -> Network:
+def repair_connectivity(net: Network, arc_template: Arc) -> Network:
     """Add the fewest arcs needed for a spanning tree to exist.
 
     Source components of the condensation are merged pairwise, each time
     joining the two geometrically closest nodes that belong to different
-    source components (keeps the graph geometric).  Without positions the
-    lowest-index representatives are joined.  Identity on already
-    connected networks.
+    source components with an ``arc_template`` (keeps the graph
+    geometric).  Without positions the lowest-index representatives are
+    joined.  Identity on already connected networks.
     """
-    if arc_template is None:
-        any_arc = next(iter(net.arcs.values()), None)
-        arc_template = any_arc if any_arc is not None else Arc(
-            1.0, 0.9, DelayModel(0.1))
-    arcs = dict(net.arcs)
-    while True:
-        sources = _source_components(net.n, arcs)
-        if len(sources) <= 1:
-            break
-        best = None
-        for a in range(len(sources)):
-            for b in range(len(sources)):
-                if a == b:
-                    continue
-                for u in sources[a]:
-                    for v in sources[b]:
-                        if net.positions is not None:
-                            d = float(np.linalg.norm(
-                                net.positions[u] - net.positions[v]))
-                        else:
-                            d = float(u + v)
-                        if best is None or d < best[0]:
-                            best = (d, u, v)
-        _, u, v = best
-        arcs[(u, v)] = arc_template
-    if len(arcs) == len(net.arcs):
+    sender, receiver = net.table.sender, net.table.receiver
+    added = {}
+    while len(sources := _source_components(net.n, sender, receiver)) > 1:
+        # the first closest of the pairs, in order, of two different sources
+        pairs = [(u, v) for a in sources for b in sources if a is not b
+                 for u in a for v in b]
+        if net.positions is not None:
+            d = [np.linalg.norm(net.positions[u] - net.positions[v]) for u, v in pairs]
+        else:
+            d = [u + v for u, v in pairs]
+        u, v = pairs[int(np.argmin(d))]
+        added[(u, v)] = arc_template
+        sender, receiver = np.append(sender, u), np.append(receiver, v)
+    if not added:
         return net
-    return Network(net.n, arcs, net.rates, net.clocks, net.positions)
+    return replace(net, arcs=dict(zip(net.table.ends(), net.table.arc)) | added)
 
 
 @dataclass(frozen=True)
@@ -356,21 +368,16 @@ def generate_geometric(spec: GeometricSpec, seed: int) -> Network:
     close = dist < radius
     for p in np.flatnonzero(np.abs(dist - radius) <= 1e-9 * radius):
         close[p] = np.linalg.norm(pos[first[p]] - pos[second[p]]) < radius
-    arcs: dict[tuple[int, int], Arc] = {}
+    ends = []
     for u, v in zip(first[close].tolist(), second[close].tolist()):
-        if rng.random() < one_way_fraction:
-            # one-way link, random direction
-            if rng.random() < 0.5:
-                arcs[(u, v)] = arc
-            else:
-                arcs[(v, u)] = arc
+        if rng.random() < one_way_fraction:  # one-way link, random direction
+            ends.append((u, v) if rng.random() < 0.5 else (v, u))
         else:
-            arcs[(u, v)] = arc
-            arcs[(v, u)] = arc
+            ends += [(u, v), (v, u)]
     alphas = rng.uniform(*spec.alpha_range, size=n)
     betas = rng.uniform(*spec.beta_range, size=n)
     clocks = [spec.clock(float(a), float(b)) for a, b in zip(alphas, betas)]
-    net = Network(n, arcs, np.full(n, spec.mu), clocks, pos)
+    net = Network(n, dict.fromkeys(ends, arc), np.full(n, spec.mu), clocks, pos)
     return repair_connectivity(net, arc_template=arc)
 
 
@@ -402,18 +409,7 @@ def expected_laplacian(net: Network, profile: ProbabilityProfile) -> np.ndarray:
     return gam
 
 
-def expected_gamma_d(net: Network, profile: ProbabilityProfile) -> np.ndarray:
-    """Diagonal expectation of the per-update weight matrix.
-
-    Equals minus the diagonal of the expected Laplacian.
-    """
-    return np.diag(-np.diag(expected_laplacian(net, profile)))
-
-
 def mute_in_arcs(net: Network, node: int) -> Network:
     """Return a copy where all arcs into ``node`` have weight zero."""
-    arcs = {
-        (j, i): (replace(a, gamma=0.0) if i == node else a)
-        for (j, i), a in net.arcs.items()
-    }
-    return Network(net.n, arcs, net.rates, net.clocks, net.positions)
+    return replace(net, arcs={(j, i): (replace(a, gamma=0.0) if i == node else a)
+                              for (j, i), a in zip(net.table.ends(), net.table.arc)})

@@ -1,8 +1,11 @@
 """Shared fixtures: small hand-built networks used across test modules."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from hypothesis.vendor.pretty import for_type_by_name
 
 from clocksync.clock import ClockParams, DelayModel
 from clocksync.topology import (
@@ -13,6 +16,11 @@ from clocksync.topology import (
     generate_geometric,
     mute_in_arcs,
 )
+
+
+# a falsifying example prints a Network by its repr: hypothesis would print
+# each constructor argument, and ``arcs`` is not kept as an attribute
+for_type_by_name("clocksync.topology", "Network", lambda net, p, cycle: p.text(repr(net)))
 
 
 def make_line_network(
@@ -56,11 +64,20 @@ def triangle_net():
     return Network(3, arcs, np.ones(3), clocks)
 
 
+def own_arcs(net, arc, muted=None):
+    """The arcs of ``net`` as a test's own dict, each valued ``arc`` (the
+    arc its spec gave every linked pair), those into ``muted`` with weight
+    0: oracles read their per-arc values from it, not from the table."""
+    return {(j, i): replace(arc, gamma=0.0) if i == muted else arc
+            for j, i in zip(net.table.sender.tolist(), net.table.receiver.tolist())}
+
+
 @st.composite
 def networks(draw):
     """Small random networks: 2-6 nodes, random rates, delay and noise
     (``eta_sigma = 0`` gives deliveries at equal times), hearing always or
-    not, and optionally a muted reference node."""
+    not, and optionally a muted reference node.  Draws ``(net, arcs)``,
+    ``arcs`` being the dict the network was built from."""
     n = draw(st.integers(2, 6))
     radius, one_way = draw(st.floats(0.2, 1.0)), draw(st.floats(0.0, 0.6))
     seed = draw(st.integers(0, 10_000))
@@ -73,7 +90,10 @@ def networks(draw):
         noise_dist=draw(st.sampled_from(["normal", "uniform"])))
     net = generate_geometric(spec, seed=seed)
     rates = draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n))
-    net = Network(n, net.arcs, np.array(rates), net.clocks, net.positions)
+    arcs = own_arcs(net, spec.arc())
+    net = Network(n, arcs, np.array(rates), net.clocks, net.positions)
     if draw(st.booleans()):
-        net = mute_in_arcs(net, centers(net)[0])
-    return net
+        muted = centers(net)[0]
+        arcs = own_arcs(net, spec.arc(), muted)
+        net = mute_in_arcs(net, muted)
+    return net, arcs

@@ -5,7 +5,9 @@ This is the receiver state machine as the paper states it.  The package
 derives the same inputs from the whole noise schedule at once
 (:class:`clocksync.sync.SyncState`); the tests compare the two bit for
 bit.  :func:`heap_run` is the reference for the whole engine: an event
-heap that draws every random number when its event is handled.
+heap that draws every random number when its event is handled.  Both
+read each arc's values from the ``arcs`` dict the test built the network
+from, never from the network's arc table.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from clocksync.sync import (
     SyncConfig,
 )
 from clocksync.streams import substream, substreams
-from clocksync.topology import Network
 
 
 def step_size(nu: int, zeta: float) -> float:
@@ -214,13 +215,14 @@ class UpdateRecord:
 
 
 class OracleState:
-    """All nodes' estimates, update counters and link histories."""
+    """All nodes' estimates, update counters and link histories, for ``n``
+    nodes linked by ``arcs`` ((sender, receiver) -> Arc)."""
 
-    def __init__(self, net: Network, cfg: SyncConfig):
-        self.net = net
+    def __init__(self, n: int, arcs: dict, cfg: SyncConfig):
+        self.arcs = arcs
         self.cfg = cfg
-        self.est = [CorrectionState() for _ in range(net.n)]
-        self.nu = [0] * net.n
+        self.est = [CorrectionState() for _ in range(n)]
+        self.nu = [0] * n
         self.hists: dict[tuple[int, int], LinkHistory] = {}
 
     def history(self, j: int, i: int) -> LinkHistory:
@@ -245,7 +247,7 @@ class OracleState:
             hist.record(msg.tau_sent, tau_i_now)
             return UpdateRecord(i, msg.sender, False, False, True)
 
-        gamma = self.net.arcs[(msg.sender, i)].gamma
+        gamma = self.arcs[(msg.sender, i)].gamma
         state = self.est[i]
         a_pre = state.a_hat
         drift_done = False
@@ -270,13 +272,13 @@ class OracleState:
         return UpdateRecord(i, msg.sender, drift_done, offset_done, False)
 
 
-def replay(net: Network, cfg: SyncConfig, sched: Schedule) -> dict:
+def replay(n: int, arcs: dict, cfg: SyncConfig, sched: Schedule) -> dict:
     """Walk a schedule's deliveries with the scalar state machine, each
     carrying the sender's estimates from its own row at ``src`` (the
     initial ones at -1).  Returns the receiver's (a, b, c) after every
     delivery, each delivery's update count, the final counts and the
     outcome records."""
-    state = OracleState(net, cfg)
+    state = OracleState(n, arcs, cfg)
     init = CorrectionState()
     rows, nus, records = [], [], []
     for i, j, tau_j, tau_i, src in zip(
@@ -291,7 +293,7 @@ def replay(net: Network, cfg: SyncConfig, sched: Schedule) -> dict:
     return {"rows": rows, "nu": nus, "final_nu": state.nu, "records": records}
 
 
-def heap_run(net, cfg, *, max_updates=None, horizon=None, seed=0) -> dict:
+def heap_run(net, arcs, cfg, *, max_updates=None, horizon=None, seed=0) -> dict:
     """Reference simulator: an event heap keyed by (time, insertion) that
     draws every random number one at a time, when its event is handled.
 
@@ -302,11 +304,11 @@ def heap_run(net, cfg, *, max_updates=None, horizon=None, seed=0) -> dict:
     raw readings and the receiver's new (a, b, c): the columns of
     :class:`clocksync.engine.Trace`.
     """
-    state = OracleState(net, cfg)
-    arcs = list(net.arcs)
+    state = OracleState(net.n, arcs, cfg)
+    out = {j: sorted(i for (s, i) in arcs if s == j) for j in range(net.n)}
     read_rngs = substreams(seed, "read", range(net.n))
-    hear_rngs = dict(zip(arcs, substreams(seed, "hear", arcs)))
-    delay_rngs = dict(zip(arcs, substreams(seed, "jitter", arcs)))
+    hear_rngs = dict(zip(arcs, substreams(seed, "hear", list(arcs))))
+    delay_rngs = dict(zip(arcs, substreams(seed, "jitter", list(arcs))))
     tick_rng = substream(seed, "ticks")
     mu_c = float(net.rates.sum())
     cum = np.cumsum(net.rates / mu_c)
@@ -330,8 +332,8 @@ def heap_run(net, cfg, *, max_updates=None, horizon=None, seed=0) -> dict:
         if data is None:  # tick of `node`
             tau = read_local_time(net.clocks[node], t, read_rngs[node])
             msg = state.payload(node, tau)
-            for i in net.out_neighbors(node):
-                arc = net.arcs[(node, i)]
+            for i in out[node]:
+                arc = arcs[(node, i)]
                 if hear_rngs[(node, i)].random() < arc.p_hear:
                     d = sample_delay(arc.delay, delay_rngs[(node, i)])
                     heapq.heappush(heap, (t + d, next(seq), i, (msg, t)))

@@ -60,21 +60,23 @@ def _summaries(preset: str) -> tuple:
         sd = analysis.scaled_disagreement(m, 1.0)
         profile = topology.probability_profile(r.net)
 
-        # per-arc mean increment vs the thinned-Poisson expectation
+        # per-arc mean increment vs the thinned-Poisson expectation; every
+        # arc hears with the preset's p_hear
         arc_ratios = []
         tr = r.trace
-        for j, i in r.net.arcs:
+        for j, i in r.net.table.ends():
             times = tr.t_send[(tr.sender == j) & (tr.receiver == i)]
             if len(times) < 100:
                 continue
             gaps = np.diff(times)
-            expected = 1.0 / (r.net.rates[j] * r.net.arcs[(j, i)].p_hear)
+            expected = 1.0 / (r.net.rates[j] * cfg.network.p_hear)
             arc_ratios.append(float(gaps.mean() / expected))
 
-        muted = [i for i in range(r.net.n)
-                 if r.net.in_neighbors(i)
-                 and all(r.net.arcs[(j, i)].gamma == 0.0
-                         for j in r.net.in_neighbors(i))]
+        # nodes with in-arcs, all of weight 0
+        t = r.net.table
+        in_arcs = np.bincount(t.receiver, minlength=r.net.n)
+        live = np.bincount(t.receiver, t.gamma > 0.0, r.net.n)
+        muted = np.flatnonzero((in_arcs > 0) & (live == 0)).tolist()
 
         drift_rate, drift_r2 = analysis.geometric_decay_fit(m.k, m.drift_spread)
         off_rate, off_r2 = analysis.geometric_decay_fit(

@@ -145,9 +145,18 @@ class TestIncrementStats:
         res = engine.run(net, SyncConfig(drift=DriftA(1), offset=None),
                          max_updates=30000, seed=3)
         # fixed arc: selecting e.g. the busiest arc would bias the gaps low
-        arc = sorted(net.arcs)[0]
+        arc = net.table.ends()[0]
         stats = increment_stats(res, arc)
         assert stats.mean == pytest.approx(stats.expected_mean, rel=0.05)
+
+    @pytest.mark.parametrize("pair", [(1, 0), (0, 0), (0, 2), (1, -1), (-1, 3)])
+    def test_pair_that_is_not_an_arc_rejected(self, pair):
+        # the only arc is 0 -> 1, whose code sender * n + receiver is 1, as
+        # are the codes of (1, -1) and (-1, 3)
+        net = make_line_network(two_way=False)
+        res = engine.run(net, SyncConfig(drift=DriftA(1)), max_updates=50, seed=0)
+        with pytest.raises(ValueError, match=rf"\({pair[0]}, {pair[1]}\) is not an arc"):
+            increment_stats(res, pair)
 
 
 class TestMetrics:
@@ -186,6 +195,22 @@ class TestConsensusMixing:
         net = generate_geometric(GeometricSpec(8, 0.5, 0.1), seed=5)
         c = consensus_mixing_matrix(net, probability_profile(net), 1.0)
         assert np.allclose(c, np.eye(8))
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=networks(), data=st.data())
+    def test_matches_an_arc_loop(self, drawn, data):
+        # the reference updates c arc by arc in (sender, receiver) order,
+        # the order of the table's rows
+        net, arcs = drawn
+        sigma = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=net.n,
+                                            max_size=net.n)))
+        profile = probability_profile(net)
+        ref = np.eye(net.n)
+        for j, i in sorted(arcs):
+            w = profile.pi_arc[i, j] / profile.n_bar
+            ref[i, i] -= w * (1.0 - sigma[i])
+            ref[i, j] += w * (1.0 - sigma[i])
+        assert consensus_mixing_matrix(net, profile, sigma).tobytes() == ref.tobytes()
 
     def test_left_fixed_vector(self):
         net = generate_geometric(GeometricSpec(8, 0.5, 0.1), seed=6)
@@ -285,7 +310,7 @@ class TestOffsetFixedPoint:
             innovation[i] += lap[i, j] * (
                 a[j] * tr.tau_sent[r] + b[j]
                 - a[i] * tr.tau_recv[r] - b[i] + c[i])
-        assert len(first) == len(net.arcs)
+        assert len(first) == len(net.table.arc)
         assert np.abs(innovation).max() <= 1e-12
 
     def test_ablations_share_the_intact_fixed_point(self):
@@ -341,15 +366,15 @@ def _link_records(rows):
     return send_times, initials
 
 
-def _ref_initial_noise_means(initials):
+def _ref_initial_noise_means(initials, arcs):
     """``analysis._initial_noise_means`` summed link by link over the
-    records."""
+    records, with the per-arc values of the test's ``arcs``."""
     def means(result, profile):
         net = result.net
         alpha, beta = net.alphas(), net.betas()
         w_in, xi0, eta0, delta0 = (np.zeros(net.n) for _ in range(4))
         for (j, i), (t_send, t_recv, _, tau_receiver) in initials.items():
-            arc = net.arcs[(j, i)]
+            arc = arcs[(j, i)]
             w = arc.gamma * profile.pi_arc[i, j]
             w_in[i] += w
             xi0[i] += w * (tau_receiver - (alpha[i] * t_recv + beta[i]))
@@ -376,9 +401,9 @@ def _ref_initial_exchange_terms(initials):
     return terms
 
 
-def _ref_increment_stats(result, arc, times):
+def _ref_increment_stats(result, arc, p_hear, times):
     """``increment_stats`` over one link's recorded send times."""
-    rate = float(result.net.rates[arc[0]]) * result.net.arcs[arc].p_hear
+    rate = float(result.net.rates[arc[0]]) * p_hear
     l = np.arange(1, len(times))
     m = anchor_index(result.cfg.drift, l)
     l, m = l[m >= 0], m[m >= 0]
@@ -409,13 +434,14 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
-def _readers(res, stats):
+def _readers(res, arcs, stats):
     """Outcome of every reader of the initial exchanges and the send
-    times, with ``stats(res, arc)`` for the increment statistics."""
+    times, with ``stats(res, arc)`` for the increment statistics of each
+    of ``arcs``."""
     start = len(res.trace) // 2
     return [_outcome(fixed_point_residual, res), _outcome(offset_fixed_point, res),
             _outcome(frozen_compensation_drift, res, start),
-            *(_outcome(stats, res, arc) for arc in res.net.arcs)]
+            *(_outcome(stats, res, arc) for arc in arcs)]
 
 
 class TestReadersMatchLinkRecords:
@@ -424,24 +450,25 @@ class TestReadersMatchLinkRecords:
     built from the heap oracle give the same bits."""
 
     @settings(max_examples=60, deadline=None)
-    @given(net=networks(),
+    @given(drawn=networks(),
            drift=st.sampled_from([DriftA(1), DriftA(4), DriftB(0.5), DriftC(0), DriftC(2)]),
            offset=st.sampled_from([OffsetA(), OffsetB(0.5), None]),
            freeze=st.booleans(), updates=st.integers(1, 300),
            seed=st.integers(0, 2**32 - 1))
-    def test_bit_for_bit(self, net, drift, offset, freeze, updates, seed):
+    def test_bit_for_bit(self, drawn, drift, offset, freeze, updates, seed):
+        net, arcs = drawn
         cfg = SyncConfig(drift=drift, offset=offset, freeze_compensation=freeze)
         res = engine.run(net, cfg, max_updates=updates, seed=seed)
         send_times, initials = _link_records(
-            heap_run(net, cfg, max_updates=updates, seed=seed)["rows"])
+            heap_run(net, arcs, cfg, max_updates=updates, seed=seed)["rows"])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_initial_noise_means",
-                       _ref_initial_noise_means(initials))
+                       _ref_initial_noise_means(initials, arcs))
             mp.setattr(analysis, "_initial_exchange_terms",
                        _ref_initial_exchange_terms(initials))
-            expected = _readers(res, lambda r, arc: _ref_increment_stats(
-                r, arc, send_times.get(arc, [])))
-        assert _readers(res, increment_stats) == expected
+            expected = _readers(res, arcs, lambda r, arc: _ref_increment_stats(
+                r, arc, arcs[arc].p_hear, send_times.get(arc, [])))
+        assert _readers(res, arcs, increment_stats) == expected
 
 
 class TestFlooding:

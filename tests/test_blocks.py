@@ -121,8 +121,8 @@ def _check_blocks(result, stride, tmp_csv):
 
 class TestBlocksMatchDense:
     @settings(max_examples=120, deadline=None)
-    @given(net=networks(), updates=st.integers(0, 70), stride=st.integers(1, 7),
-           budget=st.integers(1, 20),
+    @given(net=networks().map(lambda drawn: drawn[0]), updates=st.integers(0, 70),
+           stride=st.integers(1, 7), budget=st.integers(1, 20),
            offset=st.sampled_from([OffsetA(), OffsetB(0.5)]), seed=st.integers(0, 1000))
     def test_random_runs(self, tmp_path_factory, net, updates, stride, budget,
                          offset, seed):

@@ -22,7 +22,7 @@ from clocksync.sync import (
 )
 from clocksync.topology import Arc, GeometricSpec, Network, generate_geometric
 
-from conftest import make_line_network, networks
+from conftest import make_line_network, networks, own_arcs
 from sync_oracle import heap_run
 
 
@@ -70,10 +70,16 @@ _STOPS = st.one_of(
 )
 
 
-def assert_matches_heap(net, cfg, max_updates, horizon, seed):
+def generated(spec, seed):
+    """A generated network and its arcs as the test's own dict."""
+    net = generate_geometric(spec, seed=seed)
+    return net, own_arcs(net, spec.arc())
+
+
+def assert_matches_heap(net, arcs, cfg, max_updates, horizon, seed):
     res = engine.run(net, cfg, max_updates=max_updates, horizon=horizon,
                      seed=seed)
-    ref = heap_run(net, cfg, max_updates=max_updates, horizon=horizon,
+    ref = heap_run(net, arcs, cfg, max_updates=max_updates, horizon=horizon,
                    seed=seed)
     tr = res.trace
     rows = list(zip(*(col.tolist() for col in (
@@ -88,30 +94,30 @@ class TestScheduleOracle:
     """The schedule and update loop against the event-heap reference."""
 
     @settings(max_examples=80, deadline=None)
-    @given(net=networks(), cfg=_CFGS, stop=_STOPS,
+    @given(drawn=networks(), cfg=_CFGS, stop=_STOPS,
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_heap_loop(self, net, cfg, stop, seed):
-        assert_matches_heap(net, cfg, *stop, seed)
+    def test_matches_heap_loop(self, drawn, cfg, stop, seed):
+        assert_matches_heap(*drawn, cfg, *stop, seed)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ties(self, seed):
         # eta_sigma = 0: every delivery of a tick lands at the same time,
         # so only the insertion order separates them
-        net = generate_geometric(GeometricSpec(8, 0.9, 0.0, eta_sigma=0.0,
-                                               p_hear=1.0, delta_bar=1.5), seed=seed)
+        net, arcs = generated(GeometricSpec(8, 0.9, 0.0, eta_sigma=0.0,
+                                            p_hear=1.0, delta_bar=1.5), seed)
         res = engine.run(net, SyncConfig(), max_updates=400, seed=seed)
         same = np.flatnonzero(np.diff(res.trace.t) == 0.0)
         assert len(same) > 100
         assert np.all(np.diff(res.trace.receiver)[same] > 0)
-        assert_matches_heap(net, SyncConfig(), 400, None, seed)
+        assert_matches_heap(net, arcs, SyncConfig(), 400, None, seed)
 
     def test_snapshots_across_replay_chunks(self):
         # more than two replay chunks on four nodes: some deliveries carry
         # the estimates their sender held at the end of an earlier chunk
-        net = generate_geometric(GeometricSpec(4, 0.9, 0.1), seed=5)
+        net, arcs = generated(GeometricSpec(4, 0.9, 0.1), 5)
         cfg = SyncConfig(drift=DriftA(2), offset=OffsetB(0.5))
         chunk = engine._REPLAY_CHUNK
-        assert_matches_heap(net, cfg, 2 * chunk + 500, None, 5)
+        assert_matches_heap(net, arcs, cfg, 2 * chunk + 500, None, 5)
         tr = engine.run(net, cfg, max_updates=2 * chunk + 500, seed=5).trace
         crossing = 0
         for k in range(chunk, len(tr)):
@@ -136,12 +142,13 @@ class TestScheduleEdges:
         arcs[(1, 0)] = arc
         rates = np.array([0.05] + [1.0] * (n - 1))
         clocks = [ClockParams(1.0 + 0.01 * k, 0.1 * k, 0.01) for k in range(n)]
-        return Network(n, arcs, rates, clocks)
+        return Network(n, arcs, rates, clocks), arcs
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sender_without_out_arcs(self, seed, monkeypatch):
         arc = Arc(1.0, 0.8, DelayModel(0.1, 0.02))
-        net = Network(3, {(0, 1): arc, (1, 0): arc}, np.ones(3),
+        arcs = {(0, 1): arc, (1, 0): arc}
+        net = Network(3, arcs, np.ones(3),
                       [ClockParams(1.0), ClockParams(1.01, 0.1, 0.01),
                        ClockParams(0.99, -0.1, 0.01)])
         senders = []
@@ -155,16 +162,16 @@ class TestScheduleEdges:
         engine.run(net, SyncConfig(), max_updates=200, seed=seed)
         assert 2 in senders
         monkeypatch.undo()
-        assert_matches_heap(net, SyncConfig(), 200, None, seed)
+        assert_matches_heap(net, arcs, SyncConfig(), 200, None, seed)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_every_message_heard(self, seed):
-        net = generate_geometric(GeometricSpec(7, 0.6, 0.3, p_hear=1.0), seed=seed)
-        assert_matches_heap(net, SyncConfig(), 300, None, seed)
-        assert_matches_heap(net, SyncConfig(), None, 30.0, seed)
+        net, arcs = generated(GeometricSpec(7, 0.6, 0.3, p_hear=1.0), seed)
+        assert_matches_heap(net, arcs, SyncConfig(), 300, None, seed)
+        assert_matches_heap(net, arcs, SyncConfig(), None, 30.0, seed)
 
     def test_first_heard_message_in_a_later_chunk(self, monkeypatch):
-        net, seed = self.hub(0.5), 7
+        (net, arcs), seed = self.hub(0.5), 7
         chunks, jitter = [], []
         random, substreams = engine.UniformStreams.random, engine.substreams
 
@@ -190,7 +197,7 @@ class TestScheduleEdges:
         assert delivered <= set(made)
         # some arc that delivers heard nothing in the first chunk
         assert delivered & {arc for call in jitter[1:] for arc in call}
-        assert_matches_heap(net, SyncConfig(), 40, None, seed)
+        assert_matches_heap(net, arcs, SyncConfig(), 40, None, seed)
 
 
 class TestRun:
@@ -344,12 +351,14 @@ class TestTraceViews:
             assert view.shape == (0, 7) and view.dtype == np.float64
 
     def test_adjacency_matches_arc_scan(self):
-        net = generate_geometric(GeometricSpec(15, 0.4, 0.2), seed=3)
-        for v in range(net.n):
+        # arcs given in random order, not sorted by sender
+        n = 15
+        pairs = np.random.default_rng(3).integers(0, n, (80, 2)).tolist()
+        arcs = {(j, i): Arc(1.0, 0.9, DelayModel(0.1)) for j, i in pairs if j != i}
+        net = Network(n, arcs, np.ones(n), [ClockParams(1.0)] * n)
+        for v in range(n):
             assert list(net.out_neighbors(v)) == sorted(
-                i for (j, i) in net.arcs if j == v)
-            assert list(net.in_neighbors(v)) == sorted(
-                j for (j, i) in net.arcs if i == v)
+                i for (j, i) in arcs if j == v)
 
 
 class TestDeterminism:

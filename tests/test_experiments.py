@@ -109,7 +109,7 @@ class TestPresets:
         assert cfg.reference_node == "center"
         net = cfg.build_network(0)
         # some node has all its in-arc weights muted
-        muted = {i for (j, i), a in net.arcs.items() if a.gamma == 0.0}
+        muted = set(net.table.receiver[net.table.gamma == 0.0].tolist())
         assert len(muted) == 1
 
 
@@ -278,10 +278,20 @@ class TestCli:
         (lambda d: d["nodes"][2].update(id=1), {}),
         (lambda d: d["nodes"][2].update(id=2.0), {}),
         (lambda d: d.update(n=True, nodes=d["nodes"][:1], arcs=[]), {}),
+        (lambda d: d["nodes"][1].update(rate="2.5"), {}),
+        (lambda d: d["arcs"][0].update(gamma=True), {}),
+        (lambda d: d["nodes"][1].update(alpha=True), {}),
+        (lambda d: d["arcs"][0].update(p_hear=True), {}),
+        (lambda d: d["arcs"][0].update(delta_bar=True), {}),
+        (lambda d: d["nodes"][1].update(xi_sigma=False), {}),
+        (lambda d: d["nodes"][1].update(position=[math.nan, 0.2]), {}),
+        (lambda d: d["nodes"][1].update(position=[0.2, 0.3, 0.4]), {}),
     ], ids=["geometric-key-on-file", "negative-gamma", "nan-gamma", "nan-alpha",
             "inf-beta", "nan-rate", "missing-key", "missing-node", "arcs-not-a-list",
             "repeated-arc", "bool-arc-sender", "negative-node-id", "bool-node-id",
-            "repeated-node-id", "float-node-id", "bool-n"])
+            "repeated-node-id", "float-node-id", "bool-n", "str-rate", "bool-gamma",
+            "bool-alpha", "bool-p_hear", "bool-delta_bar", "bool-xi_sigma",
+            "nan-position", "long-position"])
     def test_invalid_network_file_is_validation_error(self, tmp_path, capsys,
                                                       edit, extra):
         # the file is loaded and checked with the config, before any output

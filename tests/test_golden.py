@@ -7,17 +7,23 @@ were recorded before the engine stored its trace as per-update events; a
 refactor that changes any byte fails here.  ``report.txt`` of the offset
 presets pins the spectral, rate-bound and fixed-point lines; its hashes
 were recorded before the run kept its per-link records as trace
-columns.  Never regenerate them to make a change pass: a change that is
+columns.  The saved network files of a few networks are hashed too: the
+fig1b networks, integer weights and delays (written as integers), a
+hand-built network with differing arc values repaired with a template,
+and the flooding preset's muted network.  Never regenerate them to make a change pass: a change that is
 meant to alter the bytes says so and records new hashes with its reason.
 """
 
 import copy
 import hashlib
 
+import numpy as np
 import pytest
 
-from clocksync import analysis, engine, experiments
+from clocksync import analysis, engine, experiments, topology
+from clocksync.clock import ClockParams, DelayModel
 from clocksync.experiments import EXIT_OK, main
+from clocksync.topology import Arc, Network
 
 SEEDS = (0, 1)
 UPDATES = 3000
@@ -139,3 +145,45 @@ def test_report_bytes_unchanged(preset, tmp_path):
     assert main(["run", *args]) == EXIT_OK
     assert main(["report", *args]) == EXIT_OK
     assert _sha(tmp_path / "report.txt") == REPORT_GOLDEN[preset]
+
+
+def _hand_repaired() -> Network:
+    # two source components, {0, 1} and {3}: the repair adds one arc
+    arcs = {(0, 1): Arc(1.0, 0.9, DelayModel(0.1)),
+            (1, 0): Arc(0.5, 0.75, DelayModel(0.2, 0.01, 1e-3, "uniform")),
+            (3, 2): Arc(2, 1, DelayModel(1, 0, 0.5)),
+            (2, 4): Arc(0.25, 0.5, DelayModel(0.05, 0.02))}
+    clocks = [ClockParams(1.0 + 0.01 * i, 0.1 * i, 0.05) for i in range(5)]
+    pos = np.array([[0.1, 0.1], [0.2, 0.15], [0.9, 0.8], [0.7, 0.9], [0.5, 0.5]])
+    net = Network(5, arcs, [1.0, 2.0, 0.5, 1.0, 1.5], clocks, pos)
+    return topology.repair_connectivity(net, Arc(3, 0.8, DelayModel(0.3, 0.1)))
+
+
+_INTEGER_VALUES = {"kind": "geometric", "n": 12, "radius": 0.4, "gamma": 2,
+                   "delta_bar": 1}
+
+NETWORK_CASES = {
+    "fig1b-seed0": lambda: _config("fig1b").build_network(0),
+    "fig1b-seed1": lambda: _config("fig1b").build_network(1),
+    "integer-values": lambda: _config("fig1b", network=_INTEGER_VALUES).build_network(0),
+    "hand-repaired": _hand_repaired,
+    "flooding-muted": lambda: _config("flooding").build_network(0),
+}
+
+NETWORK_GOLDEN = {
+    "fig1b-seed0": "bd5ca2b60effc730c55e43ab1cd39c108d46676fabec4976f6cc814aa19457eb",
+    "fig1b-seed1": "9c88b3d1e085057cf66d01963a8fae35a735fdeb6ff1c62dcb174ae2366ff9b2",
+    "integer-values": "70e12b65055ac8d9127922bdb5c631f2173fe879755fc1602f21c222f8c34eca",
+    "hand-repaired": "0e08802bef06a2b30e24b7467df7a0a535251a96c706ff4c025d08a9f7b7b487",
+    "flooding-muted": "f57dc648eed0730567611c7eb2862b07728c505ce3c07d58169159c9e69ba167",
+}
+
+
+@pytest.mark.parametrize("case", sorted(NETWORK_GOLDEN))
+def test_network_file_bytes_unchanged(case, tmp_path):
+    path = tmp_path / "network.json"
+    NETWORK_CASES[case]().save(path)
+    assert _sha(path) == NETWORK_GOLDEN[case]
+    # and loading the file gives back the same bytes
+    Network.load(path).save(tmp_path / "again.json")
+    assert _sha(tmp_path / "again.json") == NETWORK_GOLDEN[case]

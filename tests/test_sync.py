@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clocksync import engine, sync
-from clocksync.clock import CorrectionState
+from clocksync.clock import CorrectionState, DelayModel
 from clocksync.sync import (
     OUTCOMES,
     DriftA,
@@ -22,9 +22,9 @@ from clocksync.sync import (
     SyncConfig,
     make_reference,
 )
-from clocksync.topology import GeometricSpec, Network, generate_geometric
+from clocksync.topology import Arc, GeometricSpec, Network, generate_geometric
 
-from conftest import make_line_network, networks
+from conftest import make_line_network, networks, own_arcs
 from sync_oracle import (
     LinkHistory,
     MessagePayload,
@@ -247,10 +247,14 @@ class TestOffsetUpdate:
         assert (b, c) == (0.4, -0.4)
 
 
+def _link(gamma=1.0):
+    """The arc 0 -> 1 of a two-node network."""
+    return {(0, 1): Arc(gamma, 1.0, DelayModel(0.1))}
+
+
 class TestSyncState:
     def test_first_message_records_only(self):
-        net = make_line_network()
-        st_ = OracleState(net, SyncConfig())
+        st_ = OracleState(2, _link(), SyncConfig())
         msg = MessagePayload(0, 1.0, 1.0, 0.0, 0.0)
         rec = st_.process_message(1, msg, 1.1)
         assert rec.first_message
@@ -259,15 +263,13 @@ class TestSyncState:
         assert st_.nu[1] == 1
 
     def test_second_message_updates(self):
-        net = make_line_network()
-        st_ = OracleState(net, SyncConfig(drift=DriftA(1)))
+        st_ = OracleState(2, _link(), SyncConfig(drift=DriftA(1)))
         st_.process_message(1, MessagePayload(0, 1.0, 1.0, 0.0, 0.0), 1.1)
         rec = st_.process_message(1, MessagePayload(0, 2.0, 1.0, 0.0, 0.0), 2.0)
         assert rec.drift_updated and rec.offset_updated
 
     def test_zero_weight_gates_updates(self):
-        net = make_line_network(gamma=0.0)
-        st_ = OracleState(net, SyncConfig(drift=DriftA(1)))
+        st_ = OracleState(2, _link(gamma=0.0), SyncConfig(drift=DriftA(1)))
         st_.process_message(1, MessagePayload(0, 1.0, 1.0, 0.0, 0.0), 1.1)
         rec = st_.process_message(1, MessagePayload(0, 2.0, 1.0, 0.0, 0.0), 2.0)
         assert not rec.drift_updated and not rec.offset_updated
@@ -275,8 +277,7 @@ class TestSyncState:
         assert st_.nu[1] == 2  # the counter still advances
 
     def test_nu_counts_every_delivery(self):
-        net = make_line_network()
-        st_ = OracleState(net, SyncConfig())
+        st_ = OracleState(2, _link(), SyncConfig())
         for k in range(5):
             st_.process_message(1, MessagePayload(0, float(k), 1.0, 0.0, 0.0),
                                 float(k) + 0.1)
@@ -285,11 +286,12 @@ class TestSyncState:
 
 class TestMakeReference:
     def test_mutes_in_arcs_of_center(self):
-        net = generate_geometric(GeometricSpec(8, 0.5, 0.0), seed=1)
+        spec = GeometricSpec(8, 0.5, 0.0)
+        net = generate_geometric(spec, seed=1)
         from clocksync.topology import centers
         node = centers(net)[0]
         ref = make_reference(net, node)
-        assert all(a.gamma == 0.0 for (j, i), a in ref.arcs.items() if i == node)
+        assert ref.table.arc == list(own_arcs(net, spec.arc(), node).values())
 
     def test_non_center_rejected(self):
         net = make_line_network(two_way=False)  # only arc 0 -> 1
@@ -348,19 +350,20 @@ def _sync_configs(draw):
 @st.composite
 def _weighted_networks(draw):
     """Random networks whose arcs carry random weights, so that the order
-    of the products eps * gamma * phi shows in the last bits."""
-    net = draw(networks())
+    of the products eps * gamma * phi shows in the last bits; draws
+    ``(net, arcs)`` as :func:`conftest.networks` does."""
+    net, arcs = draw(networks())
     arcs = {key: arc if arc.gamma == 0.0 else
             replace(arc, gamma=draw(st.floats(0.05, 2.0)))
-            for key, arc in net.arcs.items()}
-    return Network(net.n, arcs, net.rates, net.clocks, net.positions)
+            for key, arc in arcs.items()}
+    return Network(net.n, arcs, net.rates, net.clocks, net.positions), arcs
 
 
 def _bits(rows) -> bytes:
     return np.asarray(rows, dtype=float).reshape(-1, 3).tobytes()
 
 
-def assert_kernel_matches_oracle(net, cfg, max_updates, horizon, seed):
+def assert_kernel_matches_oracle(net, arcs, cfg, max_updates, horizon, seed):
     """Run the engine and replay the schedule it drew with the scalar
     reference: a, b, c after every delivery, each delivery's update
     count, the final counts and the outcomes agree exactly."""
@@ -385,7 +388,7 @@ def assert_kernel_matches_oracle(net, cfg, max_updates, horizon, seed):
         except FloatingPointError:  # a diverging constant step
             nu = None
     state = seen["state"]
-    ref = oracle_replay(net, cfg, seen["sched"])
+    ref = oracle_replay(net.n, arcs, cfg, seen["sched"])
     assert _bits(seen["out"].T) == _bits(ref["rows"])
     assert state.nu.tolist() == ref["nu"]
     assert nu in (None, ref["final_nu"])
@@ -398,18 +401,19 @@ class TestKernelOracle:
     """The update kernel against the scalar state machine."""
 
     @settings(max_examples=150, deadline=None)
-    @given(net=_weighted_networks(), cfg=_sync_configs(),
+    @given(drawn=_weighted_networks(), cfg=_sync_configs(),
            updates=st.integers(0, 400), seed=st.integers(0, 2**32 - 1))
-    def test_matches_scalar_updates(self, net, cfg, updates, seed):
-        assert_kernel_matches_oracle(net, cfg, updates, 200.0, seed)
+    def test_matches_scalar_updates(self, drawn, cfg, updates, seed):
+        assert_kernel_matches_oracle(*drawn, cfg, updates, 200.0, seed)
 
     @pytest.mark.parametrize("offset", [OffsetA(), OffsetB(0.3), None])
     @pytest.mark.parametrize("drift", [DriftA(2), DriftB(0.5), DriftC(1)])
     def test_ties_and_muted_reference(self, drift, offset):
         # eta_sigma = 0: a tick's deliveries share one time; the muted
         # center's deliveries count in nu but update nothing
-        net = generate_geometric(GeometricSpec(8, 0.9, 0.0, eta_sigma=0.0,
-                                               p_hear=1.0, delta_bar=1.5), seed=3)
+        spec = GeometricSpec(8, 0.9, 0.0, eta_sigma=0.0, p_hear=1.0, delta_bar=1.5)
+        net = generate_geometric(spec, seed=3)
+        arcs = own_arcs(net, spec.arc(), muted=0)
         net = make_reference(net, 0)
         cfg = SyncConfig(drift=drift, offset=offset)
-        assert_kernel_matches_oracle(net, cfg, 1500, None, 3)
+        assert_kernel_matches_oracle(net, arcs, cfg, 1500, None, 3)

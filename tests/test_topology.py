@@ -24,16 +24,14 @@ from clocksync.topology import (
     Network,
     _source_components,
     centers,
-    expected_gamma_d,
     expected_laplacian,
     generate_geometric,
-    has_spanning_tree,
     mute_in_arcs,
     probability_profile,
     repair_connectivity,
 )
 
-from conftest import make_line_network
+from conftest import make_line_network, own_arcs
 
 
 def _arc(gamma=1.0, p=0.9):
@@ -90,12 +88,14 @@ class TestValidation:
 def table_networks(draw):
     """Networks whose arcs differ in gamma, p_hear and delay: generated, or
     drawn arc by arc and repaired (repair adds arcs from its template),
-    then saved and loaded back, and with one node's in-arcs muted or not."""
+    then saved and loaded back, and with one node's in-arcs muted or not.
+    Draws ``(net, arcs)``, ``arcs`` being the test's own dict of the arcs
+    the network should hold, in the order they were drawn."""
     n = draw(st.integers(2, 9))
     if draw(st.booleans()):
-        net = generate_geometric(GeometricSpec(n, draw(st.floats(0.05, 0.8)),
-                                               draw(st.floats(0.0, 1.0))),
-                                 seed=draw(st.integers(0, 10_000)))
+        spec = GeometricSpec(n, draw(st.floats(0.05, 0.8)), draw(st.floats(0.0, 1.0)))
+        net = generate_geometric(spec, seed=draw(st.integers(0, 10_000)))
+        arcs = own_arcs(net, spec.arc())
     else:
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
         arcs = {pair: Arc(draw(st.sampled_from([0.0, 0.5, 1.0, 2.5])),
@@ -105,47 +105,69 @@ def table_networks(draw):
                 for pair in draw(st.lists(st.sampled_from(pairs), unique=True))}
         positions = draw(st.sampled_from([None, np.random.default_rng(n).random((n, 2))]))
         rates = draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n))
+        template = Arc(0.7, 0.6, DelayModel(0.3, 0.02))
         net = repair_connectivity(
             Network(n, arcs, np.array(rates), [ClockParams(1.0)] * n, positions),
-            Arc(0.7, 0.6, DelayModel(0.3, 0.02)))
+            template)
+        added = set(net.table.ends()) - set(arcs)
+        assert len(net.table.ends()) == len(arcs) + len(added)
+        arcs = arcs | dict.fromkeys(added, template)
     with tempfile.TemporaryDirectory() as tmp:
         net.save(Path(tmp) / "net.json")
         net = Network.load(Path(tmp) / "net.json")
     if draw(st.booleans()):
-        net = mute_in_arcs(net, draw(st.integers(0, n - 1)))
-    return net
+        node = draw(st.integers(0, n - 1))
+        net = mute_in_arcs(net, node)
+        arcs = {(j, i): replace(a, gamma=0.0) if i == node else a
+                for (j, i), a in arcs.items()}
+    return net, arcs
 
 
 class TestArcTable:
     @settings(max_examples=200, deadline=None)
-    @given(net=table_networks())
-    def test_rows_are_the_sorted_arcs(self, net):
-        keys = sorted(net.arcs)
+    @given(drawn=table_networks())
+    def test_rows_are_the_sorted_arcs(self, drawn):
+        net, arcs = drawn
+        keys = sorted(arcs)
         table = net.table
         assert table.sender.dtype == table.receiver.dtype == np.intp
         assert table.gamma.dtype == table.p_hear.dtype == np.float64
-        assert list(zip(table.sender.tolist(), table.receiver.tolist())) == keys
-        assert table.gamma.tolist() == [net.arcs[k].gamma for k in keys]
-        assert table.p_hear.tolist() == [net.arcs[k].p_hear for k in keys]
-        assert table.delay == [net.arcs[k].delay for k in keys]
+        assert table.ends() == keys
+        assert table.arc == [arcs[k] for k in keys]
+        assert table.gamma.tolist() == [arcs[k].gamma for k in keys]
+        assert table.p_hear.tolist() == [arcs[k].p_hear for k in keys]
         for j in range(net.n):
             out = [k for k in keys if k[0] == j]
             assert keys[table.start[j]:table.start[j + 1]] == out
             assert net.out_neighbors(j) == tuple(i for _, i in out)
-            assert net.in_neighbors(j) == tuple(s for s, i in keys if i == j)
         rows = np.arange(len(keys))[::-1]
         assert table.rows(table.sender[rows], table.receiver[rows]).tolist() == rows.tolist()
 
     @settings(max_examples=200, deadline=None)
-    @given(net=table_networks())
-    def test_expected_matrices_match_a_dict_walk(self, net):
-        # the oracle fills the matrices arc by arc, in dict order
+    @given(drawn=table_networks(), data=st.data())
+    def test_rows_reject_a_pair_that_is_not_an_arc(self, drawn, data):
+        # a bare searchsorted would return a neighbouring row instead
+        net, arcs = drawn
+        n = net.n
+        j, i = data.draw(st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1))
+                         .filter(lambda pair: pair not in arcs))
+        senders, receivers = np.array([*net.table.sender, j]), np.array([*net.table.receiver, i])
+        with pytest.raises(ValueError, match=rf"\({j}, {i}\) is not an arc"):
+            net.table.rows(senders, receivers)
+        with pytest.raises(ValueError, match=rf"\({j}, {i}\) is not an arc"):
+            net.table.rows(j, i)
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=table_networks())
+    def test_expected_matrices_match_a_dict_walk(self, drawn):
+        # the oracle fills the matrices arc by arc, in the test's dict order
+        net, arcs = drawn
         pi = net.rates / float(net.rates.sum())
         pi_arc = np.zeros((net.n, net.n))
-        for (j, i), arc in net.arcs.items():
+        for (j, i), arc in arcs.items():
             pi_arc[i, j] = pi[j] * arc.p_hear
         lap = np.zeros((net.n, net.n))
-        for (j, i), arc in net.arcs.items():
+        for (j, i), arc in arcs.items():
             lap[i, j] = arc.gamma * pi_arc[i, j]
         lap[np.diag_indices(net.n)] = -lap.sum(axis=1)
         profile = probability_profile(net)
@@ -181,6 +203,46 @@ class TestSerialization:
             Network.from_dict({"schema_version": 999, "n": 2,
                                "nodes": [], "arcs": []})
 
+    def test_one_arc_per_distinct_value(self):
+        # 2 and 2.0, and 0.0 and -0.0, compare equal but are written apart
+        data = generate_geometric(GeometricSpec(6, 0.6, 0.1), seed=0).to_dict()
+        for rec, gamma in zip(data["arcs"], [2, 2.0, -0.0, 0.0, 2]):
+            rec["gamma"] = gamma
+        net = Network.from_dict(data)
+        assert len(net.table.arc) > 5
+        assert len({id(arc) for arc in net.table.arc}) == 5
+        assert net.table.arc[0] is net.table.arc[4]
+        assert (json.dumps(net.to_dict(), sort_keys=True)
+                == json.dumps(data, sort_keys=True))
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d["nodes"][1].update(rate="2.5"), "rate"),
+        (lambda d: d["nodes"][1].update(alpha=True), "alpha"),
+        (lambda d: d["nodes"][1].update(beta="0"), "beta"),
+        (lambda d: d["nodes"][1].update(xi_sigma=False), "xi_sigma"),
+        (lambda d: d["arcs"][1].update(gamma=True), "gamma"),
+        # an equal int first: the bool still gets its own check
+        (lambda d: [d["arcs"][0].update(gamma=1), d["arcs"][1].update(gamma=True)],
+         "gamma"),
+        (lambda d: d["arcs"][1].update(p_hear=True), "p_hear"),
+        (lambda d: d["arcs"][1].update(delta_bar=True), "delta_bar"),
+        (lambda d: d["arcs"][1].update(eta_sigma="0.05"), "eta_sigma"),
+        (lambda d: d["arcs"][1].update(delta_min=False), "delta_min"),
+        (lambda d: d["nodes"][1].update(position=[math.nan, 0.2]), "position"),
+        (lambda d: d["nodes"][1].update(position=[0.2, math.inf]), "position"),
+        (lambda d: d["nodes"][1].update(position=[0.2]), "position"),
+        (lambda d: d["nodes"][1].update(position=[0.2, True]), "position"),
+        (lambda d: d["nodes"][1].update(position="0.2, 0.3"), "position"),
+    ], ids=["str-rate", "bool-alpha", "str-beta", "bool-xi_sigma", "bool-gamma",
+            "bool-gamma-after-int", "bool-p_hear", "bool-delta_bar", "str-eta_sigma",
+            "bool-delta_min", "nan-position", "inf-position", "short-position",
+            "bool-position", "str-position"])
+    def test_from_dict_names_a_bad_field(self, edit, field):
+        data = generate_geometric(GeometricSpec(6, 0.6, 0.1), seed=0).to_dict()
+        edit(data)
+        with pytest.raises(ValueError, match=field):
+            Network.from_dict(data)
+
 
 class TestConnectivity:
     def test_line_has_center(self):
@@ -188,12 +250,10 @@ class TestConnectivity:
         arcs = {(0, 1): _arc(), (1, 2): _arc()}
         net = Network(3, arcs, np.ones(3), [ClockParams(1.0)] * 3)
         assert centers(net) == [0]
-        assert has_spanning_tree(net)
 
     def test_disconnected_has_no_center(self):
         net = Network(3, {(0, 1): _arc()}, np.ones(3), [ClockParams(1.0)] * 3)
         assert centers(net) == []
-        assert not has_spanning_tree(net)
 
     def test_cycle_all_centers(self):
         arcs = {(0, 1): _arc(), (1, 2): _arc(), (2, 0): _arc()}
@@ -203,17 +263,18 @@ class TestConnectivity:
     def test_repair_identity_on_connected(self):
         arcs = {(0, 1): _arc(), (1, 2): _arc()}
         net = Network(3, arcs, np.ones(3), [ClockParams(1.0)] * 3)
-        assert repair_connectivity(net) is net
+        assert repair_connectivity(net, _arc()) is net
 
     def test_repair_connects(self):
         net = Network(4, {(0, 1): _arc(), (2, 3): _arc()},
                       np.ones(4), [ClockParams(1.0)] * 4)
-        fixed = repair_connectivity(net)
-        assert has_spanning_tree(fixed)
-        # minimal: merging two source components needs exactly one new arc
-        assert len(fixed.arcs) == len(net.arcs) + 1
+        template = _arc(0.5, 0.7)
+        fixed = repair_connectivity(net, template)
+        assert centers(fixed) != []
+        # minimal: merging two source components needs exactly one new arc;
         # the tie (2, 0) vs (0, 2) goes to the source listed first, [0]
-        assert set(fixed.arcs) - set(net.arcs) == {(0, 2)}
+        assert fixed.table.ends() == [(0, 1), (0, 2), (2, 3)]
+        assert fixed.table.arc == [_arc(), template, _arc()]
 
     @staticmethod
     def reachability_sources(n, arcs):
@@ -240,7 +301,8 @@ class TestConnectivity:
         # a list in drawn order, so the arcs come in shuffled order
         arcs = data.draw(st.lists(st.sampled_from(pairs), unique=True)
                          if pairs else st.just([]))
-        assert (_source_components(n, dict.fromkeys(arcs))
+        ends = np.array(arcs, dtype=np.intp).reshape(-1, 2)
+        assert (_source_components(n, ends[:, 0], ends[:, 1])
                 == self.reachability_sources(n, arcs))
 
 
@@ -248,7 +310,7 @@ class TestGenerate:
     def test_basic_properties(self):
         net = generate_geometric(GeometricSpec(10, 0.5, 0.1), seed=0)
         assert net.n == 10
-        assert has_spanning_tree(net)
+        assert centers(net) != []
         alphas = net.alphas()
         assert np.all((alphas >= 0.96) & (alphas <= 1.04))
         betas = net.betas()
@@ -299,8 +361,13 @@ class TestGenerate:
     def assert_matches_pair_loop(self, n, radius, one_way, seed):
         net = generate_geometric(GeometricSpec(n, radius, one_way), seed=seed)
         arcs, alphas = self.pair_loop(n, radius, one_way, seed)
-        # repair appends arcs after the geometric ones
-        assert list(net.arcs)[:len(arcs)] == arcs
+        # the table's rows are the geometric arcs, and one repair arc for
+        # each source component past the first
+        ends = np.array(arcs, dtype=np.intp).reshape(-1, 2)
+        sources = _source_components(n, ends[:, 0], ends[:, 1])
+        added = set(net.table.ends()) - set(arcs)
+        assert net.table.ends() == sorted(arcs + list(added))
+        assert len(added) == len(sources) - 1
         assert np.array_equal(net.alphas(), alphas)
 
     @settings(max_examples=30, deadline=None)
@@ -346,7 +413,7 @@ class TestGenerate:
     @given(n=st.integers(3, 20), seed=st.integers(0, 10_000))
     def test_always_repaired(self, n, seed):
         net = generate_geometric(GeometricSpec(n, 0.4, 0.2), seed=seed)
-        assert has_spanning_tree(net)
+        assert centers(net) != []
 
 
 class TestProbabilityProfile:
@@ -387,21 +454,14 @@ class TestExpectedMatrices:
         lap = expected_laplacian(net, probability_profile(net))
         assert lap == pytest.approx(np.array([[0.0, 0.0], [0.5, -0.5]]))
 
-    def test_gamma_d_is_minus_diagonal(self):
-        net = generate_geometric(GeometricSpec(10, 0.5, 0.1), seed=4)
-        prof = probability_profile(net)
-        lap = expected_laplacian(net, prof)
-        gd = expected_gamma_d(net, prof)
-        assert np.allclose(np.diag(gd), -np.diag(lap))
-
     def test_mute_in_arcs(self):
-        net = generate_geometric(GeometricSpec(8, 0.5, 0.1), seed=6)
+        spec = GeometricSpec(8, 0.5, 0.1)
+        net = generate_geometric(spec, seed=6)
         muted = mute_in_arcs(net, 3)
-        for (j, i), arc in muted.arcs.items():
-            if i == 3:
-                assert arc.gamma == 0.0
-            else:
-                assert arc.gamma == net.arcs[(j, i)].gamma
+        expected = own_arcs(net, spec.arc(), muted=3)
+        assert muted.table.ends() == list(expected)
+        assert muted.table.arc == list(expected.values())
+        assert muted.table.gamma.tolist() == [a.gamma for a in expected.values()]
 
 
 def test_every_module_imports_without_networkx():

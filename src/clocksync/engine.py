@@ -36,9 +36,11 @@ from clocksync.topology import Network
 CSV_FLOAT_FORMAT = "%.17g"
 
 
-#: elements per dense block: a pass over the (K, n) estimate views holds
-#: (rows, n) blocks of ``max(1, _BLOCK_ELEMENTS // n)`` rows, and a CSV
-#: block of (K,) columns as many elements
+#: elements per block: a pass over the (K, n) estimate views holds (rows, n)
+#: blocks of ``max(1, _BLOCK_ELEMENTS // n)`` rows, and a CSV writer about
+#: as many fields of text: :meth:`Trace.to_csv` writes after every
+#: ``max(1, _BLOCK_ELEMENTS // (3n + 4))`` rows, and :func:`write_csv` a
+#: block of (K,) columns as many elements at a time
 _BLOCK_ELEMENTS = 1 << 16
 
 _INITIAL = (CorrectionState.a_hat, CorrectionState.b_hat, CorrectionState.c_hat)
@@ -58,7 +60,8 @@ class Trace:
     each node's last value from one block to the next, and :meth:`row`
     gives one row.  The full (K, n) matrices ``a_hat``, ``b_hat`` and
     ``c_hat`` are stacked from the blocks on first access and cached;
-    the analysis and CSV paths read only blocks and rows.
+    the analysis paths read only blocks and rows, and :meth:`to_csv`
+    writes from the events.
     """
 
     n: int                 # number of nodes
@@ -94,21 +97,16 @@ class Trace:
             out[lo:hi] = abc[which]
         return out
 
-    def blocks(self, stride: int = 1) -> Iterator[tuple[int, int, np.ndarray,
-                                                        np.ndarray, np.ndarray]]:
+    def blocks(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
         """Yield ``(lo, hi, a, b, c)``: every node's estimates after each
-        row in ``range(lo, hi, stride)``, as (rows, n) arrays.  The blocks
-        cover every ``stride``-th row of the trace in order; no other row
-        is made dense."""
+        row in ``range(lo, hi)``, as (rows, n) arrays.  The blocks cover
+        the trace's rows in order."""
         rows = max(1, _BLOCK_ELEMENTS // self.n)
         carry = [np.full(self.n, v) for v in _INITIAL]
-        for lo in range(0, len(self), rows * stride):
-            hi = min(len(self), lo + rows * stride)
-            m = len(range(lo, hi, stride))
-            # the events since the previous block's last row, each placed
-            # at the first row of this block at or after it
-            events = np.arange(max(0, lo - stride + 1), lo + (m - 1) * stride + 1)
-            a, b, c = self._fill(carry, events, (events - lo + stride - 1) // stride, m)
+        for lo in range(0, len(self), rows):
+            hi = min(len(self), lo + rows)
+            events = np.arange(lo, hi)
+            a, b, c = self._fill(carry, events, events - lo, hi - lo)
             yield lo, hi, a, b, c
             carry = [a[-1], b[-1], c[-1]]
 
@@ -138,15 +136,49 @@ class Trace:
         return len(self.t)
 
     def to_csv(self, path, stride: int = 1) -> None:
-        """Write the trace as CSV; optional down-sampling stride."""
+        """Write every ``stride``-th row as CSV: k, t_abs, receiver,
+        sender, then every node's a, b and c after the row.
+
+        Two written rows differ only in the nodes updated between them, so
+        the writer keeps the current row's 3n field strings, formats each
+        event's three values once, and joins each written row.  It formats
+        the events in chunks of ``_BLOCK_ELEMENTS // 16`` and writes after
+        every ``_BLOCK_ELEMENTS // (3n + 4)`` rows, so it holds about one
+        block of text.
+        """
         n = self.n
         header = ["k", "t_abs", "receiver", "sender"]
-        header += [f"a_hat_{m}" for m in range(n)]
-        header += [f"b_hat_{m}" for m in range(n)]
-        header += [f"c_hat_{m}" for m in range(n)]
-        cols = (self.k, self.t, self.receiver, self.sender)
-        write_csv(path, header, ([col[lo:hi:stride] for col in cols] + [a, b, c]
-                                 for lo, hi, a, b, c in self.blocks(stride)))
+        header += [f"{v}_hat_{m}" for v in "abc" for m in range(n)]
+        fields = [CSV_FLOAT_FORMAT % v for v in _INITIAL for _ in range(n)]
+        rows = max(1, _BLOCK_ELEMENTS // (3 * n + 4))
+        span = max(1, _BLOCK_ELEMENTS // 16)
+        head_format = f"%d,{CSV_FLOAT_FORMAT},%d,%d,"
+        with open(path, "w", newline="") as fh:
+            lines = [",".join(header)]
+            for lo in range(0, len(self), span):
+                hi = min(len(self), lo + span)
+                first = -(-lo // stride) * stride  # the chunk's first written row
+                # integers up to 2**53 pass through float64 exactly
+                cols = np.column_stack([col[first:hi:stride] for col in
+                                        (self.k, self.t, self.receiver, self.sender)])
+                heads = iter(("\n".join([head_format] * len(cols))
+                              % tuple(cols.ravel().tolist())).split("\n"))
+                a, b, c = (_format_floats(v[lo:hi]) for v in (self.a_i, self.b_i, self.c_i))
+                for e, i, x, y, z in zip(range(lo, hi), self.receiver[lo:hi].tolist(),
+                                         a, b, c):
+                    fields[i], fields[n + i], fields[2 * n + i] = x, y, z
+                    if e % stride == 0:
+                        lines.append(next(heads) + ",".join(fields))
+                        if len(lines) >= rows:
+                            fh.write("\r\n".join(lines) + "\r\n")
+                            lines = []
+            if lines:
+                fh.write("\r\n".join(lines) + "\r\n")
+
+
+def _format_floats(values: np.ndarray) -> list[str]:
+    """Each of ``values`` in :data:`CSV_FLOAT_FORMAT`, by one ``%`` format."""
+    return (",".join([CSV_FLOAT_FORMAT] * len(values)) % tuple(values.tolist())).split(",")
 
 
 def column_blocks(columns: list[np.ndarray],
@@ -159,22 +191,17 @@ def column_blocks(columns: list[np.ndarray],
 
 
 def write_csv(path, header: list[str], blocks: Iterable[list[np.ndarray]]) -> None:
-    """Write ``header`` and the rows of each block of columns as CSV, with
-    the ``\r\n`` line ends of ``csv.writer``.
-
-    In a block, an (m,) column is one field of m rows and an (m, w)
-    column w fields; integer columns are written with ``%d``, float
-    columns with :data:`CSV_FLOAT_FORMAT`.  Every row goes through one
-    ``%`` format.
+    """Write ``header`` and the rows of each block of (m,) columns as CSV,
+    with the ``\r\n`` line ends of ``csv.writer``: integer columns with
+    ``%d``, float columns with :data:`CSV_FLOAT_FORMAT`.  Every row goes
+    through one ``%`` format.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for block in blocks:
-            fields: list[str] = []
-            for col in block:
-                fmt = "%d" if np.issubdtype(col.dtype, np.integer) else CSV_FLOAT_FORMAT
-                fields += [fmt] * (col.shape[1] if col.ndim == 2 else 1)
-            row_format = ",".join(fields) + "\r\n"
+            row_format = ",".join([
+                "%d" if np.issubdtype(col.dtype, np.integer) else CSV_FLOAT_FORMAT
+                for col in block]) + "\r\n"
             # integers up to 2**53 pass through float64 exactly
             rows = np.column_stack(block).tolist()
             fh.write("".join([row_format % tuple(row) for row in rows]))

@@ -26,7 +26,8 @@ from clocksync.streams import MAX_SEED, is_int, substream
 
 SCHEMA_VERSION = 1
 
-_ARC_NUMBERS = itemgetter("gamma", "p_hear", "delta_bar", "eta_sigma", "delta_min")
+_ARC_NUMBER_KEYS = ("gamma", "p_hear", "delta_bar", "eta_sigma", "delta_min")
+_ARC_NUMBERS = itemgetter(*_ARC_NUMBER_KEYS)
 
 
 def _numbers(record: dict, *keys: str) -> list:
@@ -57,6 +58,13 @@ class Arc:
             raise ValueError("arc weight gamma must be finite and nonnegative")
         if not 0.0 < self.p_hear <= 1.0:
             raise ValueError("p_hear must be in (0, 1]")
+
+
+def _arc_fields(arc: Arc) -> dict:
+    """An arc's record in :meth:`Network.to_dict`, without its ends."""
+    return {"gamma": arc.gamma, "p_hear": arc.p_hear, "delta_bar": arc.delay.delta_bar,
+            "eta_sigma": arc.delay.eta_sigma, "delta_min": arc.delay.delta_min,
+            "delay_dist": arc.delay.dist}
 
 
 @dataclass(frozen=True)
@@ -148,6 +156,11 @@ class Network:
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> dict:
+        return self._record([{"sender": j, "receiver": i, **_arc_fields(a)}
+                             for (j, i), a in zip(self.table.ends(), self.table.arc)])
+
+    def _record(self, arcs: list[dict]) -> dict:
+        """:meth:`to_dict` with the arc records ``arcs``."""
         return {
             "schema_version": SCHEMA_VERSION,
             "n": self.n,
@@ -164,19 +177,7 @@ class Network:
                 }
                 for i, c in enumerate(self.clocks)
             ],
-            "arcs": [
-                {
-                    "sender": j,
-                    "receiver": i,
-                    "gamma": a.gamma,
-                    "p_hear": a.p_hear,
-                    "delta_bar": a.delay.delta_bar,
-                    "eta_sigma": a.delay.eta_sigma,
-                    "delta_min": a.delay.delta_min,
-                    "delay_dist": a.delay.dist,
-                }
-                for (j, i), a in zip(self.table.ends(), self.table.arc)
-            ],
+            "arcs": arcs,
         }
 
     @classmethod
@@ -203,10 +204,17 @@ class Network:
             value = (*_ARC_NUMBERS(rec), rec.get("delay_dist", "normal"))
             # 2, 2.0 and true, and 0.0 and -0.0, are equal keys but are written apart
             key = value + tuple([type(v) if v else repr(v) for v in value])
+            end = (rec["sender"], rec["receiver"])
+            try:
+                hash((key, end))
+            except TypeError:  # a list or an object
+                name = next(k for k in ("sender", "receiver", *_ARC_NUMBER_KEYS, "delay_dist")
+                            if isinstance(rec.get(k), (list, dict)))
+                raise ValueError(f"arc field {name} must not be a list or an object, "
+                                 f"got {rec[name]!r}") from None
             if key not in made:
                 made[key] = Arc(*_numbers(rec, "gamma", "p_hear"), DelayModel(
                     *_numbers(rec, "delta_bar", "eta_sigma", "delta_min"), value[-1]))
-            end = (rec["sender"], rec["receiver"])
             if end in arcs:
                 raise ValueError(f"arc {end} is listed more than once")
             arcs[end] = made[key]
@@ -214,8 +222,26 @@ class Network:
             p is None for p in positions) else np.array(positions))
 
     def save(self, path) -> None:
+        """Write :meth:`to_dict` as ``json.dump(..., indent=1,
+        sort_keys=True)`` does, byte for byte.  ``indent`` selects the
+        pure-Python encoder, so each distinct :class:`Arc`'s fields are
+        encoded once, and each arc adds its two ends; ``"arcs"`` sorts
+        first, so its list is spliced in after the opening brace."""
+        text = json.dumps(self._record([]), indent=1, sort_keys=True)
+        empty = '{\n "arcs": []'
+        # keyed by id: equal arcs, such as gamma 2 and 2.0, are written apart
+        head: dict[int, str] = {}
+        for arc in self.table.arc:
+            if id(arc) not in head:
+                # "receiver" and "sender" sort after every field
+                body = json.dumps(_arc_fields(arc), indent=1, sort_keys=True)[2:-2]
+                head[id(arc)] = '  {\n  ' + body.replace("\n", "\n  ") + ',\n   "receiver": '
+        records = [f'{head[id(a)]}{i},\n   "sender": {j}\n  }}'
+                   for (j, i), a in zip(self.table.ends(), self.table.arc)]
+        if records:
+            text = '{\n "arcs": [\n' + ",\n".join(records) + "\n ]" + text[len(empty):]
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "Network":

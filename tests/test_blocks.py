@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -90,15 +91,14 @@ def dense_converged(result, rel=0.05):
 def _check_blocks(result, stride, tmp_csv):
     tr = result.trace
     views = dense_views(tr)
-    got = list(tr.blocks(stride))
+    got = list(tr.blocks())
     rows = np.arange(len(tr))
-    covered = np.concatenate([rows[lo:hi:stride] for lo, hi, *_ in got]
-                             or [rows[:0]])
-    assert np.array_equal(covered, rows[::stride])
+    covered = np.concatenate([rows[lo:hi] for lo, hi, *_ in got] or [rows[:0]])
+    assert np.array_equal(covered, rows)
     for j, view in enumerate(views):
         parts = [block[2 + j] for block in got]
         stacked = np.concatenate(parts) if parts else np.empty((0, tr.n))
-        assert stacked.tobytes() == view[::stride].tobytes()
+        assert stacked.tobytes() == view.tobytes()
     for j, name in enumerate(("a_hat", "b_hat", "c_hat")):
         prop = getattr(tr, name)
         assert prop.shape == views[j].shape
@@ -153,12 +153,11 @@ class TestBlocksMatchDense:
                           c_i=np.linspace(2, 3, 7))
         views = dense_views(tr)
         for rows in (1, 2, 3):
-            for stride in (1, 2, 5):
-                with mock.patch.object(engine, "_BLOCK_ELEMENTS", 3 * rows):
-                    parts = list(tr.blocks(stride))
-                for j, view in enumerate(views):
-                    got = np.concatenate([p[2 + j] for p in parts])
-                    assert np.array_equal(got, view[::stride])
+            with mock.patch.object(engine, "_BLOCK_ELEMENTS", 3 * rows):
+                parts = list(tr.blocks())
+            for j, view in enumerate(views):
+                got = np.concatenate([p[2 + j] for p in parts])
+                assert np.array_equal(got, view)
         assert np.all(views[0][:, 1] == 1.0) and np.all(views[2][:, 1] == 0.0)
         tr.to_csv(tmp_path / "t.csv", stride=2)
         assert (tmp_path / "t.csv").read_bytes() == dense_csv(tr, 2)
@@ -170,6 +169,59 @@ class TestBlocksMatchDense:
             assert np.array_equal(a, b)
         with pytest.raises(IndexError):
             tr.row(40)
+
+
+# ---------------------------------------------------------------------------
+# The trace CSV at its edges
+# ---------------------------------------------------------------------------
+
+def _hand_trace(receiver, n=3):
+    """A trace of ``len(receiver)`` updates at the given nodes, whose
+    estimates include -0.0, 0.0 and values that need 17 digits."""
+    K = len(receiver)
+    values = np.array([-0.0, 0.1, 1 / 3, 0.0, -2.5e-300, 1e22, 2 / 3, -0.0])
+    return engine.Trace(n=n, t=np.arange(1.0, K + 1) / 3,
+                        receiver=np.array(receiver, dtype=np.intp),
+                        sender=np.array([(i + 1) % n for i in receiver], dtype=np.intp),
+                        t_send=np.zeros(K), tau_sent=np.zeros(K), tau_recv=np.zeros(K),
+                        a_i=np.resize(values, K) + 1.0, b_i=np.resize(values, K),
+                        c_i=np.resize(values[::-1], K))
+
+
+# element budgets: a flush after every row, one row of n=3 (3n + 4 = 13),
+# chunks of 3 and of 5 events with flushes of 3 and of 6 rows, and the default
+_CSV_BUDGETS = [1, 13, 48, 80, 1 << 16]
+
+
+class TestTraceCsvEdges:
+    @pytest.mark.parametrize("budget", _CSV_BUDGETS)
+    @pytest.mark.parametrize("K", [0, 1, 7])
+    def test_stride_up_to_past_k(self, tmp_path, budget, K):
+        # node 1 never updates; the fourth event writes -0.0 over a value
+        tr = _hand_trace([0, 2, 2, 0, 0, 2, 0][:K])
+        for stride in sorted({1, 2, 3, max(K, 1), K + 1, K + 5}):
+            with mock.patch.object(engine, "_BLOCK_ELEMENTS", budget):
+                tr.to_csv(tmp_path / "t.csv", stride=stride)
+            got = (tmp_path / "t.csv").read_bytes()
+            assert got == dense_csv(tr, stride)
+            assert got.count(b"\r\n") == 1 + len(range(0, K, stride))
+
+    def test_negative_zero_estimates(self, tmp_path):
+        tr = _hand_trace([1, 1, 0, 1, 2, 2, 0, 1])
+        tr.to_csv(tmp_path / "t.csv")
+        got = (tmp_path / "t.csv").read_bytes()
+        assert got == dense_csv(tr, 1)
+        # the first row: b and c of node 1 are -0.0, the rest initial
+        assert got.splitlines()[1].decode().split(",")[4:] == [
+            "1", "1", "1", "0", "-0", "0", "0", "-0", "0"]
+
+    @pytest.mark.parametrize("budget", _CSV_BUDGETS)
+    def test_ten_nodes(self, tmp_path, budget):
+        tr = _hand_trace([3, 0, 7, 7, 1, 3, 9, 0, 2, 5, 5, 4], n=10)
+        for stride in (1, 4, 12):
+            with mock.patch.object(engine, "_BLOCK_ELEMENTS", budget):
+                tr.to_csv(tmp_path / "t.csv", stride=stride)
+            assert (tmp_path / "t.csv").read_bytes() == dense_csv(tr, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +245,25 @@ def test_analysis_and_csv_leave_the_dense_views_unbuilt(tmp_path):
     # the lazy views still give the dense corrected estimates
     g, f = analysis.corrected_estimates(result)
     assert np.array_equal(m.g_hat, g) and np.array_equal(m.f_hat, f)
+
+
+def test_trace_csv_holds_about_one_block(tmp_path):
+    # fig1b at n=100, 20k updates, stride 1: 20k rows of 304 fields, about
+    # 100 MB of text; the writer holds one block of it and one chunk of
+    # formatted events
+    data = json.loads(json.dumps(experiments.PRESETS["fig1b"]))
+    data["network"]["n"] = 100
+    data.update(updates=20_000, seeds=[0], stride=1)
+    trace = experiments.run_single(experiments.ExperimentConfig.from_dict(data), 0).trace
+    tracemalloc.start()
+    try:
+        trace.to_csv(tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    with open(tmp_path / "trace.csv", "rb") as fh:
+        assert sum(1 for _ in fh) == 1 + 20_000
 
 
 # The child reads its peak RSS from VmHWM, the high-water mark of its own

@@ -31,7 +31,7 @@ from clocksync.topology import (
     repair_connectivity,
 )
 
-from conftest import make_line_network, own_arcs
+from conftest import make_line_network, networks, own_arcs
 
 
 def _arc(gamma=1.0, p=0.9):
@@ -233,15 +233,86 @@ class TestSerialization:
         (lambda d: d["nodes"][1].update(position=[0.2]), "position"),
         (lambda d: d["nodes"][1].update(position=[0.2, True]), "position"),
         (lambda d: d["nodes"][1].update(position="0.2, 0.3"), "position"),
+        (lambda d: d["arcs"][1].update(gamma=[1]), "gamma"),
+        (lambda d: d["arcs"][1].update(sender=[0]), "sender"),
     ], ids=["str-rate", "bool-alpha", "str-beta", "bool-xi_sigma", "bool-gamma",
             "bool-gamma-after-int", "bool-p_hear", "bool-delta_bar", "str-eta_sigma",
             "bool-delta_min", "nan-position", "inf-position", "short-position",
-            "bool-position", "str-position"])
+            "bool-position", "str-position", "list-gamma", "list-sender"])
     def test_from_dict_names_a_bad_field(self, edit, field):
         data = generate_geometric(GeometricSpec(6, 0.6, 0.1), seed=0).to_dict()
         edit(data)
         with pytest.raises(ValueError, match=field):
             Network.from_dict(data)
+
+
+def _json_dump_bytes(net, path):
+    """The oracle of :meth:`Network.save`: the bytes ``json.dump`` writes."""
+    with open(path, "w") as fh:
+        json.dump(net.to_dict(), fh, indent=1, sort_keys=True)
+    return path.read_bytes()
+
+
+def _assert_saved_as_json_dump(net, tmp_path):
+    net.save(tmp_path / "net.json")
+    assert (tmp_path / "net.json").read_bytes() == _json_dump_bytes(
+        net, tmp_path / "oracle.json")
+
+
+class TestSaveBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=networks())
+    def test_random_networks(self, tmp_path_factory, drawn):
+        _assert_saved_as_json_dump(drawn[0], tmp_path_factory.mktemp("net"))
+
+    def test_no_arcs(self, tmp_path):
+        net = Network(3, {}, np.ones(3), [ClockParams(1.0)] * 3)
+        _assert_saved_as_json_dump(net, tmp_path)
+        assert '"arcs": []' in (tmp_path / "net.json").read_text()
+
+    def test_arcs_sharing_one_arc(self, tmp_path):
+        arc = _arc(0.5, 0.7)
+        net = Network(3, dict.fromkeys([(0, 1), (1, 2), (2, 0), (0, 2)], arc),
+                      np.ones(3), [ClockParams(1.0 + 0.01 * i, 0.1 * i) for i in range(3)],
+                      np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]))
+        assert len({id(a) for a in net.table.arc}) == 1
+        _assert_saved_as_json_dump(net, tmp_path)
+
+    def test_int_valued_records(self, tmp_path):
+        data = generate_geometric(GeometricSpec(6, 0.6, 0.1), seed=0).to_dict()
+        for rec, gamma in zip(data["arcs"], [2, 2.0, 3, 0, 1]):
+            rec.update(gamma=gamma, p_hear=1, delta_bar=1)
+        data["nodes"][0].update(rate=2, alpha=1, beta=0)
+        net = Network.from_dict(data)
+        _assert_saved_as_json_dump(net, tmp_path)
+        assert json.loads((tmp_path / "net.json").read_text()) == data
+
+    def test_numpy_floats_and_bools(self, tmp_path):
+        arcs = {(0, 1): Arc(np.float64(0.5), True, DelayModel(np.float64(0.25))),
+                (1, 0): Arc(True, np.float64(0.75), DelayModel(0.1, np.float64(0.0)))}
+        clocks = [ClockParams(np.float64(1.01), np.float64(-0.5)), ClockParams(1.0)]
+        net = Network(2, arcs, np.ones(2), clocks)
+        _assert_saved_as_json_dump(net, tmp_path)
+        text = (tmp_path / "net.json").read_text()
+        assert "np.float64" not in text and "True" not in text and '"p_hear": true' in text
+
+    def test_negative_zero_gamma(self, tmp_path):
+        net = Network(2, {(0, 1): _arc(-0.0), (1, 0): _arc(0.0)}, np.ones(2),
+                      [ClockParams(1.0)] * 2)
+        _assert_saved_as_json_dump(net, tmp_path)
+        assert '"gamma": -0.0' in (tmp_path / "net.json").read_text()
+
+    def test_uniform_delays(self, tmp_path):
+        spec = GeometricSpec(8, 0.6, 0.1, eta_sigma=0.05, noise_dist="uniform")
+        _assert_saved_as_json_dump(generate_geometric(spec, seed=4), tmp_path)
+        assert '"delay_dist": "uniform"' in (tmp_path / "net.json").read_text()
+
+    def test_load_save_round_trip(self, tmp_path):
+        net = generate_geometric(GeometricSpec(12, 0.4, 0.3), seed=7)
+        net.save(tmp_path / "a.json")
+        Network.load(tmp_path / "a.json").save(tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        _assert_saved_as_json_dump(Network.load(tmp_path / "a.json"), tmp_path)
 
 
 class TestConnectivity:

@@ -197,7 +197,7 @@ class TestTraceCsvEdges:
     @pytest.mark.parametrize("budget", _CSV_BUDGETS)
     @pytest.mark.parametrize("K", [0, 1, 7])
     def test_stride_up_to_past_k(self, tmp_path, budget, K):
-        # node 1 never updates; the fourth event writes -0.0 over a value
+        # node 1 never updates; node 0's first event sets its b and c to -0.0
         tr = _hand_trace([0, 2, 2, 0, 0, 2, 0][:K])
         for stride in sorted({1, 2, 3, max(K, 1), K + 1, K + 5}):
             with mock.patch.object(engine, "_BLOCK_ELEMENTS", budget):

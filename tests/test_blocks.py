@@ -299,3 +299,42 @@ def test_cli_run_peak_rss_is_o_of_k(tmp_path):
     assert report["max_rss_mb"] < 150.0
     lines = (tmp_path / "out" / "trace_seed0.csv").read_bytes().count(b"\n")
     assert lines == 1 + 10_000
+
+
+_BACK_TO_BACK_CHILD = """
+import json, resource, sys
+from pathlib import Path
+from clocksync.experiments import main
+cfg, out = sys.argv[1], Path(sys.argv[2])
+rows = []
+for updates in sys.argv[3:]:
+    code = main(["run", "--config", cfg, "--updates", updates, "--outdir", str(out)])
+    mb = len((out / "trace_seed0.csv").read_bytes()) / 2**20
+    rows.append([code, mb, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024])
+print(json.dumps(rows))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux; glibc's heap")
+def test_back_to_back_runs_keep_no_freed_file_resident(tmp_path):
+    # The caller reads each run's trace CSV: a mid-size one, a smaller one,
+    # then a larger one.  glibc serves the smaller read from its heap and
+    # keeps that block resident once freed, so unless each command returns
+    # the free heap to the OS, the larger read comes on top of it and the
+    # peak rises by the smaller file as well as by the growth of the file.
+    data = json.loads(json.dumps(experiments.PRESETS["fig1b"]))
+    data.update(seeds=[0], stride=1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    src = Path(clocksync.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _BACK_TO_BACK_CHILD, str(cfg_path), str(tmp_path / "out"),
+         "16000", "14000", "20000"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=300, check=True)
+    (c1, mid, peak_mid), (c2, small, _), (c3, big, peak_big) = json.loads(
+        out.stdout.splitlines()[-1])
+    assert c1 == c2 == c3 == experiments.EXIT_OK
+    assert small < mid < big
+    assert peak_big - peak_mid < big - mid + small / 2

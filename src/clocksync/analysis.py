@@ -285,9 +285,11 @@ def metrics(result: SimResult) -> Metrics:
     tr = result.trace
     alpha, beta = result.net.alphas(), result.net.betas()
     series = np.empty((4, len(tr)))
-    for lo, hi, a, b, _ in tr.blocks():
-        g = a * alpha
-        f = a * beta + b
+    # each event's corrected drift a alpha and offset a beta + b, filled
+    # from those of the initial estimates a = 1, b = 0
+    g_e = tr.a_i * alpha[tr.receiver]
+    f_e = tr.a_i * beta[tr.receiver] + tr.b_i
+    for lo, hi, g, f in tr.blocks((g_e, f_e), (1.0 * alpha, 1.0 * beta + 0.0)):
         vc = g * tr.t[lo:hi, None] + f
         series[:, lo:hi] = (g.max(axis=1) - g.min(axis=1), g.var(axis=1),
                             f.max(axis=1) - f.min(axis=1),

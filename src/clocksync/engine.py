@@ -27,7 +27,14 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from clocksync.clock import CorrectionState, read_local_time, sample_delay
-from clocksync.streams import MAX_SEED, UniformStreams, is_int, substream, substreams
+from clocksync.streams import (
+    MAX_SEED,
+    JitterStreams,
+    UniformStreams,
+    is_int,
+    substream,
+    substreams,
+)
 from clocksync.sync import SyncConfig, SyncState
 from clocksync.topology import Network
 
@@ -97,40 +104,46 @@ class Trace:
             out[lo:hi] = abc[which]
         return out
 
-    def blocks(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield ``(lo, hi, a, b, c)``: every node's estimates after each
-        row in ``range(lo, hi)``, as (rows, n) arrays.  The blocks cover
-        the trace's rows in order."""
+    def blocks(self, values=None, initial=None) -> Iterator[tuple]:
+        """Yield ``(lo, hi, *filled)``: for each (K,) event column of
+        ``values``, every node's value after each row in ``range(lo, hi)``,
+        as a (rows, n) array, from the (n,) values ``initial`` held before
+        the first row.  The blocks cover the trace's rows in order.  By
+        default the columns are the estimates, so each block is
+        ``(lo, hi, a, b, c)``."""
+        if values is None:
+            values = self.a_i, self.b_i, self.c_i
+            initial = [np.full(self.n, v) for v in _INITIAL]
         rows = max(1, _BLOCK_ELEMENTS // self.n)
-        carry = [np.full(self.n, v) for v in _INITIAL]
+        carry = list(initial)
         for lo in range(0, len(self), rows):
             hi = min(len(self), lo + rows)
             events = np.arange(lo, hi)
-            a, b, c = self._fill(carry, events, events - lo, hi - lo)
-            yield lo, hi, a, b, c
-            carry = [a[-1], b[-1], c[-1]]
+            filled = self._fill(values, carry, events, events - lo, hi - lo)
+            yield lo, hi, *filled
+            carry = [v[-1] for v in filled]
 
     def row(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every node's (a, b, c) after row ``k`` (negative counts from the
         end), in O(K) time and memory."""
         k = range(len(self))[k]
         events = np.arange(k + 1)
-        a, b, c = self._fill([np.full(self.n, v) for v in _INITIAL], events,
+        a, b, c = self._fill((self.a_i, self.b_i, self.c_i),
+                             [np.full(self.n, v) for v in _INITIAL], events,
                              np.zeros(k + 1, dtype=np.intp), 1)
         return a[0], b[0], c[0]
 
-    def _fill(self, carry: list[np.ndarray], events: np.ndarray, at: np.ndarray,
-              m: int) -> list[np.ndarray]:
-        """(m, n) arrays of a, b and c: the values ``carry`` that every node
-        held before ``events``, updated by each event from row ``at`` of
-        it on."""
+    def _fill(self, values, carry: list[np.ndarray], events: np.ndarray,
+              at: np.ndarray, m: int) -> list[np.ndarray]:
+        """(m, n) arrays, one per event column of ``values``: the values
+        ``carry`` that every node held before ``events``, updated by each
+        event from row ``at`` of it on."""
         n = self.n
         # per row and node: index into carry (< n), or n + the latest event
         last = np.tile(np.arange(n), (m, 1))
         np.maximum.at(last, (at, self.receiver[events]), n + np.arange(len(events)))
         np.maximum.accumulate(last, axis=0, out=last)
-        return [np.concatenate((c0, v[events]))[last]
-                for c0, v in zip(carry, (self.a_i, self.b_i, self.c_i))]
+        return [np.concatenate((c0, v[events]))[last] for c0, v in zip(carry, values)]
 
     def __len__(self) -> int:
         return len(self.t)
@@ -271,23 +284,18 @@ def broadcast(
     j: int,
     times: np.ndarray,
     heard: np.ndarray,
-    delay_rngs: dict,
+    delays: np.ndarray,
 ) -> Deliveries:
-    """Delay draws for node j's ticks at ``times``.
+    """The deliveries of node j's ticks at ``times``.
 
     ``heard`` is the (out-degree, ticks) matrix of which out-arc, in
-    out-neighbour order, heard which tick.  Each out-arc draws one delay
-    per heard tick from its own stream in ``delay_rngs``, keyed by its
-    row in the network's arc table, as one block, which equals the
-    scalar draws tick by tick.  Messages are grouped by out-arc.
+    out-neighbour order, heard which tick, and ``delays`` holds one
+    delay per heard tick, out-arc after out-arc and tick after tick
+    within one.  Messages are grouped by out-arc.
     """
     out = net.out_neighbors(j)
     row, tick = np.nonzero(heard)
-    first = int(net.table.start[j])
-    delays = [sample_delay(net.table.arc[a].delay, delay_rngs[a], m) for a, m in
-              enumerate(np.count_nonzero(heard, axis=1).tolist(), first) if m]
-    return Deliveries(tick, np.array(out, dtype=np.intp)[row],
-                      times[tick] + (np.concatenate(delays) if delays else 0.0))
+    return Deliveries(tick, np.array(out, dtype=np.intp)[row], times[tick] + delays)
 
 
 @dataclass
@@ -327,17 +335,17 @@ def build_schedule(
     or before ``horizon``) falls before it; what was drawn for later
     ticks is never read.  A chunk's hearing draws, one per tick of an
     arc's sender, come from one :class:`~clocksync.streams.UniformStreams`
-    call over the rows of the network's arc table.  An arc's jitter
-    stream is made in the chunk of its first heard message and kept for
-    the later chunks; its delays are drawn per chunk, and the readings
-    per node in processing order, each as one block.  A delivery's
-    ``src`` is the last delivery to its sender processed before its tick.
+    call over the rows of the network's arc table, and the delays of its
+    heard messages, one per message in arc order, from one
+    :class:`~clocksync.streams.JitterStreams` call; each sender's
+    messages take a contiguous slice of them.  The readings are drawn
+    per node in processing order, as one block.  A delivery's ``src`` is
+    the last delivery to its sender processed before its tick.
     """
     n, table = net.n, net.table
     ends = np.column_stack((table.sender, table.receiver))
     hear = UniformStreams(seed, "hear", ends)
-    delay_rngs: dict[int, np.random.Generator] = {}
-    jittered = np.zeros(len(ends), dtype=bool)
+    jitter = JitterStreams(seed, ends, [arc.delay for arc in table.arc], sample_delay)
     mu_c = float(net.rates.sum())
     per_tick = float(net.rates[table.sender] @ table.p_hear) / mu_c
     if per_tick == 0.0 and horizon is None:
@@ -369,21 +377,20 @@ def build_schedule(
         # j's out-arcs hold a contiguous (out-degree, ticks) block
         counts = n_ticks[table.sender]
         heard = hear.random(counts) < np.repeat(table.p_hear, counts)
-        # an arc draws delays once it hears: its jitter stream is made in
-        # the chunk of its first heard message
-        hearing = np.zeros(len(ends), dtype=bool)
-        hearing[np.repeat(np.arange(len(ends)), counts)[heard]] = True
-        new = np.flatnonzero(hearing & ~jittered)
-        delay_rngs.update(zip(new.tolist(), substreams(seed, "jitter", ends[new])))
-        jittered |= hearing
+        # one delay per heard message, arc after arc: sender j's take the
+        # slice from its first out-arc's to its last's
+        passed = np.concatenate(([0], np.cumsum(heard)))
+        cut = np.concatenate(([0], np.cumsum(counts)))
+        delays = jitter.delays(np.diff(passed[cut]))
         bounds = np.cumsum(n_ticks).tolist()
-        draws = np.cumsum(np.diff(table.start) * n_ticks).tolist()
-        for j, lo, hi, d_lo, d_hi in zip(range(n), [0] + bounds, bounds,
-                                         [0] + draws, draws):
+        draws = cut[table.start[1:]].tolist()
+        sent = passed[draws].tolist()
+        for j, lo, hi, d_lo, d_hi, s_lo, s_hi in zip(
+                range(n), [0] + bounds, bounds, [0] + draws, draws, [0] + sent, sent):
             if hi > lo:
                 pos = by_sender[lo:hi]
-                d = broadcast(net, j, ct[pos],
-                              heard[d_lo:d_hi].reshape(-1, hi - lo), delay_rngs)
+                d = broadcast(net, j, ct[pos], heard[d_lo:d_hi].reshape(-1, hi - lo),
+                              delays[s_lo:s_hi])
                 parts_t.append(d.t)
                 parts_key.append((g0 + pos[d.tick]) * slots + d.receiver + 1)
         t, key = np.concatenate(parts_t), np.concatenate(parts_key)

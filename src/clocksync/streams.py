@@ -26,16 +26,29 @@ shifted right by 11 and scaled by 2**-53; O'Neill 2014, "PCG: A Family
 of Simple Fast Space-Efficient Statistically Good Algorithms for Random
 Number Generation") for every stream of a batch as array arithmetic.
 Each draw is one jump from its stream's current state, by a table of
-PCG64 constants shared by every stream.  Only the tick, jitter and
-reading streams are still ``Generator`` objects, since they draw
-exponentials and normals.  NumPy keeps ``SeedSequence`` and ``PCG64``
-output stable across releases (NEP 19), and ``tests/test_streams.py``
-compares every path here with ``SeedSequence`` and ``Generator``
-themselves.
+PCG64 constants shared by every stream.
+
+A jitter stream likewise draws only a few delays per chunk of ticks, so
+:class:`JitterStreams` draws them from the same array outputs: it
+decodes each output as ``Generator.standard_normal``'s ziggurat fast
+path, or as ``Generator.uniform``'s uniform, and leaves the rest (about
+2% of normal draws) to a ``Generator`` set to the stream's state.
+NumPy does not expose the ziggurat's weights ``wi``, so
+:func:`_ziggurat` reads them from the installed NumPy once per process,
+on first use, by forcing chosen outputs.  Only the tick and reading
+streams are still ``Generator`` objects.
+
+NumPy keeps ``SeedSequence`` and ``PCG64`` output stable across
+releases (NEP 19), but that policy covers only the bit generators, not
+``Generator.normal``: what ties the decoder to the installed NumPy is
+the probe, and ``tests/test_streams.py``, which compares every path
+here with ``SeedSequence`` and ``Generator`` themselves.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import zlib
 
 import numpy as np
@@ -183,6 +196,7 @@ def substreams(seed: int, name: str, ids) -> list[np.random.Generator]:
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _Q = _PCG_MULT >> 2
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 _LOW32 = np.uint64(_MASK32)
 #: most draws of one window of :meth:`UniformStreams.random`
 _WINDOW = 1 << 13
@@ -261,9 +275,17 @@ class UniformStreams:
         """The next ``counts[r]`` uniforms of every stream r, stream after
         stream: what ``substreams(seed, name, ids)[r].random(counts[r])``
         returns, call after call."""
+        # Generator.random: the output shifted right by 11, times 2**-53
+        out = self.outputs(counts)
+        out >>= 11
+        return out * 2.0 ** -53
+
+    def outputs(self, counts) -> np.ndarray:
+        """The next ``counts[r]`` 64-bit PCG64 outputs of every stream r,
+        stream after stream."""
         m = np.asarray(counts, dtype=np.intp)
         end = np.cumsum(m)
-        out = np.empty(int(end[-1]) if len(m) else 0)
+        out = np.empty(int(end[-1]) if len(m) else 0, dtype=np.uint64)
         # windows of at most _WINDOW draws bound the work arrays; a
         # stream cut by a window boundary goes on in the next window
         for lo in range(0, len(out), _WINDOW):
@@ -275,7 +297,7 @@ class UniformStreams:
         return out
 
     def _draw(self, streams: slice, m: np.ndarray, out: np.ndarray) -> None:
-        """Write the next ``m[r]`` uniforms of each stream r of ``streams``
+        """Write the next ``m[r]`` outputs of each stream r of ``streams``
         to ``out``.
 
         k LCG steps take a state x to ``MULT^k x + C_k inc``, with
@@ -298,9 +320,145 @@ class UniformStreams:
                        (state[0].take(owner), state[1].take(owner)))
         busy = m > 0
         state[0][busy], state[1][busy] = hi[end[busy] - 1], lo[end[busy] - 1]
-        # Generator.random: the XSL-RR output, shifted right by 11 and
-        # scaled by 2**-53
+        # the XSL-RR output: the words' xor, rotated right by the top 6 bits
         rot = hi >> 58
         lo ^= hi
-        lo = (lo >> rot) | (lo << ((64 - rot) & 63))
-        np.multiply(lo >> 11, 2.0 ** -53, out=out)
+        np.bitwise_or(lo >> rot, lo << ((64 - rot) & 63), out=out)
+
+
+# -- Generator.normal as array arithmetic ----------------------------------
+
+#: how far below NumPy's fast-path bound ``ki`` the decoder's bound lies:
+#: ``floor(2**52 wi[i-1] / wi[i])`` comes within 3 of ``ki[i]``
+_MARGIN = 1 << 10
+_MASK52 = (1 << 52) - 1
+#: the most normal draws of one stream in one call that are decoded
+_LONG = 64
+
+
+@functools.cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """``standard_normal``'s weights ``wi`` and the decoder's bound on
+    ``rabs`` per index, read from the installed NumPy once.
+
+    A state is set whose next output is the word ``(2 << 8) | idx``
+    (``rabs`` 1, sign +), and the draw returns ``wi[idx]``: the XSL-RR
+    output of a state whose high word is 0 is its low word, so that
+    state is one LCG step back from the word.  Only ``wi[2:]`` enter a
+    bound, as indices 0 (the tail), 1 (always a slow path) and 2 (whose
+    bound would need ``wi[1]``) always fall back; their bound is 0.
+    """
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    inc = bits.state["state"]["inc"]
+    back = pow(_PCG_MULT, -1, 1 << 128)
+    wi = np.zeros(256)
+    for idx in range(2, 256):
+        prev = ((2 << 8 | idx) - inc) * back % (1 << 128)
+        bits.state = {"bit_generator": "PCG64", "state": {"state": prev, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        wi[idx] = rng.standard_normal()
+    bound = np.zeros(256, dtype=np.uint64)
+    bound[3:] = np.floor(2.0 ** 52 * wi[2:-1] / wi[3:]) - _MARGIN
+    return wi, bound
+
+
+def _standard_normal(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Generator.standard_normal``'s ziggurat fast path on each word:
+    ``(z, slow)``, where ``slow`` marks the words whose draw is not
+    ``z`` alone (a slow path, or within the margin of the bound)."""
+    wi, bound = _ziggurat()
+    idx = words & 0xFF
+    rabs = words >> 9 & _MASK52
+    z = rabs * wi.take(idx)
+    np.negative(z, out=z, where=(words & 0x100).astype(bool))
+    return z, rabs >= bound.take(idx)
+
+
+class JitterStreams(UniformStreams):
+    """The streams ``substreams(seed, "jitter", ids)``, drawing delays from
+    the delay models ``models`` (``clock.DelayModel``, one per row) as
+    array arithmetic.
+
+    Normal jitter decodes ``standard_normal``'s fast path from each
+    output (:func:`_standard_normal`), and uniform jitter is
+    ``Generator.uniform``'s ``low + (high - low) u``, with u as
+    :meth:`UniformStreams.random` draws it.  From a stream's first draw
+    that the decoder cannot make, the rest of its draws in the call are
+    made by ``sample`` (``clock.sample_delay``) with one shared
+    ``Generator`` set to the stream's state, which then goes back to the
+    stream.  A stream with more than ``_LONG`` normal draws in a call
+    would almost surely meet such a draw, so ``sample`` makes all of
+    them.
+    """
+
+    def __init__(self, seed: int, ids, models, sample) -> None:
+        super().__init__(seed, "jitter", ids)
+        self._models = models
+        # rows mostly share one model object: each distinct one is read once
+        _, first, kind = np.unique(
+            np.fromiter(map(id, models), dtype=np.uintp, count=len(models)),
+            return_index=True, return_inverse=True)
+        self._mean, self._sigma, self._floor, uniform = np.array(
+            [(d.delta_bar, d.eta_sigma, d.delta_min, d.dist == "uniform")
+             for d in map(models.__getitem__, first.tolist())]).reshape(-1, 4)[kind].T
+        self._uniform = uniform == 1.0
+        self._sample = sample
+        self._rng: np.random.Generator | None = None
+
+    def delays(self, counts) -> np.ndarray:
+        """The next ``counts[r]`` delays of every stream r, stream after
+        stream: what ``sample(models[r], substreams(seed, "jitter",
+        ids)[r], counts[r])`` returns, call after call.  Rows whose
+        jitter has sigma 0 draw nothing."""
+        counts = np.asarray(counts, dtype=np.intp)
+        sigma, uniform = self._sigma, self._uniform
+        # about 2% of normal draws are not decoded
+        long = (sigma > 0.0) & ~uniform & (counts > _LONG)
+        drawn = np.where((sigma > 0.0) & ~long, counts, 0)
+        start = self._state[0].copy(), self._state[1].copy()
+        words = self.outputs(drawn)
+        # Generator.normal(0, sigma) is 0.0 + sigma z, and
+        # Generator.uniform(-h, h) is -h + (h - -h) u
+        z, slow = _standard_normal(words)
+        noise = 0.0 + np.repeat(sigma, drawn) * z
+        flat = np.repeat(uniform, drawn)
+        if flat.any():
+            h = np.repeat(sigma * math.sqrt(3.0), drawn)[flat]
+            noise[flat] = -h + (h - -h) * ((words[flat] >> 11) * 2.0 ** -53)
+            slow &= ~flat
+        eta = np.zeros(int(counts.sum()))
+        eta[np.repeat(drawn > 0, counts)] = noise
+        out = np.maximum(np.repeat(self._floor, counts),
+                         np.repeat(self._mean, counts) + eta)
+        # each stream's first slow draw, and the first draw of a long one
+        at = np.flatnonzero(slow)
+        rows, first = np.unique(np.repeat(np.arange(len(counts)), drawn)[at],
+                                return_index=True)
+        skip = at[first] - (np.cumsum(drawn) - drawn)[rows]
+        long = np.flatnonzero(long)
+        rows = np.concatenate((rows, long))
+        skip = np.concatenate((skip, np.zeros(len(long), dtype=np.intp)))
+        if len(rows):
+            self._fall_back(rows.tolist(), skip.tolist(), counts, start, out)
+        return out
+
+    def _fall_back(self, rows, skip, counts, start, out) -> None:
+        """Draw the delays in ``out`` of each stream of ``rows`` from its
+        draw ``skip`` on by ``sample``, from its state at the call's
+        ``start``."""
+        if self._rng is None:
+            self._rng = np.random.Generator(np.random.PCG64(0))
+        bits = self._rng.bit_generator
+        base = (np.cumsum(counts) - counts).tolist()
+        for r, p in zip(rows, skip):
+            state = int(start[0][r]) << 64 | int(start[1][r])
+            inc_q = int(self._inc_q[0][r]) << 64 | int(self._inc_q[1][r])
+            bits.state = {"bit_generator": "PCG64",
+                          "state": {"state": state, "inc": _Q * inc_q & _MASK128},
+                          "has_uint32": 0, "uinteger": 0}
+            bits.advance(p)
+            lo, hi = base[r] + p, base[r] + int(counts[r])
+            out[lo:hi] = self._sample(self._models[r], self._rng, hi - lo)
+            state = bits.state["state"]["state"]
+            self._state[0][r], self._state[1][r] = state >> 64, state & _MASK64

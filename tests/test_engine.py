@@ -129,8 +129,8 @@ class TestScheduleOracle:
 
 class TestScheduleEdges:
     """Hand-built schedules against the event-heap reference: the hearing
-    draws of a chunk come from one array kernel, and an arc's jitter
-    stream is made in the chunk of its first heard message."""
+    draws of a chunk come from one array kernel, and the delays of its
+    heard messages from another, whose streams go on across chunks."""
 
     @staticmethod
     def hub(p_hear):
@@ -172,31 +172,29 @@ class TestScheduleEdges:
 
     def test_first_heard_message_in_a_later_chunk(self, monkeypatch):
         (net, arcs), seed = self.hub(0.5), 7
-        chunks, jitter = [], []
-        random, substreams = engine.UniformStreams.random, engine.substreams
+        chunks, heard = [], []
+        random, delays = engine.UniformStreams.random, engine.JitterStreams.delays
+        ends = net.table.ends()
 
         def counted(self, counts):
             chunks.append(len(counts))
             return random(self, counts)
 
-        def recorded(seed, name, ids):
-            if name == "jitter":
-                jitter.append([tuple(arc) for arc in np.asarray(ids).tolist()])
-            return substreams(seed, name, ids)
+        def recorded(self, counts):
+            heard.append({ends[r] for r in np.flatnonzero(counts).tolist()})
+            return delays(self, counts)
 
         monkeypatch.setattr(engine.UniformStreams, "random", counted)
-        monkeypatch.setattr(engine, "substreams", recorded)
+        monkeypatch.setattr(engine.JitterStreams, "delays", recorded)
         res = engine.run(net, SyncConfig(), max_updates=40, seed=seed)
         monkeypatch.undo()
         assert len(chunks) >= 3
-        # one jitter call per chunk, and each arc in at most one of them
-        assert len(jitter) == len(chunks)
-        made = [arc for call in jitter for arc in call]
-        assert len(made) == len(set(made))
+        # one delay call per chunk, over every arc
+        assert len(heard) == len(chunks)
         delivered = set(zip(res.trace.sender.tolist(), res.trace.receiver.tolist()))
-        assert delivered <= set(made)
+        assert delivered <= set().union(*heard)
         # some arc that delivers heard nothing in the first chunk
-        assert delivered & {arc for call in jitter[1:] for arc in call}
+        assert delivered & set().union(*heard[1:]) - heard[0]
         assert_matches_heap(net, arcs, SyncConfig(), 40, None, seed)
 
 

@@ -26,7 +26,10 @@ shifted right by 11 and scaled by 2**-53; O'Neill 2014, "PCG: A Family
 of Simple Fast Space-Efficient Statistically Good Algorithms for Random
 Number Generation") for every stream of a batch as array arithmetic.
 Each draw is one jump from its stream's current state, by a table of
-PCG64 constants shared by every stream.
+PCG64 constants shared by every stream.  A stream with more than
+``_LONG`` draws in one call (at n=10 every arc draws hundreds per chunk
+of ticks) costs less as a generator: one shared ``Generator`` is set to
+its state, draws them, and hands its state back.
 
 A jitter stream likewise draws only a few delays per chunk of ticks, so
 :class:`JitterStreams` draws them from the same array outputs: it
@@ -198,8 +201,10 @@ _Q = _PCG_MULT >> 2
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _LOW32 = np.uint64(_MASK32)
-#: most draws of one window of :meth:`UniformStreams.random`
+#: most draws of one window of :meth:`UniformStreams.outputs`
 _WINDOW = 1 << 13
+#: the most draws of one stream in one call made as array arithmetic
+_LONG = 64
 
 
 def _u128(value: int) -> tuple[np.ndarray, np.ndarray]:
@@ -259,7 +264,10 @@ class UniformStreams:
     """The streams ``substreams(seed, name, ids)`` as bare PCG64 states,
     whose ``Generator.random`` uniforms are drawn as array arithmetic:
     each stream's 128-bit LCG state, and its increment divided by Q, are
-    uint64 array words, seeded as ``PCG64`` seeds them."""
+    uint64 array words, seeded as ``PCG64`` seeds them.  A stream with
+    more than ``_LONG`` draws in a call costs less as a ``Generator``:
+    one shared ``Generator``, set to the stream's state, draws them, and
+    its state goes back to the stream."""
 
     def __init__(self, seed: int, name: str, ids) -> None:
         s = _pcg64_seeds(_words(seed, name, ids))
@@ -270,15 +278,43 @@ class UniformStreams:
         state = _iadd((s[:, 0].copy(), s[:, 1].copy()), inc)
         self._state = _iadd(_mul(_u128(_PCG_MULT), state), inc)
         self._inc_q = _mul(_u128(pow(_Q, -1, 1 << 128)), inc)
+        self._rng: np.random.Generator | None = None
 
     def random(self, counts) -> np.ndarray:
         """The next ``counts[r]`` uniforms of every stream r, stream after
         stream: what ``substreams(seed, name, ids)[r].random(counts[r])``
         returns, call after call."""
+        counts = np.asarray(counts, dtype=np.intp)
+        drawn = np.where(counts > _LONG, 0, counts)
         # Generator.random: the output shifted right by 11, times 2**-53
-        out = self.outputs(counts)
-        out >>= 11
-        return out * 2.0 ** -53
+        words = self.outputs(drawn)
+        words >>= 11
+        out = np.empty(int(counts.sum()))
+        out[np.repeat(drawn > 0, counts)] = words * 2.0 ** -53
+        base = np.cumsum(counts) - counts
+        for r in np.flatnonzero(counts > _LONG).tolist():
+            out[base[r]:base[r] + counts[r]] = self._generator(r).random(counts[r])
+            self._take_state(r)
+        return out
+
+    def _generator(self, r: int, state=None, skip: int = 0) -> np.random.Generator:
+        """The shared ``Generator``, set to stream r's state (or to its
+        entry in the (high, low) arrays ``state``), ``skip`` outputs on;
+        :meth:`_take_state` hands its state back to the stream."""
+        if self._rng is None:
+            self._rng = np.random.Generator(np.random.PCG64(0))
+        high, low = self._state if state is None else state
+        inc = _Q * (int(self._inc_q[0][r]) << 64 | int(self._inc_q[1][r])) & _MASK128
+        self._rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": int(high[r]) << 64 | int(low[r]), "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+        self._rng.bit_generator.advance(skip)
+        return self._rng
+
+    def _take_state(self, r: int) -> None:
+        state = self._rng.bit_generator.state["state"]["state"]
+        self._state[0][r], self._state[1][r] = state >> 64, state & _MASK64
 
     def outputs(self, counts) -> np.ndarray:
         """The next ``counts[r]`` 64-bit PCG64 outputs of every stream r,
@@ -329,11 +365,9 @@ class UniformStreams:
 # -- Generator.normal as array arithmetic ----------------------------------
 
 #: how far below NumPy's fast-path bound ``ki`` the decoder's bound lies:
-#: ``floor(2**52 wi[i-1] / wi[i])`` comes within 3 of ``ki[i]``
+#: ``floor(2**52 wi[i-1] / wi[i])`` is within 1 of ``ki[i]`` for i >= 2
 _MARGIN = 1 << 10
 _MASK52 = (1 << 52) - 1
-#: the most normal draws of one stream in one call that are decoded
-_LONG = 64
 
 
 @functools.cache
@@ -404,7 +438,6 @@ class JitterStreams(UniformStreams):
              for d in map(models.__getitem__, first.tolist())]).reshape(-1, 4)[kind].T
         self._uniform = uniform == 1.0
         self._sample = sample
-        self._rng: np.random.Generator | None = None
 
     def delays(self, counts) -> np.ndarray:
         """The next ``counts[r]`` delays of every stream r, stream after
@@ -436,29 +469,11 @@ class JitterStreams(UniformStreams):
         rows, first = np.unique(np.repeat(np.arange(len(counts)), drawn)[at],
                                 return_index=True)
         skip = at[first] - (np.cumsum(drawn) - drawn)[rows]
-        long = np.flatnonzero(long)
-        rows = np.concatenate((rows, long))
-        skip = np.concatenate((skip, np.zeros(len(long), dtype=np.intp)))
-        if len(rows):
-            self._fall_back(rows.tolist(), skip.tolist(), counts, start, out)
+        rows = np.concatenate((rows, np.flatnonzero(long)))
+        skip = np.concatenate((skip, np.zeros(len(rows) - len(skip), dtype=np.intp)))
+        base = np.cumsum(counts) - counts
+        for r, p in zip(rows.tolist(), skip.tolist()):
+            lo, hi = base[r] + p, base[r] + counts[r]
+            out[lo:hi] = self._sample(self._models[r], self._generator(r, start, p), hi - lo)
+            self._take_state(r)
         return out
-
-    def _fall_back(self, rows, skip, counts, start, out) -> None:
-        """Draw the delays in ``out`` of each stream of ``rows`` from its
-        draw ``skip`` on by ``sample``, from its state at the call's
-        ``start``."""
-        if self._rng is None:
-            self._rng = np.random.Generator(np.random.PCG64(0))
-        bits = self._rng.bit_generator
-        base = (np.cumsum(counts) - counts).tolist()
-        for r, p in zip(rows, skip):
-            state = int(start[0][r]) << 64 | int(start[1][r])
-            inc_q = int(self._inc_q[0][r]) << 64 | int(self._inc_q[1][r])
-            bits.state = {"bit_generator": "PCG64",
-                          "state": {"state": state, "inc": _Q * inc_q & _MASK128},
-                          "has_uint32": 0, "uinteger": 0}
-            bits.advance(p)
-            lo, hi = base[r] + p, base[r] + int(counts[r])
-            out[lo:hi] = self._sample(self._models[r], self._rng, hi - lo)
-            state = bits.state["state"]["state"]
-            self._state[0][r], self._state[1][r] = state >> 64, state & _MASK64

@@ -170,6 +170,28 @@ class TestScheduleEdges:
         assert_matches_heap(net, arcs, SyncConfig(), 300, None, seed)
         assert_matches_heap(net, arcs, SyncConfig(), None, 30.0, seed)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_delay_models(self, seed):
+        # normal, uniform and sigma-0 jitter side by side, one model per
+        # arc, some clamped at delta_min: long runs per arc, and a short
+        # horizon with a few draws per arc
+        models = [DelayModel(0.3, 0.1), DelayModel(0.2, 0.05, dist="uniform"),
+                  DelayModel(0.25, 0.0), DelayModel(0.1, 0.2, 0.05),
+                  DelayModel(0.1, 0.2, 0.05, dist="uniform")]
+        n = 5
+        arcs = {(j, i): Arc(1.0, 0.7, models[(j + 2 * i) % len(models)])
+                for j in range(n) for i in range(n) if i != j}
+        clocks = [ClockParams(1.0 + 0.01 * k, 0.1 * k, 0.01) for k in range(n)]
+        net = Network(n, arcs, np.linspace(0.5, 1.5, n), clocks)
+        assert_matches_heap(net, arcs, SyncConfig(), 3000, None, seed)
+        assert_matches_heap(net, arcs, SyncConfig(), None, 4.0, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_uniform_delays(self, seed):
+        net, arcs = generated(GeometricSpec(12, 0.5, 0.2, eta_sigma=0.1,
+                                            noise_dist="uniform"), seed)
+        assert_matches_heap(net, arcs, SyncConfig(), 2000, None, seed)
+
     def test_first_heard_message_in_a_later_chunk(self, monkeypatch):
         (net, arcs), seed = self.hub(0.5), 7
         chunks, heard = [], []

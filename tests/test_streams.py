@@ -1,5 +1,5 @@
 """The batched stream seeding against NumPy's own SeedSequence, and the
-array PCG64 kernel against NumPy's own Generator.
+array PCG64 kernels against NumPy's own Generator.
 
 The oracle builds each stream the way the package always defined it:
 ``np.random.default_rng(np.random.SeedSequence(words))`` with the seed
@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clocksync import streams
-from clocksync.streams import UniformStreams, substream, substreams
+from clocksync.clock import DelayModel, sample_delay
+from clocksync.streams import JitterStreams, UniformStreams, substream, substreams
 
 SEEDS = st.one_of(
     st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 7, 2**64 + 3, -1, -(2**40)]),
@@ -130,10 +131,25 @@ class TestUniformStreams:
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_long_stream_across_windows(self, monkeypatch):
+        # no stream left to the Generator: array arithmetic cut by
+        # window boundaries
         monkeypatch.setattr(streams, "_WINDOW", 1000)
+        monkeypatch.setattr(streams, "_LONG", 10**6)
         ids = [(0, 1), (1, 0), (2, 1)]
         kernel, ref = UniformStreams(5, "hear", ids), substreams(5, "hear", ids)
         for m in ([2500, 0, 3], [1, 4000, 999], [0, 0, 0], [1000, 1, 1]):
+            want = np.concatenate([rng.random(k) for rng, k in zip(ref, m)])
+            np.testing.assert_array_equal(kernel.random(m).view(np.uint64),
+                                          want.view(np.uint64))
+
+    def test_long_streams_from_the_generator(self):
+        # either side of the most draws made as array arithmetic, and a
+        # stream going from one side to the other between calls
+        long = streams._LONG
+        ids = [(0, 1), (1, 0), (2, 1), (1, 2)]
+        kernel, ref = UniformStreams(6, "hear", ids), substreams(6, "hear", ids)
+        for m in ([long, long + 1, long - 1, 3000], [long + 1, long, 0, 1],
+                  [1, 2, 3, 4]):
             want = np.concatenate([rng.random(k) for rng, k in zip(ref, m)])
             np.testing.assert_array_equal(kernel.random(m).view(np.uint64),
                                           want.view(np.uint64))
@@ -155,3 +171,142 @@ class TestUniformStreams:
 
     def test_no_streams(self):
         assert UniformStreams(0, "hear", []).random([]).shape == (0,)
+
+
+# -- the jitter kernel ------------------------------------------------------
+
+MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MOD = 1 << 128
+NORMAL = DelayModel(0.3, 0.1)
+MODELS = st.sampled_from([
+    NORMAL, DelayModel(0.2, 0.05, dist="uniform"), DelayModel(0.25, 0.0),
+    DelayModel(0.1, 0.2, 0.05), DelayModel(0.1, 0.2, 0.05, dist="uniform"),
+    DelayModel(0.5, 0.0, dist="uniform")])
+
+
+def state_before(word: int, inc: int) -> int:
+    """A PCG64 state whose next output is ``word``: one LCG step back from
+    the state with high word 0 and low word ``word``, whose XSL-RR output
+    is ``word``."""
+    return (word - inc) * pow(MULT, -1, MOD) % MOD
+
+
+def set_state(bits, state: int, inc: int) -> None:
+    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
+
+
+def force(kernel: JitterStreams, ref: np.random.Generator, r: int, word: int) -> None:
+    """Make ``word`` the next output of stream r of ``kernel`` and of its
+    reference generator ``ref``."""
+    inc = ref.bit_generator.state["state"]["inc"]
+    state = state_before(word, inc)
+    set_state(ref.bit_generator, state, inc)
+    inc_q = inc * pow(MULT >> 2, -1, MOD) % MOD
+    for words, value in ((kernel._state, state), (kernel._inc_q, inc_q)):
+        words[0][r], words[1][r] = value >> 64, value % (1 << 64)
+
+
+def normal_word(idx: int, rabs: int, negative: bool = False) -> int:
+    """The output that standard_normal reads as index ``idx``, magnitude
+    ``rabs`` and the given sign."""
+    return (rabs << 9) | (int(negative) << 8) | idx
+
+
+def assert_same_delays(kernel, ref, models, counts) -> None:
+    got = kernel.delays(counts)
+    want = np.concatenate([sample_delay(d, rng, k)
+                           for d, rng, k in zip(models, ref, counts)])
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestJitterStreams:
+    """The jitter kernel against ``substreams(seed, "jitter", ids)`` and
+    ``sample_delay``, bit for bit, over successive calls."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, ids=st.lists(st.tuples(IDS, IDS), min_size=1, max_size=8),
+           data=st.data())
+    def test_matches_sample_delay(self, seed, ids, data):
+        models = data.draw(st.lists(MODELS, min_size=len(ids), max_size=len(ids)))
+        kernel = JitterStreams(seed, ids, models, sample_delay)
+        ref = substreams(seed, "jitter", ids)
+        # short streams, and streams past the most decoded draws
+        counts = st.one_of(st.integers(0, 3), st.integers(0, 70),
+                           st.integers(0, 400))
+        for _ in range(data.draw(st.integers(1, 4))):
+            m = data.draw(st.lists(counts, min_size=len(ids), max_size=len(ids)))
+            assert_same_delays(kernel, ref, models, m)
+
+    def test_long_streams_across_windows(self, monkeypatch):
+        monkeypatch.setattr(streams, "_WINDOW", 100)
+        ids = [(0, 1), (1, 0), (2, 1), (1, 2)]
+        models = [NORMAL, NORMAL, DelayModel(0.2, 0.05, dist="uniform"), NORMAL]
+        kernel, ref = JitterStreams(4, ids, models, sample_delay), substreams(4, "jitter", ids)
+        for m in ([60, 0, 300, 64], [1, 65, 250, 64], [0, 0, 0, 0], [64, 64, 64, 64]):
+            assert_same_delays(kernel, ref, models, m)
+
+    @pytest.mark.parametrize("idx", [0, 1, 2])
+    @pytest.mark.parametrize("rabs", [0, 1, 2**51, 2**52 - 1])
+    def test_first_indices_fall_back(self, idx, rabs):
+        word = normal_word(idx, rabs)
+        assert streams._standard_normal(np.array([word], dtype=np.uint64))[1][0]
+        kernel, ref = JitterStreams(1, [(0, 1)], [NORMAL], sample_delay), substreams(1, "jitter", [(0, 1)])
+        force(kernel, ref[0], 0, word)
+        assert_same_delays(kernel, ref, [NORMAL], [3])
+        assert_same_delays(kernel, ref, [NORMAL], [2])
+
+    def test_every_bound(self):
+        """The largest rabs the decoder accepts at each index: NumPy reads
+        one word and returns the same bits.  One above it falls back."""
+        wi, bound = streams._ziggurat()
+        rng = np.random.Generator(np.random.PCG64(9))
+        inc = rng.bit_generator.state["state"]["inc"]
+        for idx in range(3, 256):
+            rabs = int(bound[idx]) - 1
+            for negative in (False, True):
+                word = normal_word(idx, rabs, negative)
+                z, slow = streams._standard_normal(np.array([word], dtype=np.uint64))
+                assert not slow[0]
+                state = state_before(word, inc)
+                set_state(rng.bit_generator, state, inc)
+                assert rng.standard_normal() == z[0]
+                assert np.signbit(z[0]) == negative
+                # exactly one step from the state before the word
+                assert rng.bit_generator.state["state"]["state"] == (MULT * state + inc) % MOD
+            above = normal_word(idx, rabs + 1)
+            assert streams._standard_normal(np.array([above], dtype=np.uint64))[1][0]
+            kernel = JitterStreams(2, [(3, 4)], [NORMAL], sample_delay)
+            ref = substreams(2, "jitter", [(3, 4)])
+            force(kernel, ref[0], 0, above)
+            assert_same_delays(kernel, ref, [NORMAL], [2])
+
+    def test_table_against_fresh_probes(self):
+        # another increment and a power-of-two rabs: the draw is exactly
+        # rabs * wi[idx] on the fast path
+        wi, bound = streams._ziggurat()
+        rng = np.random.Generator(np.random.PCG64(12345))
+        inc = rng.bit_generator.state["state"]["inc"]
+        for idx in range(2, 256):
+            set_state(rng.bit_generator, state_before(normal_word(idx, 1 << 20), inc), inc)
+            assert rng.standard_normal() == (1 << 20) * wi[idx]
+        assert np.all(bound[:3] == 0)
+        ratio = 2.0 ** 52 * wi[2:-1] / wi[3:]
+        assert np.all(bound[3:] < ratio) and np.all(bound[3:] > ratio - 2 * streams._MARGIN)
+
+    def test_fall_back_then_go_on(self):
+        # stream 1 falls back in the first call, and is decoded again in
+        # the next from the state the generator left
+        ids = [(0, 1), (1, 0), (2, 0)]
+        models = [NORMAL, NORMAL, DelayModel(0.2, 0.05, dist="uniform")]
+        kernel, ref = JitterStreams(8, ids, models, sample_delay), substreams(8, "jitter", ids)
+        assert_same_delays(kernel, ref, models, [2, 0, 1])
+        force(kernel, ref[1], 1, normal_word(0, 5))
+        assert_same_delays(kernel, ref, models, [3, 4, 2])
+        decoded = kernel.outputs([0, 8, 0])
+        np.testing.assert_array_equal(decoded, ref[1].bit_generator.random_raw(8))
+        assert_same_delays(kernel, ref, models, [1, 3, 1])
+
+    def test_no_streams(self):
+        kernel = JitterStreams(0, [], [], sample_delay)
+        assert kernel.delays([]).shape == (0,)

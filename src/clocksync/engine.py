@@ -112,8 +112,7 @@ class Trace:
         default the columns are the estimates, so each block is
         ``(lo, hi, a, b, c)``."""
         if values is None:
-            values = self.a_i, self.b_i, self.c_i
-            initial = [np.full(self.n, v) for v in _INITIAL]
+            values, initial = self._estimates()
         rows = max(1, _BLOCK_ELEMENTS // self.n)
         carry = list(initial)
         for lo in range(0, len(self), rows):
@@ -128,10 +127,12 @@ class Trace:
         end), in O(K) time and memory."""
         k = range(len(self))[k]
         events = np.arange(k + 1)
-        a, b, c = self._fill((self.a_i, self.b_i, self.c_i),
-                             [np.full(self.n, v) for v in _INITIAL], events,
-                             np.zeros(k + 1, dtype=np.intp), 1)
+        a, b, c = self._fill(*self._estimates(), events, np.zeros(k + 1, dtype=np.intp), 1)
         return a[0], b[0], c[0]
+
+    def _estimates(self) -> tuple[tuple[np.ndarray, ...], list[np.ndarray]]:
+        """The estimates' event columns, and every node's initial ones."""
+        return (self.a_i, self.b_i, self.c_i), [np.full(self.n, v) for v in _INITIAL]
 
     def _fill(self, values, carry: list[np.ndarray], events: np.ndarray,
               at: np.ndarray, m: int) -> list[np.ndarray]:

@@ -421,9 +421,9 @@ class JitterStreams(UniformStreams):
     that the decoder cannot make, the rest of its draws in the call are
     made by ``sample`` (``clock.sample_delay``) with one shared
     ``Generator`` set to the stream's state, which then goes back to the
-    stream.  A stream with more than ``_LONG`` normal draws in a call
-    would almost surely meet such a draw, so ``sample`` makes all of
-    them.
+    stream; about 2% of normal draws need it.  As in
+    :class:`UniformStreams`, ``sample`` makes all the draws of a stream
+    with more than ``_LONG`` of them in a call.
     """
 
     def __init__(self, seed: int, ids, models, sample) -> None:
@@ -446,8 +446,7 @@ class JitterStreams(UniformStreams):
         jitter has sigma 0 draw nothing."""
         counts = np.asarray(counts, dtype=np.intp)
         sigma, uniform = self._sigma, self._uniform
-        # about 2% of normal draws are not decoded
-        long = (sigma > 0.0) & ~uniform & (counts > _LONG)
+        long = (sigma > 0.0) & (counts > _LONG)
         drawn = np.where((sigma > 0.0) & ~long, counts, 0)
         start = self._state[0].copy(), self._state[1].copy()
         words = self.outputs(drawn)

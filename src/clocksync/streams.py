@@ -473,6 +473,7 @@ class JitterStreams(UniformStreams):
         base = np.cumsum(counts) - counts
         for r, p in zip(rows.tolist(), skip.tolist()):
             lo, hi = base[r] + p, base[r] + counts[r]
-            out[lo:hi] = self._sample(self._models[r], self._generator(r, start, p), hi - lo)
+            rng = self._generator(r, start, p)
+            out[lo:hi] = self._sample(self._models[r], rng, hi - lo)
             self._take_state(r)
         return out

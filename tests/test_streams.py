@@ -251,7 +251,8 @@ class TestJitterStreams:
     def test_first_indices_fall_back(self, idx, rabs):
         word = normal_word(idx, rabs)
         assert streams._standard_normal(np.array([word], dtype=np.uint64))[1][0]
-        kernel, ref = JitterStreams(1, [(0, 1)], [NORMAL], sample_delay), substreams(1, "jitter", [(0, 1)])
+        kernel = JitterStreams(1, [(0, 1)], [NORMAL], sample_delay)
+        ref = substreams(1, "jitter", [(0, 1)])
         force(kernel, ref[0], 0, word)
         assert_same_delays(kernel, ref, [NORMAL], [3])
         assert_same_delays(kernel, ref, [NORMAL], [2])

@@ -19,7 +19,6 @@ from itertools import chain
 from operator import itemgetter
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 from clocksync.clock import ClockParams, DelayModel
 from clocksync.streams import MAX_SEED, is_int, substream
@@ -270,12 +269,52 @@ def _source_components(n: int, sender: np.ndarray, receiver: np.ndarray) -> list
     """The sorted members of each source component of the condensation of
     the digraph on nodes ``0..n-1`` with arcs ``zip(sender, receiver)``, in
     order of their smallest member; :func:`repair_connectivity` breaks ties
-    by it, so the arcs it adds, and a saved network's bytes, depend on it."""
-    adj = csr_matrix((np.ones(len(sender)), (sender, receiver)), shape=(n, n))
-    label = csgraph.connected_components(adj, connection="strong")[1]
-    entered = label[receiver[label[sender] != label[receiver]]]
-    return sorted(np.flatnonzero(label == c).tolist()
-                  for c in set(label.tolist()) - set(entered.tolist()))
+    by it, so the arcs it adds, and a saved network's bytes, depend on it.
+
+    The strong components come from Tarjan's (1972) depth-first pass, kept
+    on an explicit stack so that no n meets the recursion limit; it costs
+    O(n + m) for m arcs, which may come in any order."""
+    order = np.argsort(sender, kind="stable")
+    succ = receiver[order].tolist()
+    start = np.searchsorted(sender[order], np.arange(n + 1)).tolist()
+    index = [0] * n  # 1 + the order in which the pass reaches a node; 0: not yet
+    low = [0] * n    # the least index reached from a node's subtree by one arc
+    label = [-1] * n
+    comps: list[list[int]] = []
+    stack: list[int] = []  # reached nodes whose component is still open
+    count = 0
+    for root in range(n):
+        if index[root]:
+            continue
+        count += 1
+        index[root] = low[root] = count
+        stack.append(root)
+        path = [(root, iter(succ[start[root]:start[root + 1]]))]
+        while path:
+            v, arcs = path[-1]
+            for w in arcs:
+                if not index[w]:  # descend; v's arcs resume after w's subtree
+                    count += 1
+                    index[w] = low[w] = count
+                    stack.append(w)
+                    path.append((w, iter(succ[start[w]:start[w + 1]])))
+                    break
+                if label[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                path.pop()
+                if low[v] == index[v]:  # v is its component's first node
+                    comp, w = [], -1
+                    while w != v:
+                        w = stack.pop()
+                        label[w] = len(comps)
+                        comp.append(w)
+                    comps.append(sorted(comp))
+                elif low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+    label = np.array(label)
+    entered = set(label[receiver[label[sender] != label[receiver]]].tolist())
+    return sorted(comp for c, comp in enumerate(comps) if c not in entered)
 
 
 def centers(net: Network) -> list[int]:

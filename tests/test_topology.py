@@ -376,6 +376,36 @@ class TestConnectivity:
         assert (_source_components(n, ends[:, 0], ends[:, 1])
                 == self.reachability_sources(n, arcs))
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(13, 40))
+    def test_larger_source_components_match_reachability(self, data, n):
+        # sparse enough to leave several components, deep enough to nest them
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                  min_size=n // 2, max_size=3 * n))
+        ends = np.array(arcs, dtype=np.intp).reshape(-1, 2)
+        assert (_source_components(n, ends[:, 0], ends[:, 1])
+                == self.reachability_sources(n, arcs))
+
+    # 5 000 nodes deep: a recursive depth-first pass would pass the recursion limit
+    def test_long_path_has_its_first_node_as_source(self):
+        nodes = np.arange(5000)
+        assert _source_components(5000, nodes[:-1], nodes[1:]) == [[0]]
+
+    def test_long_cycle_is_one_component(self):
+        nodes = np.arange(5000)
+        assert _source_components(5000, nodes, np.roll(nodes, -1)) == [nodes.tolist()]
+
+    def test_joined_cycles_give_the_upstream_cycle(self):
+        # cycle 3 -> 4 -> 5 -> 3 reaches cycle 0 -> 1 -> 2 -> 0 by the arc 5 -> 1
+        sender = np.array([1, 0, 2, 4, 3, 5, 5])
+        receiver = np.array([2, 1, 0, 5, 4, 3, 1])
+        assert _source_components(6, sender, receiver) == [[3, 4, 5]]
+
+    def test_no_arcs_makes_every_node_a_source(self):
+        none = np.empty(0, dtype=np.intp)
+        assert _source_components(4, none, none) == [[0], [1], [2], [3]]
+
 
 class TestGenerate:
     def test_basic_properties(self):
@@ -536,7 +566,7 @@ class TestExpectedMatrices:
 
 
 def test_every_module_imports_without_networkx():
-    # the package asks no graph library: scipy finds the source components
+    # the package asks no graph library: its own depth-first pass finds the source components
     child = ("import importlib, pkgutil, sys\n"
              "sys.modules['networkx'] = None\n"
              "import clocksync\n"
@@ -544,6 +574,26 @@ def test_every_module_imports_without_networkx():
              "    importlib.import_module('clocksync.' + mod.name)\n")
     src = Path(clocksync.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", child],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
+def test_run_path_needs_no_scipy(tmp_path):
+    # scipy is imported only by analysis.lyapunov_solve, which run and scaling never call
+    child = ("import sys\n"
+             "sys.modules['scipy'] = None\n"
+             "from clocksync import experiments\n"
+             "loaded = [name for name, mod in sys.modules.items()\n"
+             "          if name.startswith('scipy') and mod is not None]\n"
+             "assert not loaded, loaded\n"
+             "out = sys.argv[1]\n"
+             "assert experiments.main(['run', '--preset', 'fig1b', '--updates', '2000',\n"
+             "                         '--seeds', '0', '--outdir', out]) == 0\n"
+             "assert experiments.main(['scaling', '--preset', 'fig1b', '--nodes', '10', '20',\n"
+             "                         '--updates', '2000', '--outdir', out]) == 0\n")
+    src = Path(clocksync.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", child, str(tmp_path)],
                          env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr

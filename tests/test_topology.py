@@ -387,7 +387,7 @@ class TestConnectivity:
         assert (_source_components(n, ends[:, 0], ends[:, 1])
                 == self.reachability_sources(n, arcs))
 
-    # 5 000 nodes deep: a recursive depth-first pass would pass the recursion limit
+    # 5 000 nodes deep: a recursive depth-first pass would exceed the recursion limit
     def test_long_path_has_its_first_node_as_source(self):
         nodes = np.arange(5000)
         assert _source_components(5000, nodes[:-1], nodes[1:]) == [[0]]

@@ -241,13 +241,16 @@ def increment_stats(
 
 @dataclass
 class Metrics:
-    """Per-iteration disagreement metrics derived from a trace.
+    """Per-iteration disagreement metrics derived from a trace, at every
+    row or at a sorted selection of ``rows``.
 
     ``vclock_gap`` is the largest pairwise difference of corrected times
-    evaluated at the absolute time of each update.  The four (K,) series
-    are reduced from the trace one row block at a time; the (K, n)
-    corrected estimates ``g_hat`` and ``f_hat`` are derived from
-    ``result`` by :func:`corrected_estimates` on first access.
+    evaluated at the absolute time of each update.  The four series are
+    reduced from the trace one row block at a time; the corrected
+    estimates ``g_hat`` and ``f_hat`` are derived from ``result`` by
+    :func:`corrected_estimates` on first access.  Every field covers the
+    same rows: ``k``, ``t``, the series and ``g_hat`` and ``f_hat`` all
+    hold one entry per row of ``rows``, or per update when it is None.
     """
 
     result: SimResult = field(repr=False)
@@ -257,16 +260,20 @@ class Metrics:
     msd: np.ndarray
     offset_dispersion: np.ndarray
     vclock_gap: np.ndarray
+    rows: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def g_hat(self) -> np.ndarray:
-        """(K, n) corrected drifts."""
-        return corrected_estimates(self.result)[0]
+        """(rows, n) corrected drifts."""
+        return self._at_rows(corrected_estimates(self.result)[0])
 
     @cached_property
     def f_hat(self) -> np.ndarray:
-        """(K, n) corrected offsets."""
-        return corrected_estimates(self.result)[1]
+        """(rows, n) corrected offsets."""
+        return self._at_rows(corrected_estimates(self.result)[1])
+
+    def _at_rows(self, full: np.ndarray) -> np.ndarray:
+        return full if self.rows is None else full[self.rows]
 
     def to_csv(self, path, stride: int = 1) -> None:
         write_csv(path, ["k", "t_abs", "drift_spread", "msd",
@@ -282,21 +289,26 @@ def corrected_estimates(result: SimResult) -> tuple[np.ndarray, np.ndarray]:
     return tr.a_hat * result.net.alphas(), tr.a_hat * result.net.betas() + tr.b_hat
 
 
-def metrics(result: SimResult) -> Metrics:
-    """Disagreement, dispersion and virtual-clock gap along the trace."""
+def metrics(result: SimResult, rows=None) -> Metrics:
+    """Disagreement, dispersion and virtual-clock gap along the trace:
+    after every update, or after each of the sorted row indices ``rows``
+    only, filling no other row."""
     tr = result.trace
     alpha, beta = result.net.alphas(), result.net.betas()
-    series = np.empty((4, len(tr)))
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+    k, t = (tr.k, tr.t) if rows is None else (tr.k[rows], tr.t[rows])
+    series = np.empty((4, len(t)))
     # each event's corrected drift a alpha and offset a beta + b, filled
     # from those of the initial estimates a = 1, b = 0
     g_e = tr.a_i * alpha[tr.receiver]
     f_e = tr.a_i * beta[tr.receiver] + tr.b_i
-    for lo, hi, g, f in tr.blocks((g_e, f_e), (1.0 * alpha, 1.0 * beta + 0.0)):
-        vc = g * tr.t[lo:hi, None] + f
+    for lo, hi, g, f in tr.blocks((g_e, f_e), (1.0 * alpha, 1.0 * beta + 0.0), rows):
+        vc = g * t[lo:hi, None] + f
         series[:, lo:hi] = (g.max(axis=1) - g.min(axis=1), g.var(axis=1),
                             f.max(axis=1) - f.min(axis=1),
                             vc.max(axis=1) - vc.min(axis=1))
-    return Metrics(result, tr.k, tr.t, *series)
+    return Metrics(result, k, t, *series, rows=rows)
 
 
 def scaled_disagreement(m: Metrics, rho: float) -> np.ndarray:

@@ -63,12 +63,13 @@ class Trace:
     A delivery changes only the receiver's (a, b, c), so each update is
     stored as one event and the trace takes O(K) memory.  Every node's
     estimates after update k are forward-filled from the events:
-    :meth:`blocks` yields them as dense (rows, n) row blocks, carrying
-    each node's last value from one block to the next, and :meth:`row`
-    gives one row.  The full (K, n) matrices ``a_hat``, ``b_hat`` and
-    ``c_hat`` are stacked from the blocks on first access and cached;
-    the analysis paths read only blocks and rows, and :meth:`to_csv`
-    writes from the events.
+    :meth:`blocks` yields them as dense (rows, n) row blocks, of every
+    row or of a sorted selection of rows, carrying each node's last
+    value from one block to the next, and :meth:`row` gives one row.
+    The full (K, n) matrices ``a_hat``, ``b_hat`` and ``c_hat`` are
+    stacked from the blocks on first access and cached; the analysis
+    paths read only blocks and rows, and :meth:`to_csv` writes from the
+    events.
     """
 
     n: int                 # number of nodes
@@ -104,23 +105,38 @@ class Trace:
             out[lo:hi] = abc[which]
         return out
 
-    def blocks(self, values=None, initial=None) -> Iterator[tuple]:
+    def blocks(self, values=None, initial=None, rows=None) -> Iterator[tuple]:
         """Yield ``(lo, hi, *filled)``: for each (K,) event column of
         ``values``, every node's value after each row in ``range(lo, hi)``,
-        as a (rows, n) array, from the (n,) values ``initial`` held before
-        the first row.  The blocks cover the trace's rows in order.  By
-        default the columns are the estimates, so each block is
-        ``(lo, hi, a, b, c)``."""
+        as a (hi - lo, n) array, from the (n,) values ``initial`` held
+        before the first row.  The blocks cover the trace's rows in order.
+        By default the columns are the estimates, so each block is
+        ``(lo, hi, a, b, c)``.
+
+        Given a sorted array of ``rows``, the blocks cover those rows
+        instead, and ``lo`` and ``hi`` index ``rows``: a block fills only
+        the events since the previous block's last row, each from the
+        first selected row at or after it on."""
         if values is None:
             values, initial = self._estimates()
-        rows = max(1, _BLOCK_ELEMENTS // self.n)
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.intp)
+            if len(rows) and not (0 <= rows[0] and rows[-1] < len(self)
+                                  and np.all(rows[1:] >= rows[:-1])):
+                raise ValueError(f"rows must be sorted and in 0..{len(self) - 1}")
+        count = len(self) if rows is None else len(rows)
+        step = max(1, _BLOCK_ELEMENTS // self.n)
         carry = list(initial)
-        for lo in range(0, len(self), rows):
-            hi = min(len(self), lo + rows)
-            events = np.arange(lo, hi)
-            filled = self._fill(values, carry, events, events - lo, hi - lo)
+        start = 0  # the first event not yet filled
+        for lo in range(0, count, step):
+            hi = min(count, lo + step)
+            end = hi if rows is None else int(rows[hi - 1]) + 1
+            events = np.arange(start, end)
+            at = events - lo if rows is None else np.searchsorted(rows[lo:hi], events)
+            filled = self._fill(values, carry, events, at, hi - lo)
             yield lo, hi, *filled
             carry = [v[-1] for v in filled]
+            start = end
 
     def row(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every node's (a, b, c) after row ``k`` (negative counts from the
@@ -154,11 +170,14 @@ class Trace:
         sender, then every node's a, b and c after the row.
 
         Two written rows differ only in the nodes updated between them, so
-        the writer keeps the current row's 3n field strings, formats each
-        event's three values once, and joins each written row.  It formats
-        the events in chunks of ``_BLOCK_ELEMENTS // 16`` and writes after
-        every ``_BLOCK_ELEMENTS // (3n + 4)`` rows, so it holds about one
-        block of text.
+        the writer keeps the current row's 3n field strings, formats the
+        three values of each event that reaches a written row once, and
+        joins each written row.  An event reaches one when it is its
+        node's last before that row (row r itself is always one); the
+        others are never formatted.  It formats the events in chunks of
+        ``_BLOCK_ELEMENTS // 16`` and writes after every
+        ``_BLOCK_ELEMENTS // (3n + 4)`` rows, so it holds about one block
+        of text.
         """
         n = self.n
         header = ["k", "t_abs", "receiver", "sender"]
@@ -167,18 +186,26 @@ class Trace:
         rows = max(1, _BLOCK_ELEMENTS // (3 * n + 4))
         span = max(1, _BLOCK_ELEMENTS // 16)
         head_format = f"%d,{CSV_FLOAT_FORMAT},%d,%d,"
+        # one past the last written row: no later event reaches a row
+        end = (len(self) - 1) // stride * stride + 1 if len(self) else 0
         with open(path, "w", newline="") as fh:
             lines = [",".join(header)]
-            for lo in range(0, len(self), span):
-                hi = min(len(self), lo + span)
+            for lo in range(0, end, span):
+                hi = min(end, lo + span)
                 first = -(-lo // stride) * stride  # the chunk's first written row
                 # integers up to 2**53 pass through float64 exactly
                 cols = np.column_stack([col[first:hi:stride] for col in
                                         (self.k, self.t, self.receiver, self.sender)])
                 heads = iter(("\n".join([head_format] * len(cols))
                               % tuple(cols.ravel().tolist())).split("\n"))
-                a, b, c = (_format_floats(v[lo:hi]) for v in (self.a_i, self.b_i, self.c_i))
-                for e, i, x, y, z in zip(range(lo, hi), self.receiver[lo:hi].tolist(),
+                # each node's last event before each written row: the last
+                # of each run of (row, node) codes in a stable sort
+                code = (np.arange(lo, hi) + stride - 1) // stride * n + self.receiver[lo:hi]
+                order = np.argsort(code, kind="stable")
+                code = code[order]
+                events = lo + np.sort(order[np.append(code[1:] != code[:-1], True)])
+                a, b, c = (_format_floats(v[events]) for v in (self.a_i, self.b_i, self.c_i))
+                for e, i, x, y, z in zip(events.tolist(), self.receiver[events].tolist(),
                                          a, b, c):
                     fields[i], fields[n + i], fields[2 * n + i] = x, y, z
                     if e % stride == 0:

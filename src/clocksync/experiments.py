@@ -358,7 +358,8 @@ def run_experiment(cfg: ExperimentConfig, outdir) -> list[Path]:
         trace_path = outdir / f"trace_seed{seed}.csv"
         result.trace.to_csv(trace_path, stride=cfg.stride)
         metrics_path = outdir / f"metrics_seed{seed}.csv"
-        analysis.metrics(result).to_csv(metrics_path, stride=cfg.stride)
+        rows = np.arange(0, result.updates, cfg.stride)
+        analysis.metrics(result, rows).to_csv(metrics_path)
         written += [net_path, trace_path, metrics_path]
         if result.silent_nodes:
             print(f"seed {seed}: nodes {result.silent_nodes} never received "
@@ -389,12 +390,13 @@ def run_scaling(cfg: ExperimentConfig, node_counts, outdir) -> list[Path]:
         msd_early = []
         for seed in cfg.seeds:
             result = run_single(sub, seed)
-            m = analysis.metrics(result)
+            K = result.updates
             path = outdir / f"metrics_n{spec.n}_seed{seed}.csv"
-            m.to_csv(path, stride=cfg.stride)
+            analysis.metrics(result, np.arange(0, K, cfg.stride)).to_csv(path)
             written.append(path)
-            head = max(1, len(m.msd) // 100)
-            msd_early.append(float(np.mean(m.msd[:head])))
+            head = max(1, K // 100)
+            m = analysis.metrics(result, np.arange(min(head, K)))
+            msd_early.append(float(np.mean(m.msd)))
         summary.append((spec.n, float(np.median(msd_early))))
     summary_path = outdir / "scaling_summary.csv"
     with open(summary_path, "w") as fh:

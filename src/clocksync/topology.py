@@ -339,14 +339,27 @@ def repair_connectivity(net: Network, arc_template: Arc) -> Network:
     sender, receiver = net.table.sender, net.table.receiver
     added = {}
     while len(sources := _source_components(net.n, sender, receiver)) > 1:
-        # the first closest of the pairs, in order, of two different sources
-        pairs = [(u, v) for a in sources for b in sources if a is not b
-                 for u in a for v in b]
+        # the first closest of the pairs (u, v), for a, for b other than
+        # a, for u in a, for v in b, of two different sources: pair q of
+        # the (a, b) block is (a[q // len(b)], b[q % len(b)])
+        members = np.concatenate(sources)
+        size = np.array([len(a) for a in sources])
+        first = np.cumsum(size) - size
+        a, b = np.nonzero(~np.eye(len(sources), dtype=bool))
+        block = size[a] * size[b]
+        q = np.arange(block.sum()) - np.repeat(np.cumsum(block) - block, block)
+        width = np.repeat(size[b], block)
+        u = members[np.repeat(first[a], block) + q // width]
+        v = members[np.repeat(first[b], block) + q % width]
         if net.positions is not None:
-            d = [np.linalg.norm(net.positions[u] - net.positions[v]) for u, v in pairs]
+            diff = net.positions[u] - net.positions[v]
+            # each row's x.dot(x), the product np.linalg.norm takes of a
+            # vector: the same rounding, which may fuse the multiply-add
+            d = np.sqrt((diff[:, None] @ diff[:, :, None]).ravel())
         else:
-            d = [u + v for u, v in pairs]
-        u, v = pairs[int(np.argmin(d))]
+            d = u + v
+        best = int(np.argmin(d))
+        u, v = int(u[best]), int(v[best])
         added[(u, v)] = arc_template
         sender, receiver = np.append(sender, u), np.append(receiver, v)
     if not added:

@@ -88,7 +88,39 @@ def dense_converged(result, rel=0.05):
 # Blocks against the dense formulas
 # ---------------------------------------------------------------------------
 
-def _check_blocks(result, stride, tmp_csv):
+def row_subsets(K, stride, extra=()):
+    """Sorted row selections of a K-row trace: none, one row, every row,
+    the written rows at ``stride``, the head rows ``run_scaling`` reads,
+    and ``extra``."""
+    subsets = [np.arange(0), np.arange(K), np.arange(0, K, stride),
+               np.arange(min(max(1, K // 100), K)), np.asarray(extra, dtype=np.intp)]
+    subsets += [np.array([k]) for k in ({0, K // 2, K - 1} if K else ())]
+    return subsets
+
+
+def _check_rows(result, views, rows):
+    """The blocks and the metrics at ``rows`` are the dense ones at those
+    rows, byte for byte."""
+    tr = result.trace
+    got = list(tr.blocks(rows=rows))
+    assert all(hi - lo <= max(1, engine._BLOCK_ELEMENTS // tr.n) for lo, hi, *_ in got)
+    covered = np.concatenate([np.arange(lo, hi) for lo, hi, *_ in got] or [rows[:0]])
+    assert np.array_equal(covered, np.arange(len(rows)))
+    for j, view in enumerate(views):
+        stacked = np.concatenate([block[2 + j] for block in got] or [view[:0]])
+        assert stacked.tobytes() == view[rows].tobytes()
+    m = analysis.metrics(result, rows)
+    assert m.k.tobytes() == tr.k[rows].tobytes()
+    assert m.t.tobytes() == tr.t[rows].tobytes()
+    for got_series, want in zip((m.drift_spread, m.msd, m.offset_dispersion,
+                                 m.vclock_gap), dense_metrics(result)):
+        assert got_series.tobytes() == want[rows].tobytes()
+    g, f = analysis.corrected_estimates(result)
+    assert m.g_hat.tobytes() == g[rows].tobytes()
+    assert m.f_hat.tobytes() == f[rows].tobytes()
+
+
+def _check_blocks(result, stride, tmp_csv, extra=()):
     tr = result.trace
     views = dense_views(tr)
     got = list(tr.blocks())
@@ -111,6 +143,8 @@ def _check_blocks(result, stride, tmp_csv):
     for got_series, want in zip((m.drift_spread, m.msd, m.offset_dispersion,
                                  m.vclock_gap), dense_metrics(result)):
         assert got_series.tobytes() == want.tobytes()
+    for rows in row_subsets(len(tr), stride, extra):
+        _check_rows(result, views, rows)
 
     tr.to_csv(tmp_csv, stride=stride)
     assert tmp_csv.read_bytes() == dense_csv(tr, stride)
@@ -122,16 +156,42 @@ def _check_blocks(result, stride, tmp_csv):
 class TestBlocksMatchDense:
     @settings(max_examples=120, deadline=None)
     @given(net=networks().map(lambda drawn: drawn[0]), updates=st.integers(0, 70),
-           stride=st.integers(1, 7), budget=st.integers(1, 20),
-           offset=st.sampled_from([OffsetA(), OffsetB(0.5)]), seed=st.integers(0, 1000))
+           stride=st.one_of(st.integers(1, 7), st.just(100)), budget=st.integers(1, 20),
+           offset=st.sampled_from([OffsetA(), OffsetB(0.5)]), seed=st.integers(0, 1000),
+           data=st.data())
     def test_random_runs(self, tmp_path_factory, net, updates, stride, budget,
-                         offset, seed):
+                         offset, seed, data):
         # an element budget of a few rows makes every run cross block edges
         with mock.patch.object(engine, "_BLOCK_ELEMENTS", budget):
             result = engine.run(net, SyncConfig(offset=offset),
                                 max_updates=updates, seed=seed)
+            K = len(result.trace)
+            extra = sorted(data.draw(st.sets(st.integers(0, K - 1)) if K else st.just(())))
             _check_blocks(result, stride,
-                          tmp_path_factory.mktemp("csv") / "trace.csv")
+                          tmp_path_factory.mktemp("csv") / "trace.csv", extra)
+
+    # chunks of 3 and of 100 events, with blocks of a few rows, and the default
+    @pytest.mark.parametrize("budget", [48, 1600, 1 << 16])
+    def test_long_run_at_large_strides(self, tmp_path, budget):
+        # strides of many events per written row, and one past the run
+        net = generate_geometric(GeometricSpec(6, 0.6, 0.1), seed=3)
+        with mock.patch.object(engine, "_BLOCK_ELEMENTS", budget):
+            result = engine.run(net, SyncConfig(offset=OffsetA()), max_updates=450, seed=3)
+            views = dense_views(result.trace)
+            for stride in (10, 100, 449, 450, 451):
+                for rows in row_subsets(450, stride):
+                    _check_rows(result, views, rows)
+                result.trace.to_csv(tmp_path / "t.csv", stride=stride)
+                assert (tmp_path / "t.csv").read_bytes() == dense_csv(result.trace, stride)
+
+    @pytest.mark.parametrize("rows", [[-1], [3, 2], [0, 40], [40]])
+    def test_rows_must_be_sorted_and_in_range(self, rows):
+        net = generate_geometric(GeometricSpec(5, 0.6, 0.1), seed=0)
+        result = engine.run(net, SyncConfig(), max_updates=40, seed=0)
+        with pytest.raises(ValueError, match="rows must be sorted"):
+            next(result.trace.blocks(rows=rows))
+        with pytest.raises((ValueError, IndexError)):
+            analysis.metrics(result, rows)
 
     @pytest.mark.parametrize("stride", [1, 3])
     def test_empty_run(self, tmp_path, stride):

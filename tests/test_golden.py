@@ -4,7 +4,11 @@ and of the report.
 Each case runs two seeds of a few thousand updates and hashes
 ``trace_seed{S}.csv`` and ``metrics_seed{S}.csv`` (stride 1).  The hashes
 were recorded before the engine stored its trace as per-update events; a
-refactor that changes any byte fails here.  ``report.txt`` of the offset
+refactor that changes any byte fails here.  The fig1b cases at strides 10
+and 100, and ``clocksync scaling`` over two node counts (its
+``metrics_n{n}_seed{S}.csv`` at stride 10 and ``scaling_summary.csv``),
+pin the written rows of the strided writers; their hashes were recorded
+before the writers computed only the rows they write.  ``report.txt`` of the offset
 presets pins the spectral, rate-bound and fixed-point lines; its hashes
 were recorded before the run kept its per-link records as trace
 columns.  The saved network files of a few networks are hashed too: the
@@ -27,13 +31,14 @@ from clocksync.topology import Arc, Network
 
 SEEDS = (0, 1)
 UPDATES = 3000
+SCALING_NODES = (8, 14)
 HORIZON = 60.0       # a few thousand deliveries on the n=10 presets
 EARLY_HORIZON = 1e-3  # before the first delivery can arrive: K = 0
 
 
 def _config(preset: str, **over) -> experiments.ExperimentConfig:
     data = copy.deepcopy(experiments.PRESETS[preset])
-    data.update(updates=UPDATES, seeds=list(SEEDS), stride=1, **over)
+    data.update({"updates": UPDATES, "seeds": list(SEEDS), "stride": 1, **over})
     return experiments.ExperimentConfig.from_dict(data)
 
 
@@ -51,6 +56,10 @@ def _digests(case: str, outdir) -> dict[str, str]:
         experiments.run_experiment(_config(case), outdir)
     elif case == "offset-null":
         experiments.run_experiment(_config("fig1b", offset=None), outdir)
+    elif case.startswith("stride"):
+        experiments.run_experiment(_config("fig1b", stride=int(case[6:])), outdir)
+    elif case == "scaling":
+        experiments.run_scaling(_config("fig1b", stride=10), SCALING_NODES, outdir)
     else:
         cfg = _config("fig1b")
         horizon = HORIZON if case == "horizon" else EARLY_HORIZON
@@ -124,6 +133,38 @@ GOLDEN = {
         "trace_seed1.csv":
             "9eb8f7322e979539d623e33fc36d626db1d86ee43ba3c261b52ff62d4d085508",
     },
+    "stride10": {
+        "metrics_seed0.csv":
+            "67955bfef31ad8fa399dfb7b5e32fe7f256bbe1f1f8007081aa3504ecc150f35",
+        "metrics_seed1.csv":
+            "656e499daa2d7bd68d8afb61ce324f331af100c3706d417e7d6fdd892dcb3ba1",
+        "trace_seed0.csv":
+            "d92b9ac6c98cc7095c419e9343cfd9644ea4816cea24f368c984c4e0fdf1eefc",
+        "trace_seed1.csv":
+            "d410fb1ead664d78c7c572bf3d9d1053867d8d57b0107d1bc2377d725c8102d1",
+    },
+    "stride100": {
+        "metrics_seed0.csv":
+            "443ef478cab074b84bfbe107a7a3bc7db7e99eaa83bcdff745237bdd5c94f471",
+        "metrics_seed1.csv":
+            "ecff49a031de41750c17ae1a82515a2a85778a1f90f387e64fc4381e416f20f2",
+        "trace_seed0.csv":
+            "e11227661488fbe13e612157d905ccc5e390f35f79de464f7f14b94af6506c4f",
+        "trace_seed1.csv":
+            "10a044848c1cfe460c917817b77576c139983fc06e36e2001274a413481dd2bf",
+    },
+    "scaling": {
+        "metrics_n14_seed0.csv":
+            "158ae9fdf431b44fdb6e96143c22ea8bb219606a372264b5f5b2484ddab16857",
+        "metrics_n14_seed1.csv":
+            "70a091e0bf4547eb43e47c1d7e04e7b35caabf44b1db7057c4d6690019af7860",
+        "metrics_n8_seed0.csv":
+            "540392c6fd34e57143d3897971d4364c22dd5387a294de14a9965c04595f3862",
+        "metrics_n8_seed1.csv":
+            "08e7df4a6632e7e7473af069e0470c7a5dca2ca673c4e2746e6034f390d1315d",
+        "scaling_summary.csv":
+            "4e7bcfa4f15c7c28f64848f163a6afb8fa27853cf78a8073e6f0d52a4684d5a7",
+    },
 }
 
 
@@ -168,6 +209,8 @@ NETWORK_CASES = {
     "integer-values": lambda: _config("fig1b", network=_INTEGER_VALUES).build_network(0),
     "hand-repaired": _hand_repaired,
     "flooding-muted": lambda: _config("flooding").build_network(0),
+    "sparse-repaired": lambda: topology.generate_geometric(
+        topology.GeometricSpec(400, 0.05), seed=1),
 }
 
 NETWORK_GOLDEN = {
@@ -176,6 +219,7 @@ NETWORK_GOLDEN = {
     "integer-values": "70e12b65055ac8d9127922bdb5c631f2173fe879755fc1602f21c222f8c34eca",
     "hand-repaired": "0e08802bef06a2b30e24b7467df7a0a535251a96c706ff4c025d08a9f7b7b487",
     "flooding-muted": "f57dc648eed0730567611c7eb2862b07728c505ce3c07d58169159c9e69ba167",
+    "sparse-repaired": "b7fd3be10e560a75488e3bca7707141f4285c63e2bdc7569faac440d20f4dafe",
 }
 
 

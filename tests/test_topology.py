@@ -387,6 +387,66 @@ class TestConnectivity:
         assert (_source_components(n, ends[:, 0], ends[:, 1])
                 == self.reachability_sources(n, arcs))
 
+    @staticmethod
+    def repair_loop(net):
+        """Oracle: the arcs repair adds, by one ``np.linalg.norm`` per pair
+        of nodes from two different sources, in the order for a, for b
+        other than a, for u in a, for v in b; the first closest wins."""
+        sender, receiver = net.table.sender, net.table.receiver
+        added = []
+        while len(sources := _source_components(net.n, sender, receiver)) > 1:
+            pairs = [(u, v) for a in sources for b in sources if a is not b
+                     for u in a for v in b]
+            if net.positions is not None:
+                d = [np.linalg.norm(net.positions[u] - net.positions[v])
+                     for u, v in pairs]
+            else:
+                d = [u + v for u, v in pairs]
+            u, v = pairs[int(np.argmin(d))]
+            added.append((u, v))
+            sender, receiver = np.append(sender, u), np.append(receiver, v)
+        return added
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 14),
+           layout=st.sampled_from(["none", "random", "grid", "line"]))
+    def test_repair_matches_the_pair_loop(self, data, n, layout):
+        # grid and line layouts put many pairs at exactly equal distances,
+        # so the order of the pairs decides between them
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
+        positions = {"none": None,
+                     "random": rng.random((n, 2)),
+                     "grid": rng.integers(0, 4, (n, 2)) / 4,
+                     "line": np.column_stack((rng.random(n), np.zeros(n)))}[layout]
+        net = Network(n, dict.fromkeys(arcs, _arc()), np.ones(n),
+                      [ClockParams(1.0)] * n, positions)
+        template = _arc(0.5, 0.7)
+        fixed = repair_connectivity(net, template)
+        added = self.repair_loop(net)
+        assert fixed.table.ends() == sorted(arcs + added)
+        assert centers(fixed) != []
+
+    def test_repair_ranks_near_ties_as_the_norm_does(self):
+        # |p1 - p0| and |p2 - p1| round to the same value as sqrt(x*x + y*y)
+        # but one ulp apart where the norm fuses the multiply-add, so the
+        # pair chosen first depends on the rounding
+        x, y = 0.8673335518424147, 0.12875967122785104
+        pos = np.array([[0.0, 0.0], [x, y], [x + y, y + x]])
+        net = Network(3, {}, np.ones(3), [ClockParams(1.0)] * 3, pos)
+        assert repair_connectivity(net, _arc()).table.ends() == sorted(self.repair_loop(net))
+
+    def test_repair_of_a_sparse_network_matches_the_pair_loop(self):
+        # 60 nodes at radius 0.06 leave 36 source components
+        net = generate_geometric(GeometricSpec(60, 0.06, 0.1), seed=4)
+        arcs, _ = TestGenerate.pair_loop(60, 0.06, 0.1, 4)
+        bare = Network(60, dict.fromkeys(arcs, _arc()), net.rates, net.clocks,
+                       net.positions)
+        added = self.repair_loop(bare)
+        assert len(added) == 35
+        assert net.table.ends() == sorted(arcs + added)
+
     # 5 000 nodes deep: a recursive depth-first pass would exceed the recursion limit
     def test_long_path_has_its_first_node_as_source(self):
         nodes = np.arange(5000)

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from clocksync.engine import SimResult, Trace, column_blocks, write_csv
+from clocksync.engine import SimResult, Trace, write_csv
 from clocksync.sync import DriftA, DriftB, DriftVariant, OffsetB, StepSchedule, anchor_index
 from clocksync.topology import (
     Network,
@@ -241,16 +241,16 @@ def increment_stats(
 
 @dataclass
 class Metrics:
-    """Per-iteration disagreement metrics derived from a trace, at every
-    row or at a sorted selection of ``rows``.
+    """Per-iteration disagreement metrics derived from a trace, at the
+    sorted trace rows ``rows``.
 
     ``vclock_gap`` is the largest pairwise difference of corrected times
     evaluated at the absolute time of each update.  The four series are
-    reduced from the trace one row block at a time; the corrected
-    estimates ``g_hat`` and ``f_hat`` are derived from ``result`` by
-    :func:`corrected_estimates` on first access.  Every field covers the
-    same rows: ``k``, ``t``, the series and ``g_hat`` and ``f_hat`` all
-    hold one entry per row of ``rows``, or per update when it is None.
+    reduced from the trace one row block at a time; the (rows, n)
+    corrected estimates ``g_hat`` and ``f_hat`` are each stacked from its
+    own event column of :func:`_corrected_columns` on first access.  Every
+    field covers the same rows: ``k``, ``t``, the series and ``g_hat`` and
+    ``f_hat`` all hold one entry per row of ``rows``.
     """
 
     result: SimResult = field(repr=False)
@@ -260,50 +260,50 @@ class Metrics:
     msd: np.ndarray
     offset_dispersion: np.ndarray
     vclock_gap: np.ndarray
-    rows: np.ndarray | None = field(default=None, repr=False)
+    rows: np.ndarray = field(repr=False)
 
     @cached_property
     def g_hat(self) -> np.ndarray:
         """(rows, n) corrected drifts."""
-        return self._at_rows(corrected_estimates(self.result)[0])
+        (g, _), (g0, _) = _corrected_columns(self.result)
+        return self.result.trace.stack(g, g0, self.rows)
 
     @cached_property
     def f_hat(self) -> np.ndarray:
         """(rows, n) corrected offsets."""
-        return self._at_rows(corrected_estimates(self.result)[1])
+        (_, f), (_, f0) = _corrected_columns(self.result)
+        return self.result.trace.stack(f, f0, self.rows)
 
-    def _at_rows(self, full: np.ndarray) -> np.ndarray:
-        return full if self.rows is None else full[self.rows]
-
-    def to_csv(self, path, stride: int = 1) -> None:
+    def to_csv(self, path) -> None:
         write_csv(path, ["k", "t_abs", "drift_spread", "msd",
                          "offset_dispersion", "vclock_gap"],
-                  column_blocks([self.k, self.t, self.drift_spread, self.msd,
-                                 self.offset_dispersion, self.vclock_gap], stride))
+                  [self.k, self.t, self.drift_spread, self.msd,
+                   self.offset_dispersion, self.vclock_gap])
 
 
-def corrected_estimates(result: SimResult) -> tuple[np.ndarray, np.ndarray]:
-    """(K, n) corrected drifts ``g = a_hat * alpha`` and corrected offsets
-    ``f = a_hat * beta + b_hat`` after every update."""
+def _corrected_columns(result: SimResult) -> tuple[tuple[np.ndarray, np.ndarray],
+                                                   tuple[np.ndarray, np.ndarray]]:
+    """The event columns of the corrected drifts ``g = a alpha`` and
+    offsets ``f = a beta + b`` (each event's receiver's, after it), and
+    their (n,) initial values, from the initial estimates a = 1, b = 0:
+    ``(g_events, f_events), (g_initial, f_initial)`` for
+    :meth:`~clocksync.engine.Trace.blocks`."""
     tr = result.trace
-    return tr.a_hat * result.net.alphas(), tr.a_hat * result.net.betas() + tr.b_hat
+    alpha, beta = result.net.alphas(), result.net.betas()
+    return ((tr.a_i * alpha[tr.receiver], tr.a_i * beta[tr.receiver] + tr.b_i),
+            (1.0 * alpha, 1.0 * beta + 0.0))
 
 
 def metrics(result: SimResult, rows=None) -> Metrics:
     """Disagreement, dispersion and virtual-clock gap along the trace:
     after every update, or after each of the sorted row indices ``rows``
-    only, filling no other row."""
+    only, filling no other row.  ``rows`` is checked before anything is
+    read (see :meth:`~clocksync.engine.Trace.select`)."""
     tr = result.trace
-    alpha, beta = result.net.alphas(), result.net.betas()
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.intp)
-    k, t = (tr.k, tr.t) if rows is None else (tr.k[rows], tr.t[rows])
-    series = np.empty((4, len(t)))
-    # each event's corrected drift a alpha and offset a beta + b, filled
-    # from those of the initial estimates a = 1, b = 0
-    g_e = tr.a_i * alpha[tr.receiver]
-    f_e = tr.a_i * beta[tr.receiver] + tr.b_i
-    for lo, hi, g, f in tr.blocks((g_e, f_e), (1.0 * alpha, 1.0 * beta + 0.0), rows):
+    rows = tr.select(rows)
+    k, t = tr.k[rows], tr.t[rows]
+    series = np.empty((4, len(rows)))
+    for lo, hi, g, f in tr.blocks(*_corrected_columns(result), rows):
         vc = g * t[lo:hi, None] + f
         series[:, lo:hi] = (g.max(axis=1) - g.min(axis=1), g.var(axis=1),
                             f.max(axis=1) - f.min(axis=1),
@@ -366,26 +366,22 @@ def _initial_noise_means(result: SimResult, profile: ProbabilityProfile):
     return means
 
 
-def _cauchy_converged(result: SimResult, f_last: np.ndarray, c_last: np.ndarray,
-                      rel: float = 0.05) -> bool:
-    # window = the last decade of k (from K/10 to K), read block by block;
-    # changes are compared against the largest final magnitude so that
-    # components which happen to settle near zero do not produce spurious
-    # failures
+def _cauchy_converged(result: SimResult, f_last: np.ndarray, c_last: np.ndarray) -> bool:
+    # window = the last decade of k (from K/10 to K), only its rows filled,
+    # block by block; changes are compared against the largest final
+    # magnitude so that components which happen to settle near zero do not
+    # produce spurious failures
     tr = result.trace
     start = len(tr) // 10
     if len(tr) - start < 2:
         return False
-    beta = result.net.betas()
-    f_tol = rel * max(float(np.abs(f_last).max()), 1e-12)
-    c_tol = rel * max(float(np.abs(c_last).max()), 1e-12)
-    for lo, hi, a, b, c in tr.blocks():
-        if hi <= start:
-            continue
-        rows = slice(max(start - lo, 0), None)
-        f = a[rows] * beta + b[rows]
+    f_tol = 0.05 * max(float(np.abs(f_last).max()), 1e-12)
+    c_tol = 0.05 * max(float(np.abs(c_last).max()), 1e-12)
+    (_, f_e), (_, f_0) = _corrected_columns(result)
+    for _, _, f, c in tr.blocks((f_e, tr.c_i), (f_0, np.zeros(tr.n)),
+                                np.arange(start, len(tr))):
         if not (np.all(np.abs(f - f_last) <= f_tol)
-                and np.all(np.abs(c[rows] - c_last) <= c_tol)):
+                and np.all(np.abs(c - c_last) <= c_tol)):
             return False
     return True
 

@@ -8,21 +8,21 @@ global iteration counter by one.
 
 None of this noise depends on the synchronization algorithm, so a run
 takes two steps.  :func:`build_schedule` draws every event up to the
-stopping rule and returns the deliveries, in processing order, with
-their clock readings.  :class:`~clocksync.sync.SyncState` derives every
-input of every update from them except the estimates, and :func:`replay`
-makes one :meth:`~clocksync.sync.SyncState.process_message` call per
-delivery, with the sender's (a, b, c) as they stood at its tick.
+last delivery of the run's update budget and returns the deliveries, in
+processing order, with their clock readings.
+:class:`~clocksync.sync.SyncState` derives every input of every update
+from them except the estimates, and :func:`replay` makes one
+:meth:`~clocksync.sync.SyncState.process_message` call per delivery,
+with the sender's (a, b, c) as they stood at its tick.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -47,7 +47,7 @@ CSV_FLOAT_FORMAT = "%.17g"
 #: blocks of ``max(1, _BLOCK_ELEMENTS // n)`` rows, and a CSV writer about
 #: as many fields of text: :meth:`Trace.to_csv` writes after every
 #: ``max(1, _BLOCK_ELEMENTS // (3n + 4))`` rows, and :func:`write_csv` a
-#: block of (K,) columns as many elements at a time
+#: block of (m,) columns as many elements at a time
 _BLOCK_ELEMENTS = 1 << 16
 
 _INITIAL = (CorrectionState.a_hat, CorrectionState.b_hat, CorrectionState.c_hat)
@@ -62,14 +62,15 @@ class Trace:
 
     A delivery changes only the receiver's (a, b, c), so each update is
     stored as one event and the trace takes O(K) memory.  Every node's
-    estimates after update k are forward-filled from the events:
-    :meth:`blocks` yields them as dense (rows, n) row blocks, of every
-    row or of a sorted selection of rows, carrying each node's last
-    value from one block to the next, and :meth:`row` gives one row.
-    The full (K, n) matrices ``a_hat``, ``b_hat`` and ``c_hat`` are
-    stacked from the blocks on first access and cached; the analysis
-    paths read only blocks and rows, and :meth:`to_csv` writes from the
-    events.
+    values after update k are forward-filled from event columns such as
+    these: :meth:`blocks` yields them as dense (rows, n) row blocks, of
+    every row or of a sorted selection of rows, carrying each node's last
+    value from one block to the next; :meth:`row` is the single block of
+    one row, and :meth:`stack` stacks the blocks of one column.  The full
+    (K, n) matrices ``a_hat``, ``b_hat`` and ``c_hat`` are each stacked
+    on first access, from their own column only, and cached; the
+    analysis paths read only blocks and rows, and :meth:`to_csv` writes
+    from the events.
     """
 
     n: int                 # number of nodes
@@ -89,66 +90,72 @@ class Trace:
 
     @cached_property
     def a_hat(self) -> np.ndarray:
-        return self._stack(0)
+        return self.stack(self.a_i, _INITIAL[0])
 
     @cached_property
     def b_hat(self) -> np.ndarray:
-        return self._stack(1)
+        return self.stack(self.b_i, _INITIAL[1])
 
     @cached_property
     def c_hat(self) -> np.ndarray:
-        return self._stack(2)
+        return self.stack(self.c_i, _INITIAL[2])
 
-    def _stack(self, which: int) -> np.ndarray:
-        out = np.empty((len(self), self.n))
-        for lo, hi, *abc in self.blocks():
-            out[lo:hi] = abc[which]
-        return out
+    def select(self, rows=None) -> np.ndarray:
+        """``rows`` as a sorted index array into the trace's rows; every
+        row when None.  Raises ``ValueError`` on rows out of order or out
+        of range."""
+        if rows is None:
+            return np.arange(len(self))
+        rows = np.asarray(rows, dtype=np.intp)
+        if len(rows) and not (0 <= rows[0] and rows[-1] < len(self)
+                              and np.all(rows[1:] >= rows[:-1])):
+            raise ValueError(f"rows must be sorted and in 0..{len(self) - 1}")
+        return rows
 
     def blocks(self, values=None, initial=None, rows=None) -> Iterator[tuple]:
         """Yield ``(lo, hi, *filled)``: for each (K,) event column of
-        ``values``, every node's value after each row in ``range(lo, hi)``,
+        ``values``, every node's value after each row of ``rows[lo:hi]``,
         as a (hi - lo, n) array, from the (n,) values ``initial`` held
-        before the first row.  The blocks cover the trace's rows in order.
-        By default the columns are the estimates, so each block is
-        ``(lo, hi, a, b, c)``.
+        before the first row.  ``rows`` is sorted, and may repeat a row
+        (see :meth:`select`); by default it is every row.  By default the
+        columns are the estimates, so each block is ``(lo, hi, a, b, c)``.
 
-        Given a sorted array of ``rows``, the blocks cover those rows
-        instead, and ``lo`` and ``hi`` index ``rows``: a block fills only
-        the events since the previous block's last row, each from the
-        first selected row at or after it on."""
+        A block fills only the events since the previous block's last
+        row, each from the first of its rows at or after the event on."""
         if values is None:
-            values, initial = self._estimates()
-        if rows is not None:
-            rows = np.asarray(rows, dtype=np.intp)
-            if len(rows) and not (0 <= rows[0] and rows[-1] < len(self)
-                                  and np.all(rows[1:] >= rows[:-1])):
-                raise ValueError(f"rows must be sorted and in 0..{len(self) - 1}")
-        count = len(self) if rows is None else len(rows)
+            values = (self.a_i, self.b_i, self.c_i)
+            initial = [np.full(self.n, v) for v in _INITIAL]
+        rows = self.select(rows)
         step = max(1, _BLOCK_ELEMENTS // self.n)
         carry = list(initial)
         start = 0  # the first event not yet filled
-        for lo in range(0, count, step):
-            hi = min(count, lo + step)
-            end = hi if rows is None else int(rows[hi - 1]) + 1
-            events = np.arange(start, end)
-            at = events - lo if rows is None else np.searchsorted(rows[lo:hi], events)
-            filled = self._fill(values, carry, events, at, hi - lo)
+        for lo in range(0, len(rows), step):
+            hi = min(len(rows), lo + step)
+            end = int(rows[hi - 1]) + 1
+            # the events start..end-1 fall on the block's rows in runs:
+            # rows[q] takes the events after rows[q - 1] up to rows[q]
+            at = np.repeat(np.arange(hi - lo), np.diff(rows[lo:hi], prepend=start - 1))
+            filled = self._fill(values, carry, np.arange(start, end), at, hi - lo)
             yield lo, hi, *filled
             carry = [v[-1] for v in filled]
             start = end
 
+    def stack(self, values: np.ndarray, initial, rows=None) -> np.ndarray:
+        """The blocks of the one (K,) event column ``values``, from the
+        (n,) or scalar ``initial``, stacked into one (len(rows), n)
+        array."""
+        rows = self.select(rows)
+        out = np.empty((len(rows), self.n))
+        for lo, hi, filled in self.blocks((values,), (np.broadcast_to(initial, self.n),),
+                                          rows):
+            out[lo:hi] = filled
+        return out
+
     def row(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every node's (a, b, c) after row ``k`` (negative counts from the
         end), in O(K) time and memory."""
-        k = range(len(self))[k]
-        events = np.arange(k + 1)
-        a, b, c = self._fill(*self._estimates(), events, np.zeros(k + 1, dtype=np.intp), 1)
+        _, _, a, b, c = next(self.blocks(rows=[range(len(self))[k]]))
         return a[0], b[0], c[0]
-
-    def _estimates(self) -> tuple[tuple[np.ndarray, ...], list[np.ndarray]]:
-        """The estimates' event columns, and every node's initial ones."""
-        return (self.a_i, self.b_i, self.c_i), [np.full(self.n, v) for v in _INITIAL]
 
     def _fill(self, values, carry: list[np.ndarray], events: np.ndarray,
               at: np.ndarray, m: int) -> list[np.ndarray]:
@@ -222,29 +229,22 @@ def _format_floats(values: np.ndarray) -> list[str]:
     return (",".join([CSV_FLOAT_FORMAT] * len(values)) % tuple(values.tolist())).split(",")
 
 
-def column_blocks(columns: list[np.ndarray],
-                  stride: int = 1) -> Iterator[list[np.ndarray]]:
-    """Every ``stride``-th row of the (K,) ``columns``, in row blocks of
-    at most ``_BLOCK_ELEMENTS`` fields."""
-    span = stride * max(1, _BLOCK_ELEMENTS // len(columns))
-    for lo in range(0, len(columns[0]), span):
-        yield [col[lo:lo + span:stride] for col in columns]
-
-
-def write_csv(path, header: list[str], blocks: Iterable[list[np.ndarray]]) -> None:
-    """Write ``header`` and the rows of each block of (m,) columns as CSV,
-    with the ``\r\n`` line ends of ``csv.writer``: integer columns with
+def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write ``header`` and the rows of the (m,) ``columns`` as CSV, with
+    the ``\r\n`` line ends of ``csv.writer``: integer columns with
     ``%d``, float columns with :data:`CSV_FLOAT_FORMAT`.  Every row goes
-    through one ``%`` format.
+    through one ``%`` format, in row blocks of at most
+    ``_BLOCK_ELEMENTS`` fields.
     """
+    row_format = ",".join([
+        "%d" if np.issubdtype(col.dtype, np.integer) else CSV_FLOAT_FORMAT
+        for col in columns]) + "\r\n"
+    span = max(1, _BLOCK_ELEMENTS // len(columns))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for block in blocks:
-            row_format = ",".join([
-                "%d" if np.issubdtype(col.dtype, np.integer) else CSV_FLOAT_FORMAT
-                for col in block]) + "\r\n"
+        for lo in range(0, len(columns[0]), span):
             # integers up to 2**53 pass through float64 exactly
-            rows = np.column_stack(block).tolist()
+            rows = np.column_stack([col[lo:lo + span] for col in columns]).tolist()
             fh.write("".join([row_format % tuple(row) for row in rows]))
 
 
@@ -344,13 +344,8 @@ class Schedule:
     src: np.ndarray       # (K,) last delivery to the sender before its tick, or -1
 
 
-def build_schedule(
-    net: Network,
-    seed: int,
-    max_updates: int | None,
-    horizon: float | None,
-) -> Schedule:
-    """Draw every event of a run up to its stopping rule.
+def build_schedule(net: Network, seed: int, max_updates: int) -> Schedule:
+    """Draw every event of a run up to its ``max_updates``-th delivery.
 
     Events are pushed in the sequence tick 0, the deliveries of tick 0
     in out-neighbour order, tick 1, ...  Each is pushed while an event
@@ -359,8 +354,7 @@ def build_schedule(
     by (time, insertion).  No tick not yet drawn, nor any of its
     deliveries, can come before the last tick drawn, so ticks are drawn
     in chunks, sized from the expected deliveries per tick, until the
-    stopping rule (the ``max_updates``-th delivery, or the last event at
-    or before ``horizon``) falls before it; what was drawn for later
+    ``max_updates``-th delivery falls before it; what was drawn for later
     ticks is never read.  A chunk's hearing draws, one per tick of an
     arc's sender, come from one :class:`~clocksync.streams.UniformStreams`
     call over the rows of the network's arc table, and the delays of its
@@ -374,12 +368,9 @@ def build_schedule(
     ends = np.column_stack((table.sender, table.receiver))
     hear = UniformStreams(seed, "hear", ends)
     jitter = JitterStreams(seed, ends, [arc.delay for arc in table.arc], sample_delay)
-    mu_c = float(net.rates.sum())
-    per_tick = float(net.rates[table.sender] @ table.p_hear) / mu_c
-    if per_tick == 0.0 and horizon is None:
+    per_tick = float(net.rates[table.sender] @ table.p_hear) / float(net.rates.sum())
+    if per_tick == 0.0 and max_updates > 0:
         raise ValueError("a network without arcs never reaches max_updates")
-    cap = math.inf if max_updates is None else max_updates
-    end = math.inf if horizon is None else horizon
     # an event's insertion key: tick g is g * slots, its delivery to
     # node i is g * slots + i + 1, so out-neighbours keep their order
     slots = n + 1
@@ -389,7 +380,7 @@ def build_schedule(
     tick_j: list[int] = []
     t = np.empty(0)
     key = np.empty(0, dtype=np.int64)
-    todo = min(cap / per_tick if per_tick else math.inf, end * mu_c)
+    todo = max_updates / per_tick if max_updates else 0.0
     while True:
         chunk = list(itertools.islice(ticks, int(1.05 * todo) + 16))
         g0 = len(tick_t)
@@ -427,15 +418,12 @@ def build_schedule(
 
         last = int(np.flatnonzero(key == (len(tick_t) - 1) * slots)[0])
         delivered = np.cumsum(key % slots != 0)
-        stop = int(np.searchsorted(t, end, side="right"))
-        if cap == 0:
-            stop = 0
-        elif cap <= delivered[-1]:
-            stop = min(stop, int(np.searchsorted(delivered, cap)) + 1)
+        # one past the max_updates-th delivery; past the end while it is
+        # not drawn yet
+        stop = int(np.searchsorted(delivered, max_updates)) + 1 if max_updates else 0
         if stop <= last:
             break
-        todo = min((cap - delivered[last]) / per_tick if per_tick else math.inf,
-                   (end - tick_t[-1]) * mu_c)
+        todo = (max_updates - delivered[last]) / per_tick
 
     t, key = t[:stop], key[:stop]
     tick, receiver = np.divmod(key, slots)
@@ -492,32 +480,22 @@ def replay(state: SyncState, src: np.ndarray) -> np.ndarray:
     return np.array((ao, bo, co))[:, 1:]
 
 
-def run(
-    net: Network,
-    cfg: SyncConfig,
-    *,
-    max_updates: int | None = None,
-    horizon: float | None = None,
-    seed: int = 0,
-) -> SimResult:
-    """Run one simulation; bit-identical output for identical inputs.
+def run(net: Network, cfg: SyncConfig, *, max_updates: int, seed: int = 0) -> SimResult:
+    """Run one simulation of ``max_updates`` processed deliveries (the
+    global iteration count k, the run's only stopping rule);
+    bit-identical output for identical inputs.
 
-    ``max_updates`` counts processed deliveries (the global iteration
-    number); ``horizon`` is an absolute-time cutoff.  At least one of the
-    two must be given.  ``seed`` lies in 0..:data:`~clocksync.streams.MAX_SEED`.
-    Raises ``FloatingPointError`` if the run diverges, i.e. some update
-    leaves a non-finite estimate.
+    ``seed`` lies in 0..:data:`~clocksync.streams.MAX_SEED`.  A network
+    without arcs reaches only ``max_updates=0``.  Raises
+    ``FloatingPointError`` if the run diverges, i.e. some update leaves a
+    non-finite estimate.
     """
-    if max_updates is None and horizon is None:
-        raise ValueError("need max_updates or horizon")
-    if max_updates is not None and not (is_int(max_updates) and max_updates >= 0):
+    if not (is_int(max_updates) and max_updates >= 0):
         raise ValueError("max_updates must be a nonnegative integer")
-    if horizon is not None and not 0.0 < horizon < math.inf:
-        raise ValueError("horizon must be positive and finite")
     if not (is_int(seed) and 0 <= seed <= MAX_SEED):
         raise ValueError(f"seed must be an integer in 0..{MAX_SEED}")
 
-    sched = build_schedule(net, seed, max_updates, horizon)
+    sched = build_schedule(net, seed, max_updates)
     state = SyncState(cfg, net.n, sched.receiver, sched.arc, net.table.gamma,
                       sched.tau_sent, sched.tau_recv)
     a_i, b_i, c_i = replay(state, sched.src)

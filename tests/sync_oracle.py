@@ -293,7 +293,7 @@ def replay(n: int, arcs: dict, cfg: SyncConfig, sched: Schedule) -> dict:
     return {"rows": rows, "nu": nus, "final_nu": state.nu, "records": records}
 
 
-def heap_run(net, arcs, cfg, *, max_updates=None, horizon=None, seed=0) -> dict:
+def heap_run(net, arcs, cfg, *, max_updates, seed=0) -> dict:
     """Reference simulator: an event heap keyed by (time, insertion) that
     draws every random number one at a time, when its event is handled.
 
@@ -323,12 +323,9 @@ def heap_run(net, arcs, cfg, *, max_updates=None, horizon=None, seed=0) -> dict:
     heap, seq = [], itertools.count()
     t0, j0 = next_tick()
     heapq.heappush(heap, (t0, next(seq), j0, None))
-    cap = max_updates if max_updates is not None else 1 << 62
     rows = []
-    while len(rows) < cap:
+    while len(rows) < max_updates:
         t, _, node, data = heapq.heappop(heap)
-        if horizon is not None and t > horizon:
-            break
         if data is None:  # tick of `node`
             tau = read_local_time(net.clocks[node], t, read_rngs[node])
             msg = state.payload(node, tau)

@@ -42,11 +42,15 @@ def dense_views(trace):
             dense(trace, trace.c_i, 0.0))
 
 
+def dense_corrected(result):
+    """(K, n) corrected drifts ``g = a alpha`` and offsets ``f = a beta + b``."""
+    a, b, _ = dense_views(result.trace)
+    return a * result.net.alphas(), a * result.net.betas() + b
+
+
 def dense_metrics(result):
     tr = result.trace
-    a, b, _ = dense_views(tr)
-    g = a * result.net.alphas()
-    f = a * result.net.betas() + b
+    g, f = dense_corrected(result)
     vc = g * tr.t[:, None] + f
     return (g.max(axis=1) - g.min(axis=1), g.var(axis=1),
             f.max(axis=1) - f.min(axis=1), vc.max(axis=1) - vc.min(axis=1))
@@ -91,10 +95,12 @@ def dense_converged(result, rel=0.05):
 def row_subsets(K, stride, extra=()):
     """Sorted row selections of a K-row trace: none, one row, every row,
     the written rows at ``stride``, the head rows ``run_scaling`` reads,
-    and ``extra``."""
+    rows that repeat, and ``extra``."""
     subsets = [np.arange(0), np.arange(K), np.arange(0, K, stride),
                np.arange(min(max(1, K // 100), K)), np.asarray(extra, dtype=np.intp)]
     subsets += [np.array([k]) for k in ({0, K // 2, K - 1} if K else ())]
+    if K:
+        subsets.append(np.array([0, 0, K // 2, K // 2, K - 1]))
     return subsets
 
 
@@ -115,7 +121,7 @@ def _check_rows(result, views, rows):
     for got_series, want in zip((m.drift_spread, m.msd, m.offset_dispersion,
                                  m.vclock_gap), dense_metrics(result)):
         assert got_series.tobytes() == want[rows].tobytes()
-    g, f = analysis.corrected_estimates(result)
+    g, f = dense_corrected(result)
     assert m.g_hat.tobytes() == g[rows].tobytes()
     assert m.f_hat.tobytes() == f[rows].tobytes()
 
@@ -190,7 +196,7 @@ class TestBlocksMatchDense:
         result = engine.run(net, SyncConfig(), max_updates=40, seed=0)
         with pytest.raises(ValueError, match="rows must be sorted"):
             next(result.trace.blocks(rows=rows))
-        with pytest.raises((ValueError, IndexError)):
+        with pytest.raises(ValueError, match="rows must be sorted"):
             analysis.metrics(result, rows)
 
     @pytest.mark.parametrize("stride", [1, 3])
@@ -284,6 +290,40 @@ class TestTraceCsvEdges:
             assert (tmp_path / "t.csv").read_bytes() == dense_csv(tr, stride)
 
 
+def test_stack_of_any_column_at_repeated_rows():
+    # an event column other than the estimates, from a scalar and from
+    # per-node initial values, at rows that repeat across block edges
+    net = generate_geometric(GeometricSpec(6, 0.6, 0.1), seed=4)
+    tr = engine.run(net, SyncConfig(), max_updates=90, seed=4).trace
+    rows = np.array([0, 0, 1, 5, 5, 5, 6, 40, 41, 41, 89, 89])
+    initial = np.linspace(-1.0, 1.0, tr.n)
+    with mock.patch.object(engine, "_BLOCK_ELEMENTS", 6 * 2):
+        got_scalar = tr.stack(tr.tau_recv, 0.5, rows)
+        got_nodes = tr.stack(tr.tau_recv, initial, rows)
+    assert got_scalar.tobytes() == dense(tr, tr.tau_recv, 0.5)[rows].tobytes()
+    # the initial values differ per node, so fill the dense oracle node by node
+    want = dense(tr, tr.tau_recv, np.nan)
+    want = np.where(np.isnan(want), initial, want)
+    assert got_nodes.tobytes() == want[rows].tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 6, 13, 1 << 16])
+def test_metrics_csv_across_write_blocks(tmp_path, budget):
+    # a block of one row, of one and of two rows of six fields, and the
+    # default: every row written once, in order, with its own format
+    net = generate_geometric(GeometricSpec(6, 0.6, 0.1), seed=5)
+    result = engine.run(net, SyncConfig(offset=OffsetA()), max_updates=50, seed=5)
+    m = analysis.metrics(result, np.arange(0, 50, 3))
+    with mock.patch.object(engine, "_BLOCK_ELEMENTS", budget):
+        m.to_csv(tmp_path / "metrics.csv")
+    lines = ["k,t_abs,drift_spread,msd,offset_dispersion,vclock_gap"]
+    for k, *values in zip(m.k.tolist(), m.t, m.drift_spread, m.msd,
+                          m.offset_dispersion, m.vclock_gap):
+        lines.append(",".join([str(k)] + ["%.17g" % v for v in values]))
+    assert (tmp_path / "metrics.csv").read_bytes() == "".join(
+        line + "\r\n" for line in lines).encode()
+
+
 # ---------------------------------------------------------------------------
 # O(K) memory
 # ---------------------------------------------------------------------------
@@ -294,8 +334,9 @@ DENSE_VIEWS = ("a_hat", "b_hat", "c_hat")
 def test_analysis_and_csv_leave_the_dense_views_unbuilt(tmp_path):
     net = generate_geometric(GeometricSpec(8, 0.5, 0.1), seed=1)
     result = engine.run(net, SyncConfig(offset=OffsetA()), max_updates=600, seed=1)
-    m = analysis.metrics(result)
-    m.to_csv(tmp_path / "metrics.csv", stride=3)
+    rows = np.arange(0, 600, 3)
+    m = analysis.metrics(result, rows)
+    m.to_csv(tmp_path / "metrics.csv")
     result.trace.to_csv(tmp_path / "trace.csv", stride=3)
     analysis.fixed_point_residual(result)
     analysis.offset_fixed_point(result)
@@ -303,8 +344,44 @@ def test_analysis_and_csv_leave_the_dense_views_unbuilt(tmp_path):
     assert not set(DENSE_VIEWS) & set(vars(result.trace))
     assert not {"g_hat", "f_hat"} & set(vars(m))
     # the lazy views still give the dense corrected estimates
-    g, f = analysis.corrected_estimates(result)
-    assert np.array_equal(m.g_hat, g) and np.array_equal(m.f_hat, f)
+    g, f = dense_corrected(result)
+    assert np.array_equal(m.g_hat, g[rows]) and np.array_equal(m.f_hat, f[rows])
+
+
+def spy_fills(monkeypatch):
+    """Record (columns, rows) of every ``Trace._fill`` call."""
+    calls = []
+    fill = engine.Trace._fill
+
+    def recorded(self, values, carry, events, at, m):
+        calls.append((len(values), m))
+        return fill(self, values, carry, events, at, m)
+
+    monkeypatch.setattr(engine.Trace, "_fill", recorded)
+    return calls
+
+
+def test_each_view_fills_only_its_own_column(monkeypatch):
+    net = generate_geometric(GeometricSpec(8, 0.5, 0.1), seed=1)
+    tr = engine.run(net, SyncConfig(), max_updates=600, seed=1).trace
+    calls = spy_fills(monkeypatch)
+    with mock.patch.object(engine, "_BLOCK_ELEMENTS", 8 * 50):
+        for name in DENSE_VIEWS:
+            calls.clear()
+            getattr(tr, name)
+            assert calls == [(1, 50)] * 12, name  # blocks of 50 rows
+
+
+def test_fixed_point_residual_fills_only_the_last_decade(monkeypatch):
+    net = generate_geometric(GeometricSpec(8, 0.5, 0.1), seed=1)
+    result = engine.run(net, SyncConfig(offset=OffsetA()), max_updates=600, seed=1)
+    calls = spy_fills(monkeypatch)
+    analysis.fixed_point_residual(result)
+    # the last row's (a, b, c), then (f, c) at rows 60..599 for the
+    # Cauchy flag
+    assert calls[0] == (3, 1)
+    assert [cols for cols, _ in calls[1:]] == [2] * (len(calls) - 1)
+    assert sum(m for _, m in calls[1:]) == 600 - 600 // 10
 
 
 def test_trace_csv_holds_about_one_block(tmp_path):

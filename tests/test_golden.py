@@ -32,8 +32,6 @@ from clocksync.topology import Arc, Network
 SEEDS = (0, 1)
 UPDATES = 3000
 SCALING_NODES = (8, 14)
-HORIZON = 60.0       # a few thousand deliveries on the n=10 presets
-EARLY_HORIZON = 1e-3  # before the first delivery can arrive: K = 0
 
 
 def _config(preset: str, **over) -> experiments.ExperimentConfig:
@@ -60,14 +58,12 @@ def _digests(case: str, outdir) -> dict[str, str]:
         experiments.run_experiment(_config("fig1b", stride=int(case[6:])), outdir)
     elif case == "scaling":
         experiments.run_scaling(_config("fig1b", stride=10), SCALING_NODES, outdir)
-    else:
+    else:  # "empty": no update processed, the headers alone
         cfg = _config("fig1b")
-        horizon = HORIZON if case == "horizon" else EARLY_HORIZON
         for seed in SEEDS:
             result = engine.run(cfg.build_network(seed), cfg.sync_config(),
-                                horizon=horizon, seed=seed)
-            if case == "empty":
-                assert result.updates == 0
+                                max_updates=0, seed=seed)
+            assert result.updates == 0
             _write(result, outdir, seed)
     return {p.name: _sha(p) for p in sorted(outdir.glob("*.csv"))}
 
@@ -112,16 +108,6 @@ GOLDEN = {
             "0105bee23ce232f489edc05d399f6705b607c2a58ae8d98916882f186cbe20d9",
         "trace_seed1.csv":
             "2e8921965a602805ecc4da70d3b7531cfcafd12256c0856681b539bbdb4e2157",
-    },
-    "horizon": {
-        "metrics_seed0.csv":
-            "ced66b55044ff2201662147a8a64dd31bfc5c1fc8946ae60ef09b029d49f0165",
-        "metrics_seed1.csv":
-            "90f3d5f86efd54a665ef322bba995be7cfe8b9beef5508b166d1a6466c8e11b5",
-        "trace_seed0.csv":
-            "5c5268e3f4416d5e847b47eb64dce660dbda74d0881f76c26fe0c690e8f5511c",
-        "trace_seed1.csv":
-            "61fd70a591e6784e586c2b871084222685e3c761f027a0755975153c62638052",
     },
     "empty": {
         "metrics_seed0.csv":

@@ -363,7 +363,7 @@ def _bits(rows) -> bytes:
     return np.asarray(rows, dtype=float).reshape(-1, 3).tobytes()
 
 
-def assert_kernel_matches_oracle(net, arcs, cfg, max_updates, horizon, seed):
+def assert_kernel_matches_oracle(net, arcs, cfg, max_updates, seed):
     """Run the engine and replay the schedule it drew with the scalar
     reference: a, b, c after every delivery, each delivery's update
     count, the final counts and the outcomes agree exactly."""
@@ -382,8 +382,7 @@ def assert_kernel_matches_oracle(net, arcs, cfg, max_updates, horizon, seed):
         mp.setattr(engine, "build_schedule", schedule_spy)
         mp.setattr(engine, "replay", replay_spy)
         try:
-            res = engine.run(net, cfg, max_updates=max_updates,
-                             horizon=horizon, seed=seed)
+            res = engine.run(net, cfg, max_updates=max_updates, seed=seed)
             nu = res.nu.tolist()
         except FloatingPointError:  # a diverging constant step
             nu = None
@@ -404,7 +403,7 @@ class TestKernelOracle:
     @given(drawn=_weighted_networks(), cfg=_sync_configs(),
            updates=st.integers(0, 400), seed=st.integers(0, 2**32 - 1))
     def test_matches_scalar_updates(self, drawn, cfg, updates, seed):
-        assert_kernel_matches_oracle(*drawn, cfg, updates, 200.0, seed)
+        assert_kernel_matches_oracle(*drawn, cfg, updates, seed)
 
     @pytest.mark.parametrize("offset", [OffsetA(), OffsetB(0.3), None])
     @pytest.mark.parametrize("drift", [DriftA(2), DriftB(0.5), DriftC(1)])
@@ -416,4 +415,4 @@ class TestKernelOracle:
         arcs = own_arcs(net, spec.arc(), muted=0)
         net = make_reference(net, 0)
         cfg = SyncConfig(drift=drift, offset=offset)
-        assert_kernel_matches_oracle(net, arcs, cfg, 1500, None, 3)
+        assert_kernel_matches_oracle(net, arcs, cfg, 1500, 3)

@@ -576,7 +576,8 @@ def frozen_compensation_drift(
     probability.  Weights ``v_i ~ psi_i pi_in_i / S_i``, with psi the left
     null vector of L, cancel L f: the weighted mean ``v^T f`` moves by
     ``psi^T r / sum(v)`` however the offsets spread.  The drift estimates
-    are held at their last value.  Raises ``ValueError`` when no node
+    are held at their last value.  Raises ``ValueError`` when no
+    delivered link has a positive weight (L is zero), or when no node
     that psi weights takes an offset step in the window.
     """
     net = result.net
@@ -591,8 +592,12 @@ def frozen_compensation_drift(
     w, q = _initial_exchange_terms(result, profile, a)
     lap = w - np.diag(w.sum(axis=1))
     r = q - lap @ (a * beta)
+    degree = -lap.diagonal().min()
+    if not degree > 0.0:
+        raise ValueError("no delivered link has a positive weight, so the "
+                         "expected Laplacian over them is zero")
     # I + L / max_i d_i is row stochastic with the same left null space
-    psi = left_fixed_vector(np.eye(n) + lap / -lap.diagonal().min())
+    psi = left_fixed_vector(np.eye(n) + lap / degree)
     nu_start = np.bincount(tr.receiver[: start + 1], minlength=n)
     nu_end = np.bincount(tr.receiver, minlength=n)
     # the update kernel's step table, summed in update order

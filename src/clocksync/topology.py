@@ -265,6 +265,13 @@ class ProbabilityProfile:
     p: np.ndarray
 
 
+def _distances(positions: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each ``|positions[u[k]] - positions[v[k]]|``: the square root of the
+    difference's dot product, as numpy's ``linalg.norm`` takes it, bit for bit."""
+    diff = positions[u] - positions[v]
+    return np.sqrt((diff[:, None] @ diff[:, :, None]).ravel())
+
+
 def _source_components(n: int, sender: np.ndarray, receiver: np.ndarray) -> list[list[int]]:
     """The sorted members of each source component of the condensation of
     the digraph on nodes ``0..n-1`` with arcs ``zip(sender, receiver)``, in
@@ -273,7 +280,7 @@ def _source_components(n: int, sender: np.ndarray, receiver: np.ndarray) -> list
 
     The strong components come from Tarjan's (1972) depth-first pass, kept
     on an explicit stack so that no n meets the recursion limit; it costs
-    O(n + m) for m arcs, which may come in any order."""
+    O(n + m) for m arcs: a table's, sorted by sender, or in any order."""
     order = np.argsort(sender, kind="stable")
     succ = receiver[order].tolist()
     start = np.searchsorted(sender[order], np.arange(n + 1)).tolist()
@@ -331,39 +338,37 @@ def repair_connectivity(net: Network, arc_template: Arc) -> Network:
     """Add the fewest arcs needed for a spanning tree to exist.
 
     Source components of the condensation are merged pairwise, each time
-    joining the two geometrically closest nodes that belong to different
-    source components with an ``arc_template`` (keeps the graph
-    geometric).  Without positions the lowest-index representatives are
-    joined.  Identity on already connected networks.
+    joining the two closest nodes (by :func:`_distances`; without positions,
+    the least index sum) of two different sources with an ``arc_template``
+    (keeps the graph geometric).  Identity on already connected networks.
+
+    An arc u -> v from source a into source b closes no cycle, as nothing
+    outside a reaches u: the components stay and only b stops being a
+    source.  So the pairs (u, v), for a, for b other than a, for u in a,
+    for v in b, are listed once and walked from the closest, ties in list
+    order; each pair whose two sources both remain is joined and b dropped.
     """
-    sender, receiver = net.table.sender, net.table.receiver
-    added = {}
-    while len(sources := _source_components(net.n, sender, receiver)) > 1:
-        # the first closest of the pairs (u, v), for a, for b other than
-        # a, for u in a, for v in b, of two different sources: pair q of
-        # the (a, b) block is (a[q // len(b)], b[q % len(b)])
-        members = np.concatenate(sources)
-        size = np.array([len(a) for a in sources])
-        first = np.cumsum(size) - size
-        a, b = np.nonzero(~np.eye(len(sources), dtype=bool))
-        block = size[a] * size[b]
-        q = np.arange(block.sum()) - np.repeat(np.cumsum(block) - block, block)
-        width = np.repeat(size[b], block)
-        u = members[np.repeat(first[a], block) + q // width]
-        v = members[np.repeat(first[b], block) + q % width]
-        if net.positions is not None:
-            diff = net.positions[u] - net.positions[v]
-            # each row's x.dot(x), the product np.linalg.norm takes of a
-            # vector: the same rounding, which may fuse the multiply-add
-            d = np.sqrt((diff[:, None] @ diff[:, :, None]).ravel())
-        else:
-            d = u + v
-        best = int(np.argmin(d))
-        u, v = int(u[best]), int(v[best])
-        added[(u, v)] = arc_template
-        sender, receiver = np.append(sender, u), np.append(receiver, v)
-    if not added:
+    sources = _source_components(net.n, net.table.sender, net.table.receiver)
+    if len(sources) == 1:
         return net
+    # pair q of the (a, b) block is (a[q // len(b)], b[q % len(b)])
+    members = np.concatenate(sources)
+    size = np.array([len(a) for a in sources])
+    first = np.cumsum(size) - size
+    a, b = np.nonzero(~np.eye(len(sources), dtype=bool))
+    block = size[a] * size[b]
+    q = np.arange(block.sum()) - np.repeat(np.cumsum(block) - block, block)
+    width = np.repeat(size[b], block)
+    u = members[np.repeat(first[a], block) + q // width]
+    v = members[np.repeat(first[b], block) + q % width]
+    d = u + v if net.positions is None else _distances(net.positions, u, v)
+    order = np.argsort(d, kind="stable")
+    walk = (u[order], v[order], np.repeat(a, block)[order], np.repeat(b, block)[order])
+    left, added = [True] * len(sources), {}
+    for i, j, x, y in zip(*(w.tolist() for w in walk)):  # i -> j, from source x into y
+        if left[x] and left[y]:
+            left[y] = False
+            added[(i, j)] = arc_template
     return replace(net, arcs=dict(zip(net.table.ends(), net.table.arc)) | added)
 
 
@@ -425,12 +430,12 @@ class GeometricSpec:
 def generate_geometric(spec: GeometricSpec, seed: int) -> Network:
     """Generate a directed geometric random network on the unit square.
 
-    Nodes are placed uniformly; pairs closer than ``spec.radius`` get
-    two-way arcs; roughly ``spec.one_way_fraction`` of those pairs keep
-    only one direction.  The result is repaired so a spanning tree exists
-    (:func:`repair_connectivity` merges source components until one is
-    left, so the repair always succeeds).  ``seed`` lies in
-    0..:data:`~clocksync.streams.MAX_SEED`.
+    Nodes are placed uniformly; pairs closer than ``spec.radius`` by
+    :func:`_distances`, the one distance rule, get two-way arcs; roughly
+    ``spec.one_way_fraction`` of those pairs keep only one direction.  The
+    result is repaired so a spanning tree exists (:func:`repair_connectivity`
+    merges source components until one is left, so the repair always
+    succeeds).  ``seed`` lies in 0..:data:`~clocksync.streams.MAX_SEED`.
     """
     if not (is_int(seed) and 0 <= seed <= MAX_SEED):
         raise ValueError(f"seed must be an integer in 0..{MAX_SEED}")
@@ -438,14 +443,8 @@ def generate_geometric(spec: GeometricSpec, seed: int) -> Network:
     rng = substream(seed, "netgen")
     arc = spec.arc()
     pos = rng.uniform(0.0, 1.0, size=(n, 2))
-    # pairs u < v in row order; a pair within rounding of the radius is
-    # decided by the exact per-pair norm that defines the graph
-    first, second = np.triu_indices(n, 1)
-    diff = pos[first] - pos[second]
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    close = dist < radius
-    for p in np.flatnonzero(np.abs(dist - radius) <= 1e-9 * radius):
-        close[p] = np.linalg.norm(pos[first[p]] - pos[second[p]]) < radius
+    first, second = np.triu_indices(n, 1)  # pairs u < v in row order
+    close = _distances(pos, first, second) < radius
     ends = []
     for u, v in zip(first[close].tolist(), second[close].tolist()):
         if rng.random() < one_way_fraction:  # one-way link, random direction

@@ -350,6 +350,14 @@ class TestFrozenCompensationDrift:
         with pytest.raises(ValueError, match="no psi-weighted node took an offset step"):
             frozen_compensation_drift(res, 0)
 
+    def test_every_delivered_link_muted(self):
+        # the only arc has weight 0: the expected Laplacian is all zeros,
+        # so it has no largest degree to scale by
+        net = make_line_network(gamma=0.0, two_way=False)
+        res = engine.run(net, SyncConfig(offset=OffsetA()), max_updates=50, seed=0)
+        with pytest.raises(ValueError, match="no delivered link has a positive weight"):
+            frozen_compensation_drift(res, 10)
+
 
 # ---------------------------------------------------------------------------
 # The trace readers against per-link records, bit for bit

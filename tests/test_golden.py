@@ -14,8 +14,11 @@ were recorded before the run kept its per-link records as trace
 columns.  The saved network files of a few networks are hashed too: the
 fig1b networks, integer weights and delays (written as integers), a
 hand-built network with differing arc values repaired with a template,
-and the flooding preset's muted network.  Never regenerate them to make a change pass: a change that is
-meant to alter the bytes says so and records new hashes with its reason.
+the flooding preset's muted network, and two sparse networks that the
+repair joins from 64 and 121 source components (the 800-node one was
+recorded while the repair still found the components after every arc).
+Never regenerate them to make a change pass: a change that is meant to
+alter the bytes says so and records new hashes with its reason.
 """
 
 import copy
@@ -197,6 +200,8 @@ NETWORK_CASES = {
     "flooding-muted": lambda: _config("flooding").build_network(0),
     "sparse-repaired": lambda: topology.generate_geometric(
         topology.GeometricSpec(400, 0.05), seed=1),
+    "sparser-repaired": lambda: topology.generate_geometric(
+        topology.GeometricSpec(800, 0.035), seed=1),
 }
 
 NETWORK_GOLDEN = {
@@ -206,6 +211,7 @@ NETWORK_GOLDEN = {
     "hand-repaired": "0e08802bef06a2b30e24b7467df7a0a535251a96c706ff4c025d08a9f7b7b487",
     "flooding-muted": "f57dc648eed0730567611c7eb2862b07728c505ce3c07d58169159c9e69ba167",
     "sparse-repaired": "b7fd3be10e560a75488e3bca7707141f4285c63e2bdc7569faac440d20f4dafe",
+    "sparser-repaired": "3fbfeaf70ac710786a3cb2f74313d62ea49780fcd110f0fd17b4b06b258df128",
 }
 
 

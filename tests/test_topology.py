@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import clocksync
-from clocksync import engine
+from clocksync import engine, topology
 from clocksync.clock import ClockParams, DelayModel
 from clocksync.streams import substream
 from clocksync.sync import SyncConfig
@@ -22,6 +22,7 @@ from clocksync.topology import (
     Arc,
     GeometricSpec,
     Network,
+    _distances,
     _source_components,
     centers,
     expected_laplacian,
@@ -36,6 +37,18 @@ from conftest import make_line_network, networks, own_arcs
 
 def _arc(gamma=1.0, p=0.9):
     return Arc(gamma, p, DelayModel(0.1))
+
+
+LAYOUTS = ["none", "random", "grid", "line"]
+
+
+def _layout(layout, n, rng):
+    """Node positions: none, uniform, on a 4 x 4 grid, or on one line; the
+    grid and line put many pairs at exactly equal distances."""
+    return {"none": None,
+            "random": rng.random((n, 2)),
+            "grid": rng.integers(0, 4, (n, 2)) / 4,
+            "line": np.column_stack((rng.random(n), np.zeros(n)))}[layout]
 
 
 class TestValidation:
@@ -408,18 +421,13 @@ class TestConnectivity:
         return added
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), n=st.integers(2, 14),
-           layout=st.sampled_from(["none", "random", "grid", "line"]))
+    @given(data=st.data(), n=st.integers(2, 24), layout=st.sampled_from(LAYOUTS))
     def test_repair_matches_the_pair_loop(self, data, n, layout):
-        # grid and line layouts put many pairs at exactly equal distances,
-        # so the order of the pairs decides between them
+        # on the grid and line layouts the order of the pairs decides
+        # between pairs at equal distances
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
         arcs = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n))
-        rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
-        positions = {"none": None,
-                     "random": rng.random((n, 2)),
-                     "grid": rng.integers(0, 4, (n, 2)) / 4,
-                     "line": np.column_stack((rng.random(n), np.zeros(n)))}[layout]
+        positions = _layout(layout, n, np.random.default_rng(data.draw(st.integers(0, 1000))))
         net = Network(n, dict.fromkeys(arcs, _arc()), np.ones(n),
                       [ClockParams(1.0)] * n, positions)
         template = _arc(0.5, 0.7)
@@ -446,6 +454,31 @@ class TestConnectivity:
         added = self.repair_loop(bare)
         assert len(added) == 35
         assert net.table.ends() == sorted(arcs + added)
+
+    @pytest.mark.parametrize("n, radius, sources", [(400, 0.05, 64), (800, 0.035, 121)])
+    def test_repair_finds_the_components_once(self, monkeypatch, n, radius, sources):
+        # an arc added between two sources changes no component, so the
+        # repair joins all the sources after one pass, not one per arc
+        found = []
+
+        def spy(*args):
+            found.append(_source_components(*args))
+            return found[-1]
+
+        monkeypatch.setattr(topology, "_source_components", spy)
+        generate_geometric(GeometricSpec(n, radius), seed=1)
+        assert [len(f) for f in found] == [sources]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 30),
+           layout=st.sampled_from(LAYOUTS[1:]))
+    def test_distances_are_the_norm_bit_for_bit(self, data, n, layout):
+        positions = _layout(layout, n, np.random.default_rng(data.draw(st.integers(0, 1000))))
+        node = st.integers(0, n - 1)
+        ends = data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=50))
+        u, v = np.array(ends).T
+        norm = [np.linalg.norm(positions[i] - positions[j]) for i, j in ends]
+        assert _distances(positions, u, v).tolist() == norm
 
     # 5 000 nodes deep: a recursive depth-first pass would exceed the recursion limit
     def test_long_path_has_its_first_node_as_source(self):

@@ -94,9 +94,11 @@ def lyapunov_solve(b_star: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     Rejects non-Hurwitz input and inputs with nonsymmetric or
     non-positive-definite Q.  Dense Bartels-Stewart solve, O(n^3): about
-    50 ms at n = 200, the largest network ``clocksync report`` is run on.
-    The first call imports ``scipy.linalg``; nothing else in the package
-    needs scipy, so a run that writes no report never loads it.
+    25 ms at n = 200 on one BLAS thread, the largest network ``clocksync
+    report`` is run on; ``report`` runs it with every OpenBLAS pool on one
+    thread, which also fixes the last bits of R.  The first call imports
+    ``scipy.linalg`` (``report`` imports it first); nothing else in the
+    package needs scipy, so a run that writes no report never loads it.
     """
     b_star = np.asarray(b_star, dtype=float)
     q = np.asarray(q, dtype=float)

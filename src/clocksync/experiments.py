@@ -9,6 +9,7 @@ JSON with a versioned schema; unknown keys are rejected to catch typos.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import json
@@ -413,31 +414,35 @@ def report(cfg: ExperimentConfig, outdir) -> Path:
     outdir = Path(outdir)
     lines = []
     any_found = False
-    for seed in cfg.seeds:
-        net_path = outdir / f"network_seed{seed}.json"
-        if not net_path.exists():
-            continue
-        any_found = True
-        net = topology.Network.load(net_path)
-        profile = topology.probability_profile(net)
-        zeta = cfg.steps.drift_zeta(cfg.drift)
-        rep = analysis.spectral_check(analysis.build_B_bar(net, profile, zeta))
-        lines.append(f"seed {seed}:")
-        lines.append(f"  spectral: zero_multiplicity={rep.zero_multiplicity} "
-                     f"hurwitz={rep.hurwitz_ok} "
-                     f"[{'PASS' if rep.ok else 'FAIL'}]")
-        bound = analysis.rate_bound(cfg.drift, cfg.steps.zeta_prime, net,
-                                    report=rep)
-        lines.append(f"  rate bound: zeta*d_max={bound.zeta_d_max:.4f} "
-                     f"(r={bound.r:.4g}, q={bound.q:.4g})")
-        result = run_single(cfg, seed)
-        fp = analysis.fixed_point_residual(result)
-        lines.append(f"  fixed point: residual={fp.residual:.4g} "
-                     f"converged={fp.converged} "
-                     f"[{'PASS' if fp.residual < 5e-2 else 'FAIL'}]")
-    if not any_found:
-        raise FileNotFoundError(
-            f"no run artifacts in {outdir}; run the experiment first")
+    # loaded before the pools are pinned, so that scipy's pool is pinned too
+    import scipy.linalg  # noqa: F401
+    with _one_blas_thread():
+        for seed in cfg.seeds:
+            net_path = outdir / f"network_seed{seed}.json"
+            if not net_path.exists():
+                continue
+            any_found = True
+            net = topology.Network.load(net_path)
+            profile = topology.probability_profile(net)
+            zeta = cfg.steps.drift_zeta(cfg.drift)
+            rep = analysis.spectral_check(
+                analysis.build_B_bar(net, profile, zeta))
+            lines.append(f"seed {seed}:")
+            lines.append(f"  spectral: zero_multiplicity={rep.zero_multiplicity} "
+                         f"hurwitz={rep.hurwitz_ok} "
+                         f"[{'PASS' if rep.ok else 'FAIL'}]")
+            bound = analysis.rate_bound(cfg.drift, cfg.steps.zeta_prime, net,
+                                        report=rep)
+            lines.append(f"  rate bound: zeta*d_max={bound.zeta_d_max:.4f} "
+                         f"(r={bound.r:.4g}, q={bound.q:.4g})")
+            result = run_single(cfg, seed)
+            fp = analysis.fixed_point_residual(result)
+            lines.append(f"  fixed point: residual={fp.residual:.4g} "
+                         f"converged={fp.converged} "
+                         f"[{'PASS' if fp.residual < 5e-2 else 'FAIL'}]")
+        if not any_found:
+            raise FileNotFoundError(
+                f"no run artifacts in {outdir}; run the experiment first")
     path = outdir / "report.txt"
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -499,6 +504,67 @@ def _release_free_heap() -> None:
     trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
     if trim is not None:
         trim(0)
+
+
+_PROC_MAPS = "/proc/self/maps"
+_OPENBLAS_THREADS = [f"{prefix}openblas_{{}}_num_threads{suffix}"
+                     for prefix in ("", "scipy_") for suffix in ("", "64_")]
+
+
+def _openblas_pools() -> list[tuple[str, object, object]]:
+    """``(path, get, set)`` thread-count functions of every OpenBLAS that
+    this process has loaded, found in ``/proc/self/maps``; empty where
+    there is no such file or no OpenBLAS (MKL, Accelerate).
+
+    numpy's and scipy's wheels each bundle their own OpenBLAS, and they
+    export the pair as ``openblas_{get,set}_num_threads`` with a
+    ``scipy_`` prefix and/or a ``64_`` suffix.
+    """
+    try:
+        with open(_PROC_MAPS) as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    paths = sorted({f[5].strip() for f in fields
+                    if len(f) == 6 and "openblas" in os.path.basename(f[5])})
+    import ctypes
+    pools = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_THREADS:
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                pools.append((path, get, set_))
+                break
+    return pools
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, then
+    restore each pool's previous count, also when the block raises.
+
+    The thread count changes the last bits of the dense solves' results,
+    and with two pools of one thread per core, one pool's idle workers
+    spin while the other works: at n = 200 the spectral check and rate
+    bound take nearly twice as long on two threads as on one.  Does
+    nothing where no OpenBLAS is found.
+    """
+    pools = _openblas_pools()
+    before = [get() for _, get, _ in pools]
+    for _, _, set_ in pools:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, _, set_), count in zip(pools, before):
+            set_(count)
 
 
 def main(argv=None) -> int:

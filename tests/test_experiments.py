@@ -142,6 +142,89 @@ class TestRunner:
         assert len(lines) == 3
 
 
+@pytest.fixture
+def blas_pools():
+    """Every loaded OpenBLAS pool (scipy's too), as ``set_all(count)`` and
+    ``counts()``; each pool's count is restored afterwards."""
+    import scipy.linalg  # noqa: F401
+    pools = experiments._openblas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS is loaded in this process")
+
+    def set_all(count):
+        for _, _, set_ in pools:
+            set_(count)
+
+    def counts():
+        return [get() for _, get, _ in pools]
+
+    before = counts()
+    yield set_all, counts
+    for (_, _, set_), count in zip(pools, before):
+        set_(count)
+
+
+class TestBlasThreads:
+    def test_block_runs_every_pool_on_one_thread_and_restores(self, blas_pools):
+        set_all, counts = blas_pools
+        set_all(2)
+        with experiments._one_blas_thread():
+            assert counts() == [1] * len(counts())
+        assert counts() == [2] * len(counts())
+
+    def test_restores_after_a_raise(self, blas_pools):
+        set_all, counts = blas_pools
+        set_all(2)
+        with pytest.raises(RuntimeError):
+            with experiments._one_blas_thread():
+                raise RuntimeError
+        assert counts() == [2] * len(counts())
+
+    def test_report_restores_after_a_raise(self, blas_pools, tmp_path):
+        set_all, counts = blas_pools
+        set_all(2)
+        with pytest.raises(FileNotFoundError):
+            experiments.report(ExperimentConfig.from_dict(_minimal()), tmp_path)
+        assert counts() == [2] * len(counts())
+
+    def test_block_runs_when_nothing_is_found(self, blas_pools, tmp_path,
+                                              monkeypatch):
+        set_all, counts = blas_pools
+        set_all(2)
+        monkeypatch.setattr(experiments, "_PROC_MAPS", str(tmp_path / "missing"))
+        assert experiments._openblas_pools() == []
+        ran = False
+        with experiments._one_blas_thread():
+            ran = True
+            assert counts() == [2] * len(counts())
+        assert ran
+
+    def test_rate_bound_does_not_depend_on_the_callers_pools(
+            self, blas_pools, tmp_path, monkeypatch):
+        # at n = 200 the thread count changes the last bits of B*, R and r
+        set_all, counts = blas_pools
+        data = copy.deepcopy(PRESETS["fig1b"])
+        data["network"].update(n=200, radius=0.15)
+        data.update(seeds=[3], updates=2000)
+        cfg = ExperimentConfig.from_dict(data)
+        experiments.run_experiment(cfg, tmp_path)
+        rates = []
+        rate_bound = experiments.analysis.rate_bound
+
+        def spy(*args, **kwargs):
+            bound = rate_bound(*args, **kwargs)
+            rates.append(bound.r)
+            return bound
+
+        monkeypatch.setattr(experiments.analysis, "rate_bound", spy)
+        for count in (2, 1):
+            set_all(count)
+            experiments.report(cfg, tmp_path)
+            assert counts() == [count] * len(counts())
+        assert len(rates) == 2
+        assert rates[0].hex() == rates[1].hex()
+
+
 class TestCli:
     def test_run_preset(self, tmp_path):
         code = main(["run", "--preset", "fig1a", "--seeds", "0",

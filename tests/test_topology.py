@@ -673,7 +673,8 @@ def test_every_module_imports_without_networkx():
 
 
 def test_run_path_needs_no_scipy(tmp_path):
-    # scipy is imported only by analysis.lyapunov_solve, which run and scaling never call
+    # scipy is imported only by analysis.lyapunov_solve and experiments.report,
+    # which run and scaling never call
     child = ("import sys\n"
              "sys.modules['scipy'] = None\n"
              "from clocksync import experiments\n"

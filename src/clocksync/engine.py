@@ -302,6 +302,7 @@ class Deliveries:
     tick: np.ndarray      # (m,) position of the message's tick in the block
     receiver: np.ndarray  # (m,)
     t: np.ndarray         # (m,) delivery time
+    arc: np.ndarray       # (m,) the out-arc's row in the network's arc table
 
     def __len__(self) -> int:
         return len(self.t)
@@ -323,7 +324,19 @@ def broadcast(
     """
     out = net.out_neighbors(j)
     row, tick = np.nonzero(heard)
-    return Deliveries(tick, np.array(out, dtype=np.intp)[row], times[tick] + delays)
+    return Deliveries(tick, np.array(out, dtype=np.intp)[row], times[tick] + delays,
+                      net.table.start[j] + row)
+
+
+class _Delays:
+    """The delay model of each arc table row, read only when asked for:
+    a schedule draws the jitter of few rows of a large network."""
+
+    def __init__(self, arcs: list) -> None:
+        self._arcs = arcs
+
+    def __getitem__(self, r: int):
+        return self._arcs[r].delay
 
 
 @dataclass
@@ -360,14 +373,17 @@ def build_schedule(net: Network, seed: int, max_updates: int) -> Schedule:
     call over the rows of the network's arc table, and the delays of its
     heard messages, one per message in arc order, from one
     :class:`~clocksync.streams.JitterStreams` call; each sender's
-    messages take a contiguous slice of them.  The readings are drawn
+    messages take a contiguous slice of them.  Both seed a row's stream
+    when it is first drawn from, so a chunk costs O(out-arcs of the
+    senders that ticked in it).  :func:`broadcast` gives each message's
+    arc table row, which the sort carries along.  The readings are drawn
     per node in processing order, as one block.  A delivery's ``src`` is
     the last delivery to its sender processed before its tick.
     """
     n, table = net.n, net.table
     ends = np.column_stack((table.sender, table.receiver))
     hear = UniformStreams(seed, "hear", ends)
-    jitter = JitterStreams(seed, ends, [arc.delay for arc in table.arc], sample_delay)
+    jitter = JitterStreams(seed, ends, _Delays(table.arc), sample_delay)
     per_tick = float(net.rates[table.sender] @ table.p_hear) / float(net.rates.sum())
     if per_tick == 0.0 and max_updates > 0:
         raise ValueError("a network without arcs never reaches max_updates")
@@ -380,6 +396,7 @@ def build_schedule(net: Network, seed: int, max_updates: int) -> Schedule:
     tick_j: list[int] = []
     t = np.empty(0)
     key = np.empty(0, dtype=np.int64)
+    arc = np.empty(0, dtype=np.intp)  # a delivery's row in the arc table; -1 for a tick
     todo = max_updates / per_tick if max_updates else 0.0
     while True:
         chunk = list(itertools.islice(ticks, int(1.05 * todo) + 16))
@@ -390,31 +407,41 @@ def build_schedule(net: Network, seed: int, max_updates: int) -> Schedule:
         ct, cj = np.array(ct), np.array(cj)
         parts_t = [t, ct]
         parts_key = [key, np.arange(g0, len(tick_t), dtype=np.int64) * slots]
+        parts_arc = [arc, np.full(len(ct), -1, dtype=np.intp)]
         by_sender = np.argsort(cj, kind="stable")
         n_ticks = np.bincount(cj, minlength=n)
-        # every arc's hearing draws, one per tick of its sender: sender
-        # j's out-arcs hold a contiguous (out-degree, ticks) block
-        counts = n_ticks[table.sender]
-        heard = hear.random(counts) < np.repeat(table.p_hear, counts)
+        # the rows of the senders that ticked, each with one hearing draw
+        # per tick of its sender: sender j's out-arcs hold a contiguous
+        # (out-degree, ticks) block
+        ticked = np.flatnonzero(n_ticks)
+        degree = np.diff(table.start)[ticked]
+        row_end = np.cumsum(degree)
+        rows = np.repeat(table.start[ticked] - row_end + degree, degree) + np.arange(
+            row_end[-1])
+        per_row = np.repeat(n_ticks[ticked], degree)
+        counts = np.zeros(len(table.sender), dtype=np.intp)
+        counts[rows] = per_row
+        heard = hear.random(counts) < np.repeat(table.p_hear[rows], per_row)
         # one delay per heard message, arc after arc: sender j's take the
         # slice from its first out-arc's to its last's
         passed = np.concatenate(([0], np.cumsum(heard)))
-        cut = np.concatenate(([0], np.cumsum(counts)))
-        delays = jitter.delays(np.diff(passed[cut]))
-        bounds = np.cumsum(n_ticks).tolist()
-        draws = cut[table.start[1:]].tolist()
+        cut = np.concatenate(([0], np.cumsum(per_row)))
+        counts[rows] = np.diff(passed[cut])  # now each row's heard messages
+        delays = jitter.delays(counts)
+        bounds = np.cumsum(n_ticks[ticked]).tolist()
+        draws = cut[row_end].tolist()
         sent = passed[draws].tolist()
         for j, lo, hi, d_lo, d_hi, s_lo, s_hi in zip(
-                range(n), [0] + bounds, bounds, [0] + draws, draws, [0] + sent, sent):
-            if hi > lo:
-                pos = by_sender[lo:hi]
-                d = broadcast(net, j, ct[pos], heard[d_lo:d_hi].reshape(-1, hi - lo),
-                              delays[s_lo:s_hi])
-                parts_t.append(d.t)
-                parts_key.append((g0 + pos[d.tick]) * slots + d.receiver + 1)
-        t, key = np.concatenate(parts_t), np.concatenate(parts_key)
+                ticked.tolist(), [0] + bounds, bounds, [0] + draws, draws, [0] + sent, sent):
+            pos = by_sender[lo:hi]
+            d = broadcast(net, j, ct[pos], heard[d_lo:d_hi].reshape(-1, hi - lo),
+                          delays[s_lo:s_hi])
+            parts_t.append(d.t)
+            parts_key.append((g0 + pos[d.tick]) * slots + d.receiver + 1)
+            parts_arc.append(d.arc)
+        t, key, arc = (np.concatenate(parts) for parts in (parts_t, parts_key, parts_arc))
         order = np.lexsort((key, t))
-        t, key = t[order], key[order]
+        t, key, arc = t[order], key[order], arc[order]
 
         last = int(np.flatnonzero(key == (len(tick_t) - 1) * slots)[0])
         delivered = np.cumsum(key % slots != 0)
@@ -425,7 +452,7 @@ def build_schedule(net: Network, seed: int, max_updates: int) -> Schedule:
             break
         todo = (max_updates - delivered[last]) / per_tick
 
-    t, key = t[:stop], key[:stop]
+    t, key, arc = t[:stop], key[:stop], arc[:stop]
     tick, receiver = np.divmod(key, slots)
     receiver -= 1
     dlv = receiver >= 0
@@ -450,8 +477,7 @@ def build_schedule(net: Network, seed: int, max_updates: int) -> Schedule:
     prev = by_receiver[q]
     return Schedule(t=t[dlv], receiver=receiver, sender=sender,
                     t_send=np.array(tick_t)[tick], tau_sent=tau[~dlv][tick],
-                    tau_recv=tau[dlv],
-                    arc=table.rows(sender, receiver),
+                    tau_recv=tau[dlv], arc=arc[dlv],
                     src=np.where((q >= 0) & (receiver[prev] == sender), prev, -1))
 
 

@@ -398,6 +398,7 @@ def run_scaling(cfg: ExperimentConfig, node_counts, outdir) -> list[Path]:
             head = max(1, K // 100)
             m = analysis.metrics(result, np.arange(min(head, K)))
             msd_early.append(float(np.mean(m.msd)))
+            del result  # the next seed's network is built without this one's
         summary.append((spec.n, float(np.median(msd_early))))
     summary_path = outdir / "scaling_summary.csv"
     with open(summary_path, "w") as fh:

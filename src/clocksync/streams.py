@@ -29,17 +29,19 @@ Each draw is one jump from its stream's current state, by a table of
 PCG64 constants shared by every stream.  A stream with more than
 ``_LONG`` draws in one call (at n=10 every arc draws hundreds per chunk
 of ticks) costs less as a generator: one shared ``Generator`` is set to
-its state, draws them, and hands its state back.
+its state, draws them, and hands its state back.  A stream is seeded
+when it is first drawn from, so a call costs O(streams drawn from): in
+a large network most arcs' senders never tick before the run ends.
 
 A jitter stream likewise draws only a few delays per chunk of ticks, so
 :class:`JitterStreams` draws them from the same array outputs: it
 decodes each output as ``Generator.standard_normal``'s ziggurat fast
 path, or as ``Generator.uniform``'s uniform, and leaves the rest (about
-2% of normal draws) to a ``Generator`` set to the stream's state.
-NumPy does not expose the ziggurat's weights ``wi``, so
-:func:`_ziggurat` reads them from the installed NumPy once per process,
-on first use, by forcing chosen outputs.  Only the tick and reading
-streams are still ``Generator`` objects.
+1.5% of normal draws) to a ``Generator`` set to the stream's state.
+NumPy does not expose the ziggurat's weights ``wi`` nor its bounds
+``ki``, so :func:`_ziggurat` reads them from the installed NumPy once
+per process, on first use, by forcing chosen outputs.  Only the tick
+and reading streams are still ``Generator`` objects.
 
 NumPy keeps ``SeedSequence`` and ``PCG64`` output stable across
 releases (NEP 19), but that policy covers only the bit generators, not
@@ -267,85 +269,123 @@ class UniformStreams:
     uint64 array words, seeded as ``PCG64`` seeds them.  A stream with
     more than ``_LONG`` draws in a call costs less as a ``Generator``:
     one shared ``Generator``, set to the stream's state, draws them, and
-    its state goes back to the stream."""
+    its state goes back to the stream.
+
+    A stream is seeded when it is first drawn from: its state depends
+    only on its key, so the bits do not depend on when.  A call costs
+    O(streams drawn from), whatever the number of streams; a run of a
+    large network draws from the out-arcs of the senders that tick
+    before its last update only.
+    """
 
     def __init__(self, seed: int, name: str, ids) -> None:
-        s = _pcg64_seeds(_words(seed, name, ids))
-        # PCG64 seeding: the seed words are initstate (s0 high, s1 low)
-        # and initseq (s2, s3); inc = initseq << 1 | 1, then from state
-        # 0: one step, += initstate, one step
+        self._key = seed, name
+        self._ids = np.asarray(ids, dtype=np.int64)
+        # 1 + the place of row r's stream in the state arrays; 0 until seeded
+        self._slot = np.zeros(len(self._ids), dtype=np.int32)
+        self._state = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
+        self._inc_q = self._state
+        self._rng: np.random.Generator | None = None
+
+    def _slots(self, rows: np.ndarray) -> np.ndarray:
+        """The places of the streams of the distinct ``rows`` in the state
+        arrays; a stream not seeded yet is seeded and appended."""
+        new = rows[self._slot[rows] == 0]
+        if len(new):
+            self._slot[new] = len(self._state[0]) + 1 + np.arange(len(new))
+            self._seed(new)
+        return self._slot[rows] - 1
+
+    def _seed(self, rows: np.ndarray) -> None:
+        """Append the states of the streams of ``rows``."""
+        s = _pcg64_seeds(_words(*self._key, self._ids[rows]))
+        # PCG64 seeding: the seed words are initstate (s0 high, s1 low) and
+        # initseq (s2, s3); inc = initseq << 1 | 1, then from state 0: one
+        # step, += initstate, one step
         inc = (s[:, 2] << 1) | (s[:, 3] >> 63), (s[:, 3] << 1) | 1
         state = _iadd((s[:, 0].copy(), s[:, 1].copy()), inc)
-        self._state = _iadd(_mul(_u128(_PCG_MULT), state), inc)
-        self._inc_q = _mul(_u128(pow(_Q, -1, 1 << 128)), inc)
-        self._rng: np.random.Generator | None = None
+        self._state = tuple(map(np.concatenate, zip(
+            self._state, _iadd(_mul(_u128(_PCG_MULT), state), inc))))
+        self._inc_q = tuple(map(np.concatenate, zip(
+            self._inc_q, _mul(_u128(pow(_Q, -1, 1 << 128)), inc))))
 
     def random(self, counts) -> np.ndarray:
         """The next ``counts[r]`` uniforms of every stream r, stream after
         stream: what ``substreams(seed, name, ids)[r].random(counts[r])``
         returns, call after call."""
         counts = np.asarray(counts, dtype=np.intp)
+        rows = np.flatnonzero(counts)
+        counts, slots = counts[rows], self._slots(rows)
         drawn = np.where(counts > _LONG, 0, counts)
         # Generator.random: the output shifted right by 11, times 2**-53
-        words = self.outputs(drawn)
+        words = self._outputs(slots, drawn)
         words >>= 11
         out = np.empty(int(counts.sum()))
         out[np.repeat(drawn > 0, counts)] = words * 2.0 ** -53
         base = np.cumsum(counts) - counts
-        for r in np.flatnonzero(counts > _LONG).tolist():
-            out[base[r]:base[r] + counts[r]] = self._generator(r).random(counts[r])
-            self._take_state(r)
+        for k in np.flatnonzero(counts > _LONG).tolist():
+            out[base[k]:base[k] + counts[k]] = self._generator(slots[k]).random(counts[k])
+            self._take_state(slots[k])
         return out
 
-    def _generator(self, r: int, state=None, skip: int = 0) -> np.random.Generator:
-        """The shared ``Generator``, set to stream r's state (or to its
-        entry in the (high, low) arrays ``state``), ``skip`` outputs on;
-        :meth:`_take_state` hands its state back to the stream."""
+    def _generator(self, slot: int, state: int | None = None,
+                   skip: int = 0) -> np.random.Generator:
+        """The shared ``Generator``, set to the state of the stream in
+        ``slot`` (or to the 128-bit LCG state ``state``), ``skip`` outputs
+        on; :meth:`_take_state` hands its state back to the stream."""
         if self._rng is None:
             self._rng = np.random.Generator(np.random.PCG64(0))
-        high, low = self._state if state is None else state
-        inc = _Q * (int(self._inc_q[0][r]) << 64 | int(self._inc_q[1][r])) & _MASK128
+        if state is None:
+            state = int(self._state[0][slot]) << 64 | int(self._state[1][slot])
+        inc = _Q * (int(self._inc_q[0][slot]) << 64 | int(self._inc_q[1][slot])) & _MASK128
         self._rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": int(high[r]) << 64 | int(low[r]), "inc": inc},
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
             "has_uint32": 0, "uinteger": 0}
         self._rng.bit_generator.advance(skip)
         return self._rng
 
-    def _take_state(self, r: int) -> None:
+    def _take_state(self, slot: int) -> None:
         state = self._rng.bit_generator.state["state"]["state"]
-        self._state[0][r], self._state[1][r] = state >> 64, state & _MASK64
+        self._state[0][slot], self._state[1][slot] = state >> 64, state & _MASK64
 
     def outputs(self, counts) -> np.ndarray:
         """The next ``counts[r]`` 64-bit PCG64 outputs of every stream r,
         stream after stream."""
-        m = np.asarray(counts, dtype=np.intp)
+        counts = np.asarray(counts, dtype=np.intp)
+        rows = np.flatnonzero(counts)
+        return self._outputs(self._slots(rows), counts[rows])
+
+    def _outputs(self, slots: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """The next ``m[k]`` outputs of each stream in ``slots[k]``."""
+        state = self._state[0][slots], self._state[1][slots]
+        inc_q = self._inc_q[0][slots], self._inc_q[1][slots]
         end = np.cumsum(m)
         out = np.empty(int(end[-1]) if len(m) else 0, dtype=np.uint64)
         # windows of at most _WINDOW draws bound the work arrays; a
         # stream cut by a window boundary goes on in the next window
         for lo in range(0, len(out), _WINDOW):
             hi = min(len(out), lo + _WINDOW)
-            r0 = int(np.searchsorted(end, lo, side="right"))
-            r1 = int(np.searchsorted(end, hi - 1, side="right")) + 1
-            part = np.minimum(end[r0:r1], hi) - np.maximum(end[r0:r1] - m[r0:r1], lo)
-            self._draw(slice(r0, r1), part, out[lo:hi])
+            k0 = int(np.searchsorted(end, lo, side="right"))
+            k1 = int(np.searchsorted(end, hi - 1, side="right")) + 1
+            part = np.minimum(end[k0:k1], hi) - np.maximum(end[k0:k1] - m[k0:k1], lo)
+            self._draw((state[0][k0:k1], state[1][k0:k1]),
+                       (inc_q[0][k0:k1], inc_q[1][k0:k1]), part, out[lo:hi])
+        self._state[0][slots], self._state[1][slots] = state
         return out
 
-    def _draw(self, streams: slice, m: np.ndarray, out: np.ndarray) -> None:
-        """Write the next ``m[r]`` outputs of each stream r of ``streams``
-        to ``out``.
+    @staticmethod
+    def _draw(state, inc_q, m: np.ndarray, out: np.ndarray) -> None:
+        """Write the next ``m[k]`` outputs of each stream k, with the
+        (high, low) words ``state`` and ``inc_q``, to ``out``, and leave
+        ``state`` at each stream's last draw.
 
         k LCG steps take a state x to ``MULT^k x + C_k inc``, with
         ``C_k = sum_{i<k} MULT^i``.  As ``MULT^k = 4 D_k + 1`` and
         ``(MULT - 1) C_k = MULT^k - 1`` give ``Q C_k = D_k``, that state
         is ``x + D_k w`` with ``w = 4 x + inc / Q`` (Q is odd, so it has
         an inverse mod 2**128).  Draw k (from 1) of a stream is thus one
-        product from its current state, and no draw waits for another;
-        the stream then keeps the state of its last draw.
+        product from its current state, and no draw waits for another.
         """
-        state = self._state[0][streams], self._state[1][streams]
-        inc_q = self._inc_q[0][streams], self._inc_q[1][streams]
         w = _iadd((state[0] << 2 | state[1] >> 62, state[1] << 2), inc_q)
         owner = np.repeat(np.arange(len(m)), m)
         end = np.cumsum(m)
@@ -365,7 +405,7 @@ class UniformStreams:
 # -- Generator.normal as array arithmetic ----------------------------------
 
 #: how far below NumPy's fast-path bound ``ki`` the decoder's bound lies:
-#: ``floor(2**52 wi[i-1] / wi[i])`` is within 1 of ``ki[i]`` for i >= 2
+#: ``floor(2**52 wi[i-1] / wi[i])`` is within 1 of ``ki[i]`` for i >= 3
 _MARGIN = 1 << 10
 _MASK52 = (1 << 52) - 1
 
@@ -375,25 +415,40 @@ def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
     """``standard_normal``'s weights ``wi`` and the decoder's bound on
     ``rabs`` per index, read from the installed NumPy once.
 
-    A state is set whose next output is the word ``(2 << 8) | idx``
-    (``rabs`` 1, sign +), and the draw returns ``wi[idx]``: the XSL-RR
-    output of a state whose high word is 0 is its low word, so that
-    state is one LCG step back from the word.  Only ``wi[2:]`` enter a
-    bound, as indices 0 (the tail), 1 (always a slow path) and 2 (whose
-    bound would need ``wi[1]``) always fall back; their bound is 0.
+    A state is set whose next output is a chosen word: the XSL-RR output
+    of a state whose high word is 0 is its low word, so that state is one
+    LCG step back from the word.  The word ``(2 << 8) | idx`` (``rabs`` 1,
+    sign +) returns ``wi[idx]``.  A word takes the fast path, and reads no
+    output after it, exactly when its ``rabs`` is below ``ki[idx]``: so
+    ``ki[0]`` (the tail) and ``ki[2]`` (whose ratio bound would need
+    ``wi[1]``) are read by bisection over ``rabs``, and the bound of each
+    index from 3 on lies ``_MARGIN`` below its ratio.  Index 1 always
+    takes a slow path; its bound is 0.
     """
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
     inc = bits.state["state"]["inc"]
     back = pow(_PCG_MULT, -1, 1 << 128)
-    wi = np.zeros(256)
-    for idx in range(2, 256):
-        prev = ((2 << 8 | idx) - inc) * back % (1 << 128)
+
+    def draw(word: int) -> tuple[float, bool]:
+        """The draw from the word, and whether it read that word only."""
+        prev = (word - inc) * back % (1 << 128)
         bits.state = {"bit_generator": "PCG64", "state": {"state": prev, "inc": inc},
                       "has_uint32": 0, "uinteger": 0}
-        wi[idx] = rng.standard_normal()
+        z = rng.standard_normal()
+        return z, bits.state["state"]["state"] == (_PCG_MULT * prev + inc) % (1 << 128)
+
+    wi = np.zeros(256)
+    for idx in (0, *range(2, 256)):
+        wi[idx] = draw(2 << 8 | idx)[0]
     bound = np.zeros(256, dtype=np.uint64)
     bound[3:] = np.floor(2.0 ** 52 * wi[2:-1] / wi[3:]) - _MARGIN
+    for idx in (0, 2):
+        fast, slow = 0, 1 << 52  # rabs 0 takes the fast path; 2**52 is past the last
+        while slow - fast > 1:
+            mid = (fast + slow) // 2
+            fast, slow = (mid, slow) if draw(mid << 9 | idx)[1] else (fast, mid)
+        bound[idx] = slow
     return wi, bound
 
 
@@ -421,23 +476,32 @@ class JitterStreams(UniformStreams):
     that the decoder cannot make, the rest of its draws in the call are
     made by ``sample`` (``clock.sample_delay``) with one shared
     ``Generator`` set to the stream's state, which then goes back to the
-    stream; about 2% of normal draws need it.  As in
+    stream; about 1.5% of normal draws need it.  As in
     :class:`UniformStreams`, ``sample`` makes all the draws of a stream
     with more than ``_LONG`` of them in a call.
+
+    Like its stream, a row's model is read when the row is first drawn
+    from, so ``models`` need only answer ``models[r]``.
     """
 
     def __init__(self, seed: int, ids, models, sample) -> None:
         super().__init__(seed, "jitter", ids)
         self._models = models
+        # per place in the state arrays: mean, sigma, floor, and 1.0 for
+        # uniform jitter
+        self._model = np.empty((0, 4))
+        self._sample = sample
+
+    def _seed(self, rows: np.ndarray) -> None:
+        super()._seed(rows)
+        models = [self._models[r] for r in rows.tolist()]
         # rows mostly share one model object: each distinct one is read once
         _, first, kind = np.unique(
             np.fromiter(map(id, models), dtype=np.uintp, count=len(models)),
             return_index=True, return_inverse=True)
-        self._mean, self._sigma, self._floor, uniform = np.array(
-            [(d.delta_bar, d.eta_sigma, d.delta_min, d.dist == "uniform")
-             for d in map(models.__getitem__, first.tolist())]).reshape(-1, 4)[kind].T
-        self._uniform = uniform == 1.0
-        self._sample = sample
+        values = np.array([(d.delta_bar, d.eta_sigma, d.delta_min, d.dist == "uniform")
+                           for d in map(models.__getitem__, first.tolist())]).reshape(-1, 4)
+        self._model = np.concatenate((self._model, values[kind]))
 
     def delays(self, counts) -> np.ndarray:
         """The next ``counts[r]`` delays of every stream r, stream after
@@ -445,11 +509,14 @@ class JitterStreams(UniformStreams):
         ids)[r], counts[r])`` returns, call after call.  Rows whose
         jitter has sigma 0 draw nothing."""
         counts = np.asarray(counts, dtype=np.intp)
-        sigma, uniform = self._sigma, self._uniform
+        rows = np.flatnonzero(counts)
+        counts, slots = counts[rows], self._slots(rows)
+        mean, sigma, floor, uniform = self._model[slots].T
+        uniform = uniform == 1.0
         long = (sigma > 0.0) & (counts > _LONG)
         drawn = np.where((sigma > 0.0) & ~long, counts, 0)
-        start = self._state[0].copy(), self._state[1].copy()
-        words = self.outputs(drawn)
+        start = self._state[0][slots], self._state[1][slots]
+        words = self._outputs(slots, drawn)
         # Generator.normal(0, sigma) is 0.0 + sigma z, and
         # Generator.uniform(-h, h) is -h + (h - -h) u
         z, slow = _standard_normal(words)
@@ -461,19 +528,18 @@ class JitterStreams(UniformStreams):
             slow &= ~flat
         eta = np.zeros(int(counts.sum()))
         eta[np.repeat(drawn > 0, counts)] = noise
-        out = np.maximum(np.repeat(self._floor, counts),
-                         np.repeat(self._mean, counts) + eta)
+        out = np.maximum(np.repeat(floor, counts), np.repeat(mean, counts) + eta)
         # each stream's first slow draw, and the first draw of a long one
         at = np.flatnonzero(slow)
-        rows, first = np.unique(np.repeat(np.arange(len(counts)), drawn)[at],
-                                return_index=True)
-        skip = at[first] - (np.cumsum(drawn) - drawn)[rows]
-        rows = np.concatenate((rows, np.flatnonzero(long)))
-        skip = np.concatenate((skip, np.zeros(len(rows) - len(skip), dtype=np.intp)))
+        ks, first = np.unique(np.repeat(np.arange(len(counts)), drawn)[at],
+                              return_index=True)
+        skip = at[first] - (np.cumsum(drawn) - drawn)[ks]
+        ks = np.concatenate((ks, np.flatnonzero(long)))
+        skip = np.concatenate((skip, np.zeros(len(ks) - len(skip), dtype=np.intp)))
         base = np.cumsum(counts) - counts
-        for r, p in zip(rows.tolist(), skip.tolist()):
-            lo, hi = base[r] + p, base[r] + counts[r]
-            rng = self._generator(r, start, p)
-            out[lo:hi] = self._sample(self._models[r], rng, hi - lo)
-            self._take_state(r)
+        for k, p in zip(ks.tolist(), skip.tolist()):
+            lo, hi = base[k] + p, base[k] + counts[k]
+            rng = self._generator(slots[k], int(start[0][k]) << 64 | int(start[1][k]), p)
+            out[lo:hi] = self._sample(self._models[int(rows[k])], rng, hi - lo)
+            self._take_state(slots[k])
         return out

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field, replace
-from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -27,6 +27,7 @@ SCHEMA_VERSION = 1
 
 _ARC_NUMBER_KEYS = ("gamma", "p_hear", "delta_bar", "eta_sigma", "delta_min")
 _ARC_NUMBERS = itemgetter(*_ARC_NUMBER_KEYS)
+_ARC_ENDS = itemgetter("sender", "receiver")
 
 
 def _numbers(record: dict, *keys: str) -> list:
@@ -97,24 +98,76 @@ class ArcTable:
         return row
 
 
+def _ends(values) -> np.ndarray:
+    """One column of arc ends as an integer array."""
+    col = np.asarray(values) if len(values) else np.empty(0, dtype=np.intp)
+    # numpy makes an int array of bools mixed with ints
+    if (col.ndim != 1 or col.dtype.kind not in "iu"
+            or not isinstance(values, np.ndarray) and bool in set(map(type, values))):
+        raise ValueError("arc endpoints must be pairs of integers")
+    return col
+
+
+def _arc_table(n: int, sender, receiver, arc) -> ArcTable:
+    """The table of the arcs ``sender[r] -> receiver[r]``, each row with
+    its :class:`Arc` ``arc[r]``, or all with the one :class:`Arc` ``arc``:
+    checked, and sorted unless already in (sender, receiver) order."""
+    sender, receiver = _ends(sender), _ends(receiver)
+    m = len(sender)
+    if len(receiver) != m or not isinstance(arc, Arc) and len(arc) != m:
+        raise ValueError("arc columns must have equal lengths")
+    if np.any(sender == receiver):
+        raise ValueError("self-arcs are not allowed")
+    if not np.all((sender >= 0) & (sender < n) & (receiver >= 0) & (receiver < n)):
+        raise ValueError("arc endpoints out of range")
+    sender, receiver = (np.ascontiguousarray(c, dtype=np.intp) for c in (sender, receiver))
+    code = sender * n + receiver
+    if np.any(code[1:] <= code[:-1]):
+        if isinstance(arc, Arc):
+            code.sort()
+        else:
+            order = np.argsort(code)
+            code = code[order]
+            arc = [arc[r] for r in order.tolist()]
+        sender, receiver = np.divmod(code, n)
+        # columns, unlike a mapping, can repeat a pair
+        twice = np.flatnonzero(code[1:] == code[:-1])
+        if len(twice):
+            end = (int(sender[twice[0]]), int(receiver[twice[0]]))
+            raise ValueError(f"arc {end} is listed more than once")
+    if isinstance(arc, Arc):
+        rows = [arc] * m
+        gamma, p_hear = np.full(m, arc.gamma, dtype=float), np.full(m, arc.p_hear, dtype=float)
+    else:
+        rows = list(arc)
+        gamma = np.array([a.gamma for a in rows], float)
+        p_hear = np.array([a.p_hear for a in rows], float)
+    return ArcTable(sender, receiver, rows, gamma, p_hear,
+                    np.searchsorted(sender, np.arange(n + 1)))
+
+
 @dataclass
 class Network:
     """Immutable-by-convention directed network with clock and rate data.
 
-    The constructor takes ``arcs``, a mapping from ``(j, i)`` (sender,
-    receiver) to an :class:`Arc`, and keeps the arcs only as
-    :attr:`table`, where an arc's row is its index everywhere (its jitter
-    stream, ``Schedule.arc``, ``SyncState``'s links).
+    The constructor takes ``arcs`` as columns ``(sender, receiver, arc)``:
+    the integer ends of each row, and each row's :class:`Arc` or one
+    :class:`Arc` that every row shares.  A mapping from ``(j, i)``
+    (sender, receiver) to an :class:`Arc` is turned into those columns.
+    Either way the columns are checked and sorted once, by one path, and
+    the arcs are kept only as :attr:`table`, where an arc's row is its
+    index everywhere (its jitter stream, ``Schedule.arc``, ``SyncState``'s
+    links).
     """
 
     n: int
-    arcs: InitVar[dict[tuple[int, int], Arc]]
+    arcs: InitVar[Mapping[tuple[int, int], Arc] | tuple]
     rates: np.ndarray
     clocks: list[ClockParams]
     positions: np.ndarray | None = None
     table: ArcTable = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, arcs: dict[tuple[int, int], Arc]) -> None:
+    def __post_init__(self, arcs) -> None:
         if self.n < 1:
             raise ValueError("need at least one node")
         self.rates = np.asarray(self.rates, dtype=float)
@@ -123,23 +176,17 @@ class Network:
             raise ValueError("rates must be finite and positive, one per node")
         if len(self.clocks) != self.n:
             raise ValueError("need one ClockParams per node")
-        ends = np.array(list(arcs) or np.empty((0, 2), dtype=np.intp))
-        # numpy makes an int array of bools mixed with ints
-        if (ends.dtype.kind not in "iu" or ends.shape[1:] != (2,)
-                or bool in set(map(type, chain.from_iterable(arcs)))):
-            raise ValueError("arc endpoints must be pairs of integers")
-        if np.any(ends[:, 0] == ends[:, 1]):
-            raise ValueError("self-arcs are not allowed")
-        if not np.all((ends >= 0) & (ends < self.n)):
-            raise ValueError("arc endpoints out of range")
-        order = np.lexsort(ends.T[::-1])
-        values = list(arcs.values())
-        rows = [values[r] for r in order.tolist()]
-        sender, receiver = np.ascontiguousarray(ends[order].T, dtype=np.intp)
-        self.table = ArcTable(sender, receiver, rows,
-                              np.array([a.gamma for a in rows], float),
-                              np.array([a.p_hear for a in rows], float),
-                              np.searchsorted(sender, np.arange(self.n + 1)))
+        if self.positions is not None:
+            self.positions = np.asarray(self.positions, dtype=float)
+            if self.positions.shape != (self.n, 2) or not np.isfinite(self.positions).all():
+                raise ValueError("positions must be None or two finite numbers per node")
+        if isinstance(arcs, Mapping):
+            try:  # every key a pair
+                sender, receiver = zip(*arcs, strict=True) if arcs else ((), ())
+            except (TypeError, ValueError):
+                raise ValueError("arc endpoints must be pairs of integers") from None
+            arcs = sender, receiver, list(arcs.values())
+        self.table = _arc_table(self.n, *arcs)
 
     def out_neighbors(self, j: int) -> tuple[int, ...]:
         """Receivers of node j's broadcasts, in increasing order."""
@@ -181,8 +228,9 @@ class Network:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Network":
-        """The network a :meth:`to_dict` record describes; the arcs of one
-        value share one :class:`Arc`, so its checks run once per value."""
+        """The network a :meth:`to_dict` record describes, its arcs handed
+        to the table as columns; the arcs of one value share one
+        :class:`Arc`, so its checks run once per value."""
         if data.get("schema_version") != SCHEMA_VERSION:
             raise ValueError("unsupported network schema version")
         n = data["n"]
@@ -198,12 +246,12 @@ class Network:
             if p is not None and not (isinstance(p, list) and len(p) == 2 and all(
                     type(x) in (int, float) and math.isfinite(x) for x in p)):
                 raise ValueError(f"position must be null or two finite numbers, got {p!r}")
-        arcs, made = {}, {}
+        sender, receiver, arcs, made = [], [], [], {}
         for rec in data["arcs"]:
             value = (*_ARC_NUMBERS(rec), rec.get("delay_dist", "normal"))
             # 2, 2.0 and true, and 0.0 and -0.0, are equal keys but are written apart
             key = value + tuple([type(v) if v else repr(v) for v in value])
-            end = (rec["sender"], rec["receiver"])
+            end = _ARC_ENDS(rec)
             try:
                 hash((key, end))
             except TypeError:  # a list or an object
@@ -214,10 +262,10 @@ class Network:
             if key not in made:
                 made[key] = Arc(*_numbers(rec, "gamma", "p_hear"), DelayModel(
                     *_numbers(rec, "delta_bar", "eta_sigma", "delta_min"), value[-1]))
-            if end in arcs:
-                raise ValueError(f"arc {end} is listed more than once")
-            arcs[end] = made[key]
-        return cls(n, arcs, rates, clocks, None if any(
+            sender.append(end[0])
+            receiver.append(end[1])
+            arcs.append(made[key])
+        return cls(n, (sender, receiver, arcs), rates, clocks, None if any(
             p is None for p in positions) else np.array(positions))
 
     def save(self, path) -> None:
@@ -272,6 +320,60 @@ def _distances(positions: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarra
     return np.sqrt((diff[:, None] @ diff[:, :, None]).ravel())
 
 
+#: the most candidate pairs :func:`_pairs_within` measures at once
+_CANDIDATES = 1 << 18
+#: a cell and its neighbours after it: each pair of neighbouring cells once
+_FORWARD = np.array([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)])
+
+
+def _pairs_within(positions: np.ndarray, nodes: np.ndarray,
+                  radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(u, v, d)``: the pairs u < v of the sorted ``nodes`` whose distance
+    d by :func:`_distances` is below ``radius``, in (u, v) order.
+
+    The nodes fall into square cells whose side is at least the radius,
+    no more cells than about one per node (Bentley, Stanat and Williams
+    1977): a pair closer than the radius lies in one cell or in two
+    neighbouring ones, so only those pairs are measured, about
+    ``_CANDIDATES`` at a time.
+    """
+    p = positions[nodes]
+    low = p.min(axis=0)
+    extent = p.max(axis=0) - low
+    # a hair over the radius, so that no rounding of a coordinate puts a
+    # closer pair two cells apart
+    side = max(radius * (1.0 + 2.0 ** -20), float(extent.max()) / math.isqrt(len(nodes)))
+    shape = (extent / side).astype(np.intp) + 1
+    xy = np.minimum(((p - low) / side).astype(np.intp), shape - 1)
+    cell = xy[:, 0] * shape[1] + xy[:, 1]
+    order = np.argsort(cell, kind="stable")
+    start = np.searchsorted(cell[order], np.arange(shape[0] * shape[1] + 1))
+    # entry e: node e // 5 against the nodes of its cell's neighbour e % 5
+    x, y = xy[:, :1] + _FORWARD[:, 0], xy[:, 1:] + _FORWARD[:, 1]
+    inside = (x < shape[0]) & (y >= 0) & (y < shape[1])
+    nb = np.where(inside, x * shape[1] + y, 0).ravel()
+    count = np.where(inside.ravel(), start[nb + 1] - start[nb], 0)
+    end = np.cumsum(count)
+    found = []
+    e0 = 0
+    while e0 < len(count):
+        e1 = max(e0 + 1, int(np.searchsorted(end, end[e0] - count[e0] + _CANDIDATES, "right")))
+        c = count[e0:e1]
+        e = np.repeat(np.arange(e0, e1), c)
+        i = e // len(_FORWARD)
+        j = order[np.repeat(start[nb[e0:e1]] - (np.cumsum(c) - c), c) + np.arange(len(e))]
+        # within one cell, each pair once
+        keep = (e % len(_FORWARD) > 0) | (i < j)
+        u, v = np.minimum(i[keep], j[keep]), np.maximum(i[keep], j[keep])
+        d = _distances(p, u, v)
+        close = d < radius
+        found.append((u[close], v[close], d[close]))
+        e0 = e1
+    u, v, d = (np.concatenate(col) for col in zip(*found))
+    order = np.argsort(u * len(nodes) + v)
+    return nodes[u[order]], nodes[v[order]], d[order]
+
+
 def _source_components(n: int, sender: np.ndarray, receiver: np.ndarray) -> list[list[int]]:
     """The sorted members of each source component of the condensation of
     the digraph on nodes ``0..n-1`` with arcs ``zip(sender, receiver)``, in
@@ -282,7 +384,7 @@ def _source_components(n: int, sender: np.ndarray, receiver: np.ndarray) -> list
     on an explicit stack so that no n meets the recursion limit; it costs
     O(n + m) for m arcs: a table's, sorted by sender, or in any order."""
     order = np.argsort(sender, kind="stable")
-    succ = receiver[order].tolist()
+    succ = memoryview(receiver[order])  # iterates as Python ints, without a list of them
     start = np.searchsorted(sender[order], np.arange(n + 1)).tolist()
     index = [0] * n  # 1 + the order in which the pass reaches a node; 0: not yet
     low = [0] * n    # the least index reached from a node's subtree by one arc
@@ -341,35 +443,61 @@ def repair_connectivity(net: Network, arc_template: Arc) -> Network:
     joining the two closest nodes (by :func:`_distances`; without positions,
     the least index sum) of two different sources with an ``arc_template``
     (keeps the graph geometric).  Identity on already connected networks.
+    :func:`_repair_arcs` finds the arcs.
+    """
+    t = net.table
+    u, v = _repair_arcs(net.n, t.sender, t.receiver, net.positions)
+    if not len(u):
+        return net
+    return Network(net.n, (np.concatenate((t.sender, u)), np.concatenate((t.receiver, v)),
+                           t.arc + [arc_template] * len(u)),
+                   net.rates, net.clocks, net.positions)
+
+
+def _repair_arcs(n: int, sender: np.ndarray, receiver: np.ndarray,
+                 positions: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The ends (u, v) of the arcs :func:`repair_connectivity` adds to the
+    arcs ``zip(sender, receiver)`` on nodes ``0..n-1``.
 
     An arc u -> v from source a into source b closes no cycle, as nothing
     outside a reaches u: the components stay and only b stops being a
     source.  So the pairs (u, v), for a, for b other than a, for u in a,
-    for v in b, are listed once and walked from the closest, ties in list
-    order; each pair whose two sources both remain is joined and b dropped.
+    for v in b, are walked from the closest, ties in that order (which is
+    the order of (a, b, u, v), as each source's members are sorted); each
+    pair whose two sources both remain is joined and b dropped.
+
+    The walk goes in distance shells and lists no pair it need not: the
+    pairs closer than a bound R between two sources that both remain,
+    found by :func:`_pairs_within`; then R doubles, until one source
+    remains.  A pair closer than R whose two sources remain after the
+    shell would have been joined in it, so no pair is walked twice.
+    Without positions every pair is listed at once.
     """
-    sources = _source_components(net.n, net.table.sender, net.table.receiver)
-    if len(sources) == 1:
-        return net
-    # pair q of the (a, b) block is (a[q // len(b)], b[q % len(b)])
+    sources = _source_components(n, sender, receiver)
     members = np.concatenate(sources)
-    size = np.array([len(a) for a in sources])
-    first = np.cumsum(size) - size
-    a, b = np.nonzero(~np.eye(len(sources), dtype=bool))
-    block = size[a] * size[b]
-    q = np.arange(block.sum()) - np.repeat(np.cumsum(block) - block, block)
-    width = np.repeat(size[b], block)
-    u = members[np.repeat(first[a], block) + q // width]
-    v = members[np.repeat(first[b], block) + q % width]
-    d = u + v if net.positions is None else _distances(net.positions, u, v)
-    order = np.argsort(d, kind="stable")
-    walk = (u[order], v[order], np.repeat(a, block)[order], np.repeat(b, block)[order])
-    left, added = [True] * len(sources), {}
-    for i, j, x, y in zip(*(w.tolist() for w in walk)):  # i -> j, from source x into y
-        if left[x] and left[y]:
-            left[y] = False
-            added[(i, j)] = arc_template
-    return replace(net, arcs=dict(zip(net.table.ends(), net.table.arc)) | added)
+    label = np.full(n, -1)
+    label[members] = np.repeat(np.arange(len(sources)), [len(c) for c in sources])
+    left, added = [True] * len(sources), []
+    if positions is not None:
+        radius = float(np.ptp(positions[members], axis=0).max()) / math.sqrt(len(members)) or 1.0
+    while len(added) < len(sources) - 1:
+        nodes = np.sort(np.concatenate([c for c, keep in zip(sources, left) if keep]))
+        if positions is None:
+            u, v = (nodes[k] for k in np.triu_indices(len(nodes), 1))
+            d = u + v
+        else:
+            u, v, d = _pairs_within(positions, nodes, radius)
+            radius *= 2.0
+        cross = label[u] != label[v]
+        u, v = np.concatenate((u[cross], v[cross])), np.concatenate((v[cross], u[cross]))
+        d = np.tile(d[cross], 2)
+        a, b = label[u], label[v]
+        walk = np.lexsort((v, u, b, a, d))
+        for i, j, x, y in zip(*(w[walk].tolist() for w in (u, v, a, b))):
+            if left[x] and left[y]:  # i -> j, from source x into y
+                left[y] = False
+                added.append((i, j))
+    return tuple(np.array(added, dtype=np.intp).reshape(-1, 2).T)
 
 
 @dataclass(frozen=True)
@@ -432,30 +560,57 @@ def generate_geometric(spec: GeometricSpec, seed: int) -> Network:
 
     Nodes are placed uniformly; pairs closer than ``spec.radius`` by
     :func:`_distances`, the one distance rule, get two-way arcs; roughly
-    ``spec.one_way_fraction`` of those pairs keep only one direction.  The
-    result is repaired so a spanning tree exists (:func:`repair_connectivity`
-    merges source components until one is left, so the repair always
-    succeeds).  ``seed`` lies in 0..:data:`~clocksync.streams.MAX_SEED`.
+    ``spec.one_way_fraction`` of those pairs keep only one direction
+    (:func:`_geometric_arcs`).  The result is repaired so a spanning tree
+    exists (:func:`_repair_arcs` merges source components until one is
+    left, so the repair always succeeds).  Every arc shares one
+    :class:`Arc`, and the table gets its columns directly, so the work is
+    linear in the nodes and the arcs.  ``seed`` lies in
+    0..:data:`~clocksync.streams.MAX_SEED`.
     """
     if not (is_int(seed) and 0 <= seed <= MAX_SEED):
         raise ValueError(f"seed must be an integer in 0..{MAX_SEED}")
-    n, radius, one_way_fraction = spec.n, spec.radius, spec.one_way_fraction
+    n = spec.n
     rng = substream(seed, "netgen")
-    arc = spec.arc()
     pos = rng.uniform(0.0, 1.0, size=(n, 2))
-    first, second = np.triu_indices(n, 1)  # pairs u < v in row order
-    close = _distances(pos, first, second) < radius
-    ends = []
-    for u, v in zip(first[close].tolist(), second[close].tolist()):
-        if rng.random() < one_way_fraction:  # one-way link, random direction
-            ends.append((u, v) if rng.random() < 0.5 else (v, u))
-        else:
-            ends += [(u, v), (v, u)]
+    sender, receiver = _geometric_arcs(rng, pos, spec.radius, spec.one_way_fraction)
     alphas = rng.uniform(*spec.alpha_range, size=n)
     betas = rng.uniform(*spec.beta_range, size=n)
     clocks = [spec.clock(float(a), float(b)) for a, b in zip(alphas, betas)]
-    net = Network(n, dict.fromkeys(ends, arc), np.full(n, spec.mu), clocks, pos)
-    return repair_connectivity(net, arc_template=arc)
+    add_u, add_v = _repair_arcs(n, sender, receiver, pos)
+    sender, receiver = np.concatenate((sender, add_u)), np.concatenate((receiver, add_v))
+    return Network(n, (sender, receiver, spec.arc()), np.full(n, spec.mu), clocks, pos)
+
+
+def _geometric_arcs(rng: np.random.Generator, pos: np.ndarray, radius: float,
+                    one_way_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ends of the arcs between the nodes at ``pos`` closer than
+    ``radius``, with their one-way draws from ``rng``.
+
+    The close pairs come from cells (:func:`_pairs_within`), in (u, v)
+    row order.  Each pair takes one uniform to decide whether it is
+    one-way, and a one-way pair one more for its direction, so pair p's
+    deciding draw is at s_p, with s_0 = 0 and s_{p+1} = s_p + 1 +
+    [U[s_p] < f].  These draws are made as one array from a copy of the
+    stream's state, and the stream then advances by the draws used
+    (``PCG64.advance``; O'Neill 2014), as a draw at a time would leave it.
+    """
+    u, v, _ = _pairs_within(pos, np.arange(len(pos)), radius)
+    bits = rng.bit_generator
+    state = bits.state
+    draws = rng.random(2 * len(u) + 1)  # s_P <= 2P
+    bits.state = state
+    one_way = draws < one_way_fraction
+    # draw s starts a pair unless draw s - 1 started a one-way pair: the
+    # starts alternate from each draw after one that is not below f
+    s = np.arange(len(draws))
+    restart = np.maximum.accumulate(np.where(np.append(True, ~one_way[:-1]), s, 0))
+    start = np.flatnonzero((s - restart) % 2 == 0)
+    at = start[:len(u)]
+    bits.advance(int(start[len(u)]))
+    forward = ~one_way[at] | (draws[at + 1] < 0.5)  # keeps u -> v
+    backward = ~one_way[at] | (draws[at + 1] >= 0.5)  # keeps v -> u
+    return np.concatenate((u[forward], v[backward])), np.concatenate((v[forward], u[backward]))
 
 
 def probability_profile(net: Network) -> ProbabilityProfile:
@@ -488,5 +643,8 @@ def expected_laplacian(net: Network, profile: ProbabilityProfile) -> np.ndarray:
 
 def mute_in_arcs(net: Network, node: int) -> Network:
     """Return a copy where all arcs into ``node`` have weight zero."""
-    return replace(net, arcs={(j, i): (replace(a, gamma=0.0) if i == node else a)
-                              for (j, i), a in zip(net.table.ends(), net.table.arc)})
+    t = net.table
+    arcs = list(t.arc)
+    for r in np.flatnonzero(t.receiver == node).tolist():
+        arcs[r] = replace(arcs[r], gamma=0.0)
+    return Network(net.n, (t.sender, t.receiver, arcs), net.rates, net.clocks, net.positions)

@@ -155,6 +155,16 @@ class TestScheduleEdges:
         monkeypatch.undo()
         assert_matches_heap(net, arcs, SyncConfig(), 200, seed)
 
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=networks(), updates=_STOPS, seed=st.integers(0, 2**32 - 1))
+    def test_each_delivery_carries_its_arc_row(self, drawn, updates, seed):
+        # broadcast's out-arc rows, carried through the sort, are the
+        # rows a search of the table finds
+        net = drawn[0]
+        sched = engine.build_schedule(net, seed, updates)
+        assert sched.arc.dtype == np.intp
+        assert sched.arc.tolist() == net.table.rows(sched.sender, sched.receiver).tolist()
+
     @pytest.mark.parametrize("seed", range(3))
     def test_every_message_heard(self, seed):
         net, arcs = generated(GeometricSpec(7, 0.6, 0.3, p_hear=1.0), seed)

@@ -172,6 +172,21 @@ class TestUniformStreams:
     def test_no_streams(self):
         assert UniformStreams(0, "hear", []).random([]).shape == (0,)
 
+    def test_streams_seeded_when_first_drawn(self):
+        # rows first drawn in a later call, rows never drawn, and a row
+        # first drawn past the most draws made as array arithmetic
+        ids = [(j, i) for j in range(5) for i in range(5) if i != j]
+        kernel, ref = UniformStreams(13, "hear", ids), substreams(13, "hear", ids)
+        calls = [[0] * 20, [2] + [0] * 19, [1, 0, 3] + [0] * 17,
+                 [0] * 5 + [streams._LONG + 5] + [0] * 14, [1] * 10 + [0] * 10]
+        for m in calls:
+            want = np.concatenate([rng.random(k) for rng, k in zip(ref, m)])
+            np.testing.assert_array_equal(kernel.random(m).view(np.uint64),
+                                          want.view(np.uint64))
+        drawn = np.flatnonzero(np.any(calls, axis=0))
+        assert np.flatnonzero(kernel._slot).tolist() == drawn.tolist()
+        assert len(kernel._state[0]) == len(drawn)
+
 
 # -- the jitter kernel ------------------------------------------------------
 
@@ -198,13 +213,15 @@ def set_state(bits, state: int, inc: int) -> None:
 
 def force(kernel: JitterStreams, ref: np.random.Generator, r: int, word: int) -> None:
     """Make ``word`` the next output of stream r of ``kernel`` and of its
-    reference generator ``ref``."""
+    reference generator ``ref``; the kernel seeds the stream first, as it
+    would on the stream's first draw."""
+    slot = kernel._slots(np.array([r]))[0]
     inc = ref.bit_generator.state["state"]["inc"]
     state = state_before(word, inc)
     set_state(ref.bit_generator, state, inc)
     inc_q = inc * pow(MULT >> 2, -1, MOD) % MOD
     for words, value in ((kernel._state, state), (kernel._inc_q, inc_q)):
-        words[0][r], words[1][r] = value >> 64, value % (1 << 64)
+        words[0][slot], words[1][slot] = value >> 64, value % (1 << 64)
 
 
 def normal_word(idx: int, rabs: int, negative: bool = False) -> int:
@@ -249,8 +266,11 @@ class TestJitterStreams:
     @pytest.mark.parametrize("idx", [0, 1, 2])
     @pytest.mark.parametrize("rabs", [0, 1, 2**51, 2**52 - 1])
     def test_first_indices_fall_back(self, idx, rabs):
+        # index 1 always falls back; the tail (0) and index 2 from their
+        # bounds ki on, which lie between 2**51 and 2**52 - 1
         word = normal_word(idx, rabs)
-        assert streams._standard_normal(np.array([word], dtype=np.uint64))[1][0]
+        slow = streams._standard_normal(np.array([word], dtype=np.uint64))[1][0]
+        assert slow == (idx == 1 or rabs == 2**52 - 1)
         kernel = JitterStreams(1, [(0, 1)], [NORMAL], sample_delay)
         ref = substreams(1, "jitter", [(0, 1)])
         force(kernel, ref[0], 0, word)
@@ -259,11 +279,13 @@ class TestJitterStreams:
 
     def test_every_bound(self):
         """The largest rabs the decoder accepts at each index: NumPy reads
-        one word and returns the same bits.  One above it falls back."""
+        one word and returns the same bits.  One above it falls back; for
+        indices 0 and 2, whose bounds are read by bisection, NumPy itself
+        reads a second output there."""
         wi, bound = streams._ziggurat()
         rng = np.random.Generator(np.random.PCG64(9))
         inc = rng.bit_generator.state["state"]["inc"]
-        for idx in range(3, 256):
+        for idx in (0, *range(2, 256)):
             rabs = int(bound[idx]) - 1
             for negative in (False, True):
                 word = normal_word(idx, rabs, negative)
@@ -277,6 +299,11 @@ class TestJitterStreams:
                 assert rng.bit_generator.state["state"]["state"] == (MULT * state + inc) % MOD
             above = normal_word(idx, rabs + 1)
             assert streams._standard_normal(np.array([above], dtype=np.uint64))[1][0]
+            if idx in (0, 2):
+                state = state_before(above, inc)
+                set_state(rng.bit_generator, state, inc)
+                rng.standard_normal()
+                assert rng.bit_generator.state["state"]["state"] != (MULT * state + inc) % MOD
             kernel = JitterStreams(2, [(3, 4)], [NORMAL], sample_delay)
             ref = substreams(2, "jitter", [(3, 4)])
             force(kernel, ref[0], 0, above)
@@ -288,10 +315,12 @@ class TestJitterStreams:
         wi, bound = streams._ziggurat()
         rng = np.random.Generator(np.random.PCG64(12345))
         inc = rng.bit_generator.state["state"]["inc"]
-        for idx in range(2, 256):
+        for idx in (0, *range(2, 256)):
             set_state(rng.bit_generator, state_before(normal_word(idx, 1 << 20), inc), inc)
             assert rng.standard_normal() == (1 << 20) * wi[idx]
-        assert np.all(bound[:3] == 0)
+        assert bound[1] == 0
+        # NumPy's ki_double[0] and ki_double[2]
+        assert (int(bound[0]), int(bound[2])) == (0x000EF33D8025EF6A, 0x000C08BE98FBC6A8)
         ratio = 2.0 ** 52 * wi[2:-1] / wi[3:]
         assert np.all(bound[3:] < ratio) and np.all(bound[3:] > ratio - 2 * streams._MARGIN)
 
@@ -311,3 +340,21 @@ class TestJitterStreams:
     def test_no_streams(self):
         kernel = JitterStreams(0, [], [], sample_delay)
         assert kernel.delays([]).shape == (0,)
+
+    def test_streams_and_models_read_when_first_drawn(self):
+        # a model is read only for a row drawn from: the others raise
+        ids = [(j, i) for j in range(4) for i in range(4) if i != j]
+        models = [NORMAL, DelayModel(0.2, 0.05, dist="uniform"), DelayModel(0.25, 0.0)] * 4
+
+        class Unread(list):
+            def __getitem__(self, r):
+                assert r not in (3, 7, 11), "a row never drawn from was read"
+                return super().__getitem__(r)
+
+        kernel = JitterStreams(21, ids, Unread(models), sample_delay)
+        ref = substreams(21, "jitter", ids)
+        calls = [[1] + [0] * 11, [0, 2, 1] + [0] * 9,
+                 [0] * 4 + [streams._LONG + 3, 0, 0, 0, 2] + [0] * 3, [1] * 3 + [0] * 9]
+        for m in calls:
+            assert_same_delays(kernel, ref, models, m)
+        assert np.flatnonzero(kernel._slot).tolist() == [0, 1, 2, 4, 8]

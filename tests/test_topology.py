@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import clocksync
 from clocksync import engine, topology
@@ -23,6 +23,7 @@ from clocksync.topology import (
     GeometricSpec,
     Network,
     _distances,
+    _pairs_within,
     _source_components,
     centers,
     expected_laplacian,
@@ -195,12 +196,67 @@ class TestArcTable:
         ((2, 2), "self-arcs are not allowed"),
         ((0, 3), "arc endpoints out of range"),
         ((-1, 0), "arc endpoints out of range"),
+        ((0, 1, 2), "integers"),
+        ((1,), "integers"),
+        (5, "integers"),
     ], ids=["float-sender", "float-receiver", "self-arc", "receiver-past-n",
-            "negative-sender"])
+            "negative-sender", "triple", "single", "not-a-pair"])
     def test_endpoints_checked(self, arc, message):
         with pytest.raises(ValueError, match=message):
             Network(3, {(1, 2): _arc(), arc: _arc()}, np.ones(3),
                     [ClockParams(1.0)] * 3)
+
+    @pytest.mark.parametrize("sender, receiver, message", [
+        ([1, 0.5], [2, 1], "arc endpoints must be pairs of integers"),
+        ([1, 0], [2, 1.0], "arc endpoints must be pairs of integers"),
+        ([1, True], [2, 0], "arc endpoints must be pairs of integers"),
+        (np.array([1, 0]), np.array([True, False]), "arc endpoints must be pairs of integers"),
+        ([1, 2], [2, 2], "self-arcs are not allowed"),
+        ([1, 0], [2, 3], "arc endpoints out of range"),
+        ([1, -1], [2, 0], "arc endpoints out of range"),
+        ([1, 0, 1], [2, 1, 2], r"arc \(1, 2\) is listed more than once"),
+        (np.array([0, 1, 0]), np.array([1, 2, 1]), r"arc \(0, 1\) is listed more than once"),
+    ], ids=["float-sender", "float-receiver", "bool-sender", "bool-array", "self-arc",
+            "receiver-past-n", "negative-sender", "duplicate", "duplicate-array"])
+    @pytest.mark.parametrize("shared", [True, False], ids=["one-arc", "arc-per-row"])
+    def test_columns_checked(self, sender, receiver, message, shared):
+        # the messages the mapping path gives; only columns can repeat a pair
+        arc = _arc() if shared else [_arc()] * len(sender)
+        with pytest.raises(ValueError, match=message):
+            Network(3, (sender, receiver, arc), np.ones(3), [ClockParams(1.0)] * 3)
+        if "more than once" not in message:
+            with pytest.raises(ValueError, match=message):
+                Network(3, dict.fromkeys(zip(sender, receiver), _arc()), np.ones(3),
+                        [ClockParams(1.0)] * 3)
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="equal lengths"):
+            Network(3, ([0, 1], [1, 2], [_arc()]), np.ones(3), [ClockParams(1.0)] * 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=table_networks(), data=st.data())
+    def test_columns_give_the_mapping_table(self, drawn, data):
+        # shuffled columns, with each row's arc or with one arc for all
+        net, arcs = drawn
+        ends = data.draw(st.permutations(list(arcs)))
+        sender, receiver = (np.array([e[k] for e in ends], dtype=np.intp) for k in (0, 1))
+        values = [arcs[e] for e in ends]
+        for cols, want in (((sender, receiver, values), [arcs[k] for k in sorted(arcs)]),
+                           ((sender.tolist(), receiver.tolist(), _arc()),
+                            [_arc()] * len(arcs))):
+            table = Network(net.n, cols, net.rates, net.clocks, net.positions).table
+            assert table.ends() == sorted(arcs)
+            assert table.arc == want
+            assert table.gamma.tolist() == [a.gamma for a in want]
+            assert table.p_hear.tolist() == [a.p_hear for a in want]
+            assert table.start.tolist() == net.table.start.tolist()
+
+    @pytest.mark.parametrize("positions", [np.ones((3, 3)), np.array([[0.0, 0.1]] * 2
+                                                                    + [[np.nan, 0.2]])],
+                             ids=["shape", "nan"])
+    def test_positions_checked(self, positions):
+        with pytest.raises(ValueError, match="positions"):
+            Network(3, {}, np.ones(3), [ClockParams(1.0)] * 3, positions)
 
 
 class TestSerialization:
@@ -455,6 +511,33 @@ class TestConnectivity:
         assert len(added) == 35
         assert net.table.ends() == sorted(arcs + added)
 
+    @pytest.mark.parametrize("n, seed", [(30, 0), (60, 1)])
+    def test_repair_of_a_network_without_arcs_matches_the_pair_loop(self, n, seed):
+        # no pair is close: every node is a source, and the shells grow
+        # from below the nearest pair's distance
+        net = generate_geometric(GeometricSpec(n, 1e-4, 0.1), seed=seed)
+        bare = Network(n, {}, net.rates, net.clocks, net.positions)
+        added = self.repair_loop(bare)
+        assert len(added) == n - 1
+        assert net.table.ends() == sorted(added)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 60), layout=st.sampled_from(LAYOUTS[1:]),
+           radius=st.one_of(st.floats(1e-3, 2.0), st.just(math.inf)))
+    def test_pairs_within_match_every_pair(self, data, n, layout, radius):
+        # a subset of the nodes, anywhere on the plane; on the grid many
+        # pairs lie exactly at the radius
+        positions = _layout(layout, n, np.random.default_rng(data.draw(st.integers(0, 1000))))
+        positions = positions * data.draw(st.sampled_from([1.0, 3.0, 1e-3])) - 0.5
+        nodes = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        if layout == "grid" and data.draw(st.booleans()):
+            radius = 0.25
+        u, v, d = _pairs_within(positions, nodes, radius)
+        want = [(a, b, np.linalg.norm(positions[a] - positions[b]))
+                for a in nodes.tolist() for b in nodes.tolist()
+                if a < b and np.linalg.norm(positions[a] - positions[b]) < radius]
+        assert list(zip(u.tolist(), v.tolist(), d.tolist())) == want
+
     @pytest.mark.parametrize("n, radius, sources", [(400, 0.05, 64), (800, 0.035, 121)])
     def test_repair_finds_the_components_once(self, monkeypatch, n, radius, sources):
         # an arc added between two sources changes no component, so the
@@ -567,6 +650,13 @@ class TestGenerate:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 40), radius=st.floats(0.05, 1.5),
            one_way=st.floats(0.0, 1.0), seed=st.integers(0, 10_000))
+    # no close pair; every pair one-way or none; one pair of two nodes
+    @example(n=40, radius=1e-3, one_way=0.5, seed=1)
+    @example(n=30, radius=0.4, one_way=1.0, seed=2)
+    @example(n=30, radius=0.4, one_way=0.0, seed=3)
+    @example(n=2, radius=1.5, one_way=1.0, seed=4)
+    @example(n=2, radius=1.5, one_way=0.0, seed=5)
+    @example(n=2, radius=1e-3, one_way=0.5, seed=6)
     def test_matches_pair_loop(self, n, radius, one_way, seed):
         self.assert_matches_pair_loop(n, radius, one_way, seed)
 
@@ -656,6 +746,33 @@ class TestExpectedMatrices:
         assert muted.table.ends() == list(expected)
         assert muted.table.arc == list(expected.values())
         assert muted.table.gamma.tolist() == [a.gamma for a in expected.values()]
+
+
+# The child reads its peak RSS from VmHWM, the high-water mark of its own
+# address space: ru_maxrss keeps the launching process's peak across exec.
+_GENERATE_CHILD = """
+import json, sys
+from clocksync.topology import GeometricSpec, generate_geometric
+net = generate_geometric(GeometricSpec(4000, 0.003), seed=0)
+with open("/proc/self/status") as fh:
+    hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"arcs": len(net.table.sender), "max_rss_mb": hwm_kb / 1024}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/status")
+def test_nearly_empty_large_network_is_generated_in_small_memory():
+    # 4 000 nodes at radius 0.003 leave about 3 800 source components; a
+    # repair that listed every pair of nodes from two sources would take
+    # gigabytes, the cells and the distance shells take tens of MB
+    src = Path(clocksync.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", _GENERATE_CHILD],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=300, check=True)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report["arcs"] > 3999
+    assert report["max_rss_mb"] < 300.0
 
 
 def test_every_module_imports_without_networkx():

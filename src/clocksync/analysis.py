@@ -14,7 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from clocksync.engine import SimResult, Trace, write_csv
-from clocksync.sync import DriftA, DriftB, DriftVariant, OffsetB, StepSchedule, anchor_index
+from clocksync.sync import (FIRST, DriftA, DriftB, DriftVariant, OffsetB, StepSchedule,
+                            anchor_index)
 from clocksync.topology import (
     Network,
     ProbabilityProfile,
@@ -220,8 +221,8 @@ def increment_stats(
     j, i = arc
     net, tr = result.net, result.trace
     row = int(net.table.rows(j, i))
-    rate = float(net.rates[j]) * net.table.arc[row].p_hear
-    times = tr.t_send[(tr.sender == j) & (tr.receiver == i)]
+    rate = float(net.rates[j]) * net.table.p_hear[row]
+    times = tr.t_send[tr.arc == row]
     l = np.arange(1, len(times))
     m = anchor_index(result.cfg.drift, l)
     l, m = l[m >= 0], m[m >= 0]
@@ -335,9 +336,19 @@ class FixedPointReport:
 
 def first_deliveries(trace: Trace) -> np.ndarray:
     """Row of each link's first delivery, its initial exchange, in the
-    order of those rows."""
-    code = trace.sender.astype(np.int64) * trace.n + trace.receiver
-    return np.sort(np.unique(code, return_index=True)[1])
+    order of those rows: the rows whose update code is ``FIRST``."""
+    return np.flatnonzero(trace.code == FIRST)
+
+
+def _initial_exchanges(result: SimResult, profile: ProbabilityProfile):
+    """The initial exchange of each link that delivered a message, in
+    row order: its trace row, sender j, receiver i and arc table row, and
+    the arc's weight ``gamma * pi_arc[i, j]`` (the (i, j) entry of the
+    expected Laplacian)."""
+    tr = result.trace
+    first = first_deliveries(tr)
+    j, i, rows = tr.sender[first], tr.receiver[first], tr.arc[first]
+    return first, j, i, rows, result.net.table.gamma[rows] * profile.pi_arc[i, j]
 
 
 def _initial_noise_means(result: SimResult, profile: ProbabilityProfile):
@@ -351,10 +362,7 @@ def _initial_noise_means(result: SimResult, profile: ProbabilityProfile):
     and the residual is only approximate.
     """
     net, tr = result.net, result.trace
-    first = first_deliveries(tr)
-    j, i = tr.sender[first], tr.receiver[first]
-    rows = net.table.rows(j, i)
-    w = net.table.gamma[rows] * profile.pi_arc[i, j]
+    first, _, i, rows, w = _initial_exchanges(result, profile)
     delta_bar = np.array([net.table.arc[r].delay.delta_bar for r in rows.tolist()])
     t_recv = tr.t[first]
     xi = tr.tau_recv[first] - (net.alphas()[i] * t_recv + net.betas()[i])
@@ -479,14 +487,11 @@ def _initial_exchange_terms(
     """Weights ``w[i, j] = gamma * pi_arc[i, j]`` of the arcs that
     delivered a message, and per node the weighted sum of
     ``a_j tau_j0 - a_i tau_i0`` over the initial exchanges on its in-arcs."""
-    tr = result.trace
-    first = first_deliveries(tr)
-    j, i = tr.sender[first], tr.receiver[first]
-    lap = expected_laplacian(result.net, profile)
-    w = np.zeros_like(lap)
-    w[i, j] = lap[i, j]
-    q = np.bincount(i, w[i, j] * (a[j] * tr.tau_sent[first] - a[i] * tr.tau_recv[first]),
-                    result.net.n)
+    tr, n = result.trace, result.net.n
+    first, j, i, _, w_ij = _initial_exchanges(result, profile)
+    w = np.zeros((n, n))
+    w[i, j] = w_ij
+    q = np.bincount(i, w_ij * (a[j] * tr.tau_sent[first] - a[i] * tr.tau_recv[first]), n)
     return w, q
 
 

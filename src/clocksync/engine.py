@@ -13,7 +13,9 @@ processing order, with their clock readings.
 :class:`~clocksync.sync.SyncState` derives every input of every update
 from them except the estimates, and :func:`replay` makes one
 :meth:`~clocksync.sync.SyncState.process_message` call per delivery,
-with the sender's (a, b, c) as they stood at its tick.
+with the sender's (a, b, c) as they stood at its tick.  The run's
+:class:`Trace` is that schedule plus each delivery's update code and
+estimates.
 """
 
 from __future__ import annotations
@@ -54,11 +56,32 @@ _INITIAL = (CorrectionState.a_hat, CorrectionState.b_hat, CorrectionState.c_hat)
 
 
 @dataclass
-class Trace:
-    """One row per processed delivery: iteration, time, participants, the
-    send time and both raw clock readings, and the receiver's post-update
-    estimates.  Link (j, i) is the rows with ``sender == j`` and
-    ``receiver == i``; its first row is its initial exchange.
+class Schedule:
+    """The K deliveries of one run, in processing order.  Delivery k
+    carries what ``sender[k]`` broadcast at its tick: its raw reading
+    ``tau_sent[k]``, and its estimates as they stood after delivery
+    ``src[k]``, the last one it received before the tick (-1 when there
+    is none: the initial estimates).  Its link is ``arc[k]``, the row of
+    (sender, receiver) in the network's arc table, which every reader of
+    a link keys by."""
+
+    t: np.ndarray         # (K,) absolute time of the delivery
+    receiver: np.ndarray  # (K,) updating node
+    sender: np.ndarray    # (K,) broadcaster
+    t_send: np.ndarray    # (K,) absolute time of the broadcaster's tick
+    tau_sent: np.ndarray  # (K,) broadcaster's raw reading at its tick
+    tau_recv: np.ndarray  # (K,) receiver's raw reading at the delivery
+    arc: np.ndarray       # (K,) the link's row in the network's arc table
+    src: np.ndarray       # (K,) last delivery to the sender before its tick, or -1
+
+
+@dataclass
+class Trace(Schedule):
+    """The record of one run: its :class:`Schedule`, plus each delivery's
+    update code and the receiver's post-update estimates.  Link (j, i)
+    is the rows with ``arc`` equal to its arc table row; its first row,
+    the one whose code is :data:`~clocksync.sync.FIRST`, is its initial
+    exchange.
 
     A delivery changes only the receiver's (a, b, c), so each update is
     stored as one event and the trace takes O(K) memory.  Every node's
@@ -74,12 +97,7 @@ class Trace:
     """
 
     n: int                 # number of nodes
-    t: np.ndarray          # (K,) absolute time of each update
-    receiver: np.ndarray   # (K,) updating node
-    sender: np.ndarray     # (K,) broadcaster
-    t_send: np.ndarray     # (K,) absolute time of the broadcaster's tick
-    tau_sent: np.ndarray   # (K,) broadcaster's raw reading at its tick
-    tau_recv: np.ndarray   # (K,) receiver's raw reading at the delivery
+    code: np.ndarray       # (K,) SyncState's int8 update code: DRIFT, OFFSET bits or FIRST
     a_i: np.ndarray        # (K,) receiver's a_hat after the update
     b_i: np.ndarray        # (K,) receiver's b_hat after the update
     c_i: np.ndarray        # (K,) receiver's c_hat after the update
@@ -328,35 +346,6 @@ def broadcast(
                       net.table.start[j] + row)
 
 
-class _Delays:
-    """The delay model of each arc table row, read only when asked for:
-    a schedule draws the jitter of few rows of a large network."""
-
-    def __init__(self, arcs: list) -> None:
-        self._arcs = arcs
-
-    def __getitem__(self, r: int):
-        return self._arcs[r].delay
-
-
-@dataclass
-class Schedule:
-    """The K deliveries of one run, in processing order.  Delivery k
-    carries what ``sender[k]`` broadcast at its tick: its raw reading
-    ``tau_sent[k]``, and its estimates as they stood after delivery
-    ``src[k]``, the last one it received before the tick (-1 when there
-    is none: the initial estimates)."""
-
-    t: np.ndarray         # (K,) absolute time of the delivery
-    receiver: np.ndarray  # (K,) updating node
-    sender: np.ndarray    # (K,) broadcaster
-    t_send: np.ndarray    # (K,) absolute time of the broadcaster's tick
-    tau_sent: np.ndarray  # (K,) broadcaster's raw reading at its tick
-    tau_recv: np.ndarray  # (K,) receiver's raw reading at the delivery
-    arc: np.ndarray       # (K,) the link's row in the network's arc table
-    src: np.ndarray       # (K,) last delivery to the sender before its tick, or -1
-
-
 def build_schedule(net: Network, seed: int, max_updates: int) -> Schedule:
     """Draw every event of a run up to its ``max_updates``-th delivery.
 
@@ -383,7 +372,7 @@ def build_schedule(net: Network, seed: int, max_updates: int) -> Schedule:
     n, table = net.n, net.table
     ends = np.column_stack((table.sender, table.receiver))
     hear = UniformStreams(seed, "hear", ends)
-    jitter = JitterStreams(seed, ends, _Delays(table.arc), sample_delay)
+    jitter = JitterStreams(seed, ends, lambda r: table.arc[r].delay, sample_delay)
     per_tick = float(net.rates[table.sender] @ table.p_hear) / float(net.rates.sum())
     if per_tick == 0.0 and max_updates > 0:
         raise ValueError("a network without arcs never reaches max_updates")
@@ -525,9 +514,7 @@ def run(net: Network, cfg: SyncConfig, *, max_updates: int, seed: int = 0) -> Si
     state = SyncState(cfg, net.n, sched.receiver, sched.arc, net.table.gamma,
                       sched.tau_sent, sched.tau_recv)
     a_i, b_i, c_i = replay(state, sched.src)
-    trace = Trace(n=net.n, t=sched.t, receiver=sched.receiver, sender=sched.sender,
-                  t_send=sched.t_send, tau_sent=sched.tau_sent,
-                  tau_recv=sched.tau_recv, a_i=a_i, b_i=b_i, c_i=c_i)
+    trace = Trace(**vars(sched), n=net.n, code=state.code, a_i=a_i, b_i=b_i, c_i=c_i)
     _check_finite(trace)
     return SimResult(net=net, cfg=cfg, seed=seed, trace=trace)
 

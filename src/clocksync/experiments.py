@@ -77,7 +77,12 @@ class ExperimentConfig:
         node = self.reference_node
         if node == "center":
             node = topology.centers(net)[0]
-        return net if node is None else sync.make_reference(net, node)
+        if node is None:
+            return net
+        try:
+            return sync.make_reference(net, node)
+        except ValueError as exc:
+            raise ConfigError(f"reference_node {node}, seed {seed}: {exc}") from exc
 
     # -- parsing ---------------------------------------------------------
 

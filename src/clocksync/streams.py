@@ -466,7 +466,7 @@ def _standard_normal(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class JitterStreams(UniformStreams):
     """The streams ``substreams(seed, "jitter", ids)``, drawing delays from
-    the delay models ``models`` (``clock.DelayModel``, one per row) as
+    the delay models ``model(r)`` (a ``clock.DelayModel`` per row r) as
     array arithmetic.
 
     Normal jitter decodes ``standard_normal``'s fast path from each
@@ -481,12 +481,12 @@ class JitterStreams(UniformStreams):
     with more than ``_LONG`` of them in a call.
 
     Like its stream, a row's model is read when the row is first drawn
-    from, so ``models`` need only answer ``models[r]``.
+    from: ``model`` is called on no other row.
     """
 
-    def __init__(self, seed: int, ids, models, sample) -> None:
+    def __init__(self, seed: int, ids, model, sample) -> None:
         super().__init__(seed, "jitter", ids)
-        self._models = models
+        self._model_of = model
         # per place in the state arrays: mean, sigma, floor, and 1.0 for
         # uniform jitter
         self._model = np.empty((0, 4))
@@ -494,7 +494,7 @@ class JitterStreams(UniformStreams):
 
     def _seed(self, rows: np.ndarray) -> None:
         super()._seed(rows)
-        models = [self._models[r] for r in rows.tolist()]
+        models = list(map(self._model_of, rows.tolist()))
         # rows mostly share one model object: each distinct one is read once
         _, first, kind = np.unique(
             np.fromiter(map(id, models), dtype=np.uintp, count=len(models)),
@@ -505,7 +505,7 @@ class JitterStreams(UniformStreams):
 
     def delays(self, counts) -> np.ndarray:
         """The next ``counts[r]`` delays of every stream r, stream after
-        stream: what ``sample(models[r], substreams(seed, "jitter",
+        stream: what ``sample(model(r), substreams(seed, "jitter",
         ids)[r], counts[r])`` returns, call after call.  Rows whose
         jitter has sigma 0 draw nothing."""
         counts = np.asarray(counts, dtype=np.intp)
@@ -540,6 +540,6 @@ class JitterStreams(UniformStreams):
         for k, p in zip(ks.tolist(), skip.tolist()):
             lo, hi = base[k] + p, base[k] + counts[k]
             rng = self._generator(slots[k], int(start[0][k]) << 64 | int(start[1][k]), p)
-            out[lo:hi] = self._sample(self._models[int(rows[k])], rng, hi - lo)
+            out[lo:hi] = self._sample(self._model_of(int(rows[k])), rng, hi - lo)
             self._take_state(slots[k])
         return out

@@ -17,10 +17,13 @@ from hypothesis import strategies as st
 
 import clocksync
 from clocksync import analysis, engine, experiments
-from clocksync.sync import OffsetA, OffsetB, SyncConfig
+from clocksync.sync import DRIFT, FIRST, OFFSET, OffsetA, OffsetB, SyncConfig
 from clocksync.topology import GeometricSpec, generate_geometric
 
 from conftest import networks
+
+#: the update code of a delivery that takes both steps
+BOTH = DRIFT | OFFSET
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +213,16 @@ class TestBlocksMatchDense:
 
     def test_nodes_that_never_update(self, tmp_path):
         # node 1 never receives; nodes 0 and 2 update across block edges
+        # arc rows: (0, 2) 0, (1, 0) 1, (1, 2) 2, (2, 0) 3
         tr = engine.Trace(n=3, t=np.arange(1.0, 8.0),
                           receiver=np.array([0, 2, 2, 0, 0, 2, 0]),
                           sender=np.array([1, 1, 0, 1, 2, 1, 2]),
                           t_send=np.arange(0.5, 7.0), tau_sent=np.arange(0.5, 7.0),
                           tau_recv=np.arange(1.0, 8.0),
+                          arc=np.array([1, 2, 0, 1, 3, 2, 3]),
+                          src=np.array([-1, -1, 0, -1, 2, -1, 5]),
+                          code=np.array([FIRST, FIRST, FIRST, BOTH, FIRST, BOTH, BOTH],
+                                        dtype=np.int8),
                           a_i=np.linspace(0.9, 1.1, 7), b_i=np.linspace(-1, 1, 7),
                           c_i=np.linspace(2, 3, 7))
         views = dense_views(tr)
@@ -246,10 +254,15 @@ def _hand_trace(receiver, n=3):
     estimates include -0.0, 0.0 and values that need 17 digits."""
     K = len(receiver)
     values = np.array([-0.0, 0.1, 1 / 3, 0.0, -2.5e-300, 1e22, 2 / 3, -0.0])
+    # each node's one in-arc comes from the next node, whose only out-arc
+    # it is: the arc's row is its sender
+    sender = np.array([(i + 1) % n for i in receiver], dtype=np.intp)
+    code = np.full(K, BOTH, dtype=np.int8)
+    code[np.unique(sender, return_index=True)[1]] = FIRST
     return engine.Trace(n=n, t=np.arange(1.0, K + 1) / 3,
-                        receiver=np.array(receiver, dtype=np.intp),
-                        sender=np.array([(i + 1) % n for i in receiver], dtype=np.intp),
+                        receiver=np.array(receiver, dtype=np.intp), sender=sender,
                         t_send=np.zeros(K), tau_sent=np.zeros(K), tau_recv=np.zeros(K),
+                        arc=sender, src=np.full(K, -1), code=code,
                         a_i=np.resize(values, K) + 1.0, b_i=np.resize(values, K),
                         c_i=np.resize(values[::-1], K))
 

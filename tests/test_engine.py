@@ -8,21 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clocksync import engine
+from clocksync import analysis, engine
 from clocksync.clock import ClockParams, DelayModel
 from clocksync.sync import (
+    DRIFT,
+    FIRST,
+    OFFSET,
     DriftA,
     DriftB,
     DriftC,
+    OUTCOMES,
     OffsetA,
     OffsetB,
+    Outcome,
     StepSchedule,
     SyncConfig,
+    SyncState,
 )
 from clocksync.topology import Arc, GeometricSpec, Network, generate_geometric
 
 from conftest import make_line_network, networks, own_arcs
 from sync_oracle import heap_run
+from sync_oracle import replay as oracle_replay
 
 
 class TestScheduleTicks:
@@ -221,6 +228,34 @@ class TestScheduleEdges:
         assert_matches_heap(net, arcs, SyncConfig(), 40, seed)
 
 
+class TestTraceRecord:
+    """The trace is the schedule plus its update codes: a link is its arc
+    table row, and its first reception the row coded FIRST."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=networks(),
+           drift=st.sampled_from([DriftA(1), DriftA(3), DriftB(0.5), DriftC(0), DriftC(2)]),
+           offset=st.sampled_from([OffsetA(), OffsetB(0.5), None]),
+           updates=_STOPS, seed=st.integers(0, 2**32 - 1))
+    def test_codes_arcs_and_first_rows(self, drawn, drift, offset, updates, seed):
+        net, arcs = drawn
+        cfg = SyncConfig(drift=drift, offset=offset)
+        tr = engine.run(net, cfg, max_updates=updates, seed=seed).trace
+        state = SyncState(cfg, net.n, tr.receiver, tr.arc, net.table.gamma,
+                          tr.tau_sent, tr.tau_recv)
+        assert tr.code.dtype == np.int8 and tr.code.tolist() == state.code.tolist()
+        # the scalar state machine, walking the trace as the schedule it is
+        records = oracle_replay(net.n, arcs, cfg, tr)["records"]
+        assert [OUTCOMES[code] for code in tr.code.tolist()] == [
+            Outcome(r.drift_updated, r.offset_updated, r.first_message) for r in records]
+        assert tr.arc.tolist() == net.table.rows(tr.sender, tr.receiver).tolist()
+        # the rule that sorted sender * n + receiver codes, bit for bit
+        code = tr.sender.astype(np.int64) * net.n + tr.receiver
+        old = np.sort(np.unique(code, return_index=True)[1])
+        first = analysis.first_deliveries(tr)
+        assert (first.dtype, first.tobytes()) == (old.dtype, old.tobytes())
+
+
 class TestRun:
     def test_requires_a_stopping_rule(self):
         net = make_line_network()
@@ -334,6 +369,8 @@ class TestTraceViews:
                           t_send=np.array([0.5, 1.5, 2.5]),
                           tau_sent=np.array([0.5, 1.5, 2.5]),
                           tau_recv=np.array([1.0, 2.0, 3.0]),
+                          arc=np.array([0, 0, 1]), src=np.array([-1, -1, 1]),
+                          code=np.array([FIRST, DRIFT | OFFSET, FIRST], dtype=np.int8),
                           a_i=np.array([5.0, 6.0, 7.0]), b_i=np.array([0.5, 0.6, 0.7]),
                           c_i=np.array([-1.0, -2.0, -3.0]))
         assert np.array_equal(tr.a_hat, [[1, 5, 1], [1, 6, 1], [1, 6, 7]])

@@ -344,6 +344,23 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: reference_node 2 is not")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["scaling", "--nodes", "10"]])
+    def test_reference_not_a_center_of_generated_network_is_validation_error(
+            self, tmp_path, capsys, command):
+        # every arc one-way: the seed-0 network's only center is node 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_minimal(
+            network={"kind": "geometric", "n": 10, "radius": 0.5,
+                     "one_way_fraction": 1.0},
+            reference_node=0, updates=200, seeds=[0, 1, 2, 3])))
+        code = main([*command, "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: reference_node 0, seed 0: node 0 is not a center; "
+                       "flooding needs a root that reaches every node"]
+        assert not list((tmp_path / "out").glob("*"))
+
     @pytest.mark.parametrize("edit, extra", [
         (lambda d: d, {"n": 50}),
         (lambda d: d["arcs"][0].update(gamma=-1.0), {}),

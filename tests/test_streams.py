@@ -246,7 +246,7 @@ class TestJitterStreams:
            data=st.data())
     def test_matches_sample_delay(self, seed, ids, data):
         models = data.draw(st.lists(MODELS, min_size=len(ids), max_size=len(ids)))
-        kernel = JitterStreams(seed, ids, models, sample_delay)
+        kernel = JitterStreams(seed, ids, models.__getitem__, sample_delay)
         ref = substreams(seed, "jitter", ids)
         # short streams, and streams past the most decoded draws
         counts = st.one_of(st.integers(0, 3), st.integers(0, 70),
@@ -259,7 +259,8 @@ class TestJitterStreams:
         monkeypatch.setattr(streams, "_WINDOW", 100)
         ids = [(0, 1), (1, 0), (2, 1), (1, 2)]
         models = [NORMAL, NORMAL, DelayModel(0.2, 0.05, dist="uniform"), NORMAL]
-        kernel, ref = JitterStreams(4, ids, models, sample_delay), substreams(4, "jitter", ids)
+        kernel = JitterStreams(4, ids, models.__getitem__, sample_delay)
+        ref = substreams(4, "jitter", ids)
         for m in ([60, 0, 300, 64], [1, 65, 250, 64], [0, 0, 0, 0], [64, 64, 64, 64]):
             assert_same_delays(kernel, ref, models, m)
 
@@ -271,7 +272,7 @@ class TestJitterStreams:
         word = normal_word(idx, rabs)
         slow = streams._standard_normal(np.array([word], dtype=np.uint64))[1][0]
         assert slow == (idx == 1 or rabs == 2**52 - 1)
-        kernel = JitterStreams(1, [(0, 1)], [NORMAL], sample_delay)
+        kernel = JitterStreams(1, [(0, 1)], [NORMAL].__getitem__, sample_delay)
         ref = substreams(1, "jitter", [(0, 1)])
         force(kernel, ref[0], 0, word)
         assert_same_delays(kernel, ref, [NORMAL], [3])
@@ -304,7 +305,7 @@ class TestJitterStreams:
                 set_state(rng.bit_generator, state, inc)
                 rng.standard_normal()
                 assert rng.bit_generator.state["state"]["state"] != (MULT * state + inc) % MOD
-            kernel = JitterStreams(2, [(3, 4)], [NORMAL], sample_delay)
+            kernel = JitterStreams(2, [(3, 4)], [NORMAL].__getitem__, sample_delay)
             ref = substreams(2, "jitter", [(3, 4)])
             force(kernel, ref[0], 0, above)
             assert_same_delays(kernel, ref, [NORMAL], [2])
@@ -329,7 +330,8 @@ class TestJitterStreams:
         # the next from the state the generator left
         ids = [(0, 1), (1, 0), (2, 0)]
         models = [NORMAL, NORMAL, DelayModel(0.2, 0.05, dist="uniform")]
-        kernel, ref = JitterStreams(8, ids, models, sample_delay), substreams(8, "jitter", ids)
+        kernel = JitterStreams(8, ids, models.__getitem__, sample_delay)
+        ref = substreams(8, "jitter", ids)
         assert_same_delays(kernel, ref, models, [2, 0, 1])
         force(kernel, ref[1], 1, normal_word(0, 5))
         assert_same_delays(kernel, ref, models, [3, 4, 2])
@@ -338,7 +340,7 @@ class TestJitterStreams:
         assert_same_delays(kernel, ref, models, [1, 3, 1])
 
     def test_no_streams(self):
-        kernel = JitterStreams(0, [], [], sample_delay)
+        kernel = JitterStreams(0, [], [].__getitem__, sample_delay)
         assert kernel.delays([]).shape == (0,)
 
     def test_streams_and_models_read_when_first_drawn(self):
@@ -346,12 +348,11 @@ class TestJitterStreams:
         ids = [(j, i) for j in range(4) for i in range(4) if i != j]
         models = [NORMAL, DelayModel(0.2, 0.05, dist="uniform"), DelayModel(0.25, 0.0)] * 4
 
-        class Unread(list):
-            def __getitem__(self, r):
-                assert r not in (3, 7, 11), "a row never drawn from was read"
-                return super().__getitem__(r)
+        def model(r):
+            assert r not in (3, 7, 11), "a row never drawn from was read"
+            return models[r]
 
-        kernel = JitterStreams(21, ids, Unread(models), sample_delay)
+        kernel = JitterStreams(21, ids, model, sample_delay)
         ref = substreams(21, "jitter", ids)
         calls = [[1] + [0] * 11, [0, 2, 1] + [0] * 9,
                  [0] * 4 + [streams._LONG + 3, 0, 0, 0, 2] + [0] * 3, [1] * 3 + [0] * 9]

@@ -22,7 +22,7 @@ def main():
         result = experiments.run_single(cfg, seed)
         m = analysis.metrics(result)
         init, fin = m.drift_spread[0], m.drift_spread[-1]
-        print(f"{preset:10s} {str(cfg.drift):24s} {init:10.3e} "
+        print(f"{preset:10s} {str(cfg.algorithm.drift):24s} {init:10.3e} "
               f"{fin:10.3e} {fin / init:10.3e}")
 
     # the spread of corrected drifts shrinks even though every node only

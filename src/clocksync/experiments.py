@@ -3,7 +3,9 @@ command line interface.
 
 The runner is a thin composition layer: every number it writes comes
 from :mod:`clocksync.engine` or :mod:`clocksync.analysis`.  Configs are
-JSON with a versioned schema; unknown keys are rejected to catch typos.
+JSON with a versioned schema whose keys, types and defaults are the
+fields of the config dataclasses; unknown keys are rejected to catch
+typos.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,39 +38,55 @@ class ConfigError(ValueError):
     """Raised for malformed or out-of-range experiment configs."""
 
 
-_SPEC_FIELDS = dataclasses.fields(topology.GeometricSpec)
-_NETWORK_KEYS = {"kind", "path"} | {f.name for f in _SPEC_FIELDS}
-_TOP_KEYS = {
-    "schema_version", "network", "drift", "offset", "zeta_prime",
-    "zeta_second", "constant_step", "drop_t_terms", "freeze_compensation",
-    "reference_node", "updates", "seeds", "stride",
-}
-_DRIFT_KEYS = {"variant", "L", "nu", "l0"}
-_OFFSET_KEYS = {"variant", "sigma"}
+_DEFAULT_NETWORK = {"kind": "geometric", "n": 10, "radius": 0.5}
+# the class each "variant" value names; None is no offset
+_DRIFTS = {"a": sync.DriftA, "b": sync.DriftB, "c": sync.DriftC}
+_OFFSETS = {"a": sync.OffsetA, "b": sync.OffsetB, None: None}
 
 
 @dataclass
 class ExperimentConfig:
     """Validated description of one experiment (possibly many seeds);
     ``network`` is a geometric network's spec or a network loaded from a
-    file."""
+    file.  It is checked however it is built, ``dataclasses.replace``
+    included."""
 
     network: topology.GeometricSpec | topology.Network
-    drift: sync.DriftVariant
-    offset: sync.OffsetVariant | None
-    steps: sync.StepSchedule
-    drop_t_terms: bool = False
-    freeze_compensation: bool = False
-    reference_node: int | None = None
+    algorithm: sync.SyncConfig = field(default_factory=sync.SyncConfig)
+    reference_node: int | str | None = None
     updates: int = 100_000
     seeds: list[int] = field(default_factory=lambda: list(range(10)))
     stride: int = 1
 
-    def sync_config(self) -> sync.SyncConfig:
-        return sync.SyncConfig(
-            drift=self.drift, offset=self.offset, steps=self.steps,
-            drop_t_terms=self.drop_t_terms,
-            freeze_compensation=self.freeze_compensation)
+    def __post_init__(self) -> None:
+        if not (sync.is_int(self.updates) and self.updates >= 1):
+            raise ConfigError("updates must be a positive integer")
+        if not (sync.is_int(self.stride) and self.stride >= 1):
+            raise ConfigError("stride must be a positive integer")
+        seeds = self.seeds
+        if not isinstance(seeds, list) or not all(sync.is_int(s) for s in seeds):
+            raise ConfigError("seeds must be a list of integers")
+        if not seeds:
+            raise ConfigError("seeds must list at least one seed")
+        if not all(0 <= s <= MAX_SEED for s in seeds) or len(set(seeds)) < len(seeds):
+            raise ConfigError(f"seeds must be distinct integers in 0..{MAX_SEED}")
+        self.seeds = list(seeds)  # not the caller's list
+        ref, net = self.reference_node, self.network
+        if ref is None:
+            return
+        if ref != "center":
+            if not sync.is_int(ref) or ref < 0:
+                raise ConfigError("reference_node must be a node id or 'center'")
+            if ref >= net.n:
+                raise ConfigError(f"reference_node {ref} is out of range for n={net.n}")
+        if isinstance(net, topology.Network):
+            centers = topology.centers(net)
+            if ref == "center" and not centers:
+                raise ConfigError("reference_node 'center' needs a node that reaches "
+                                  "every other node, and the network file has none")
+            if ref != "center" and ref not in centers:
+                raise ConfigError(f"reference_node {ref} is not a center of the network "
+                                  "file: flooding needs a root that reaches every node")
 
     def build_network(self, seed: int) -> topology.Network:
         net = self.network
@@ -88,62 +106,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """The config a JSON object describes: the fields of this class but
+        ``algorithm``, of :class:`sync.SyncConfig` but ``steps``, and of
+        :class:`sync.StepSchedule`; ``network``, ``drift`` and ``offset`` are objects."""
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(data) - _TOP_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        version = data.get("schema_version")
+        data = dict(data)
+        version = data.pop("schema_version", None)
         if not sync.is_int(version) or version != CONFIG_SCHEMA_VERSION:
             raise ConfigError("missing or unsupported schema_version")
-
-        network = _parse_network(
-            data.get("network", {"kind": "geometric", "n": 10, "radius": 0.5}))
-
-        try:
-            drift = _parse_drift(data.get("drift", {"variant": "a", "L": 1}))
-            offset = _parse_offset(data.get("offset", {"variant": "a"}))
-            steps = sync.StepSchedule(
-                zeta_prime=_real(data, "zeta_prime", 0.99),
-                zeta_second=_real(data, "zeta_second", 0.99),
-                constant_step=(None if data.get("constant_step") is None
-                               else _real(data, "constant_step", None)))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-        updates = _int(data, "updates", 100_000)
-        if updates < 1:
-            raise ConfigError("updates must be a positive integer")
-        seeds = data.get("seeds", list(range(10)))
-        if not isinstance(seeds, list) or not all(sync.is_int(s) for s in seeds):
-            raise ConfigError("seeds must be a list of integers")
-        if not seeds:
-            raise ConfigError("seeds must list at least one seed")
-        if not all(0 <= s <= MAX_SEED for s in seeds) or len(set(seeds)) < len(seeds):
-            raise ConfigError(f"seeds must be distinct integers in 0..{MAX_SEED}")
-        stride = _int(data, "stride", 1)
-        if stride < 1:
-            raise ConfigError("stride must be at least 1")
-        ref = data.get("reference_node")
-        if ref is not None and ref != "center":
-            if not sync.is_int(ref) or ref < 0:
-                raise ConfigError("reference_node must be a node id or 'center'")
-            _check_reference(ref, network.n)
-        if ref is not None and isinstance(network, topology.Network):
-            centers = topology.centers(network)
-            if ref == "center" and not centers:
-                raise ConfigError("reference_node 'center' needs a node that "
-                                  "reaches every other node, and the network "
-                                  "file has none")
-            if ref != "center" and ref not in centers:
-                raise ConfigError(f"reference_node {ref} is not a center of the "
-                                  "network file: flooding needs a root that "
-                                  "reaches every node")
-        return cls(network=network, drift=drift, offset=offset, steps=steps,
-                   drop_t_terms=_bool(data, "drop_t_terms"),
-                   freeze_compensation=_bool(data, "freeze_compensation"),
-                   reference_node=ref,
-                   updates=updates, seeds=list(seeds), stride=stride)
+        network = _parse_network(data.pop("network", _DEFAULT_NETWORK))
+        algorithm = {"steps": _read(sync.StepSchedule, data, shared=True)}
+        if "drift" in data:
+            algorithm["drift"] = _variant(data.pop("drift"), _DRIFTS, "drift")
+        if "offset" in data:
+            algorithm["offset"] = _variant(data.pop("offset"), _OFFSETS, "offset")
+        algorithm = _read(sync.SyncConfig, data, shared=True, **algorithm)
+        return _read(cls, data, network=network, algorithm=algorithm)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -156,46 +135,31 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error, or an integer past int()'s digits
         raise ConfigError(f"invalid JSON: {exc}") from exc
 
 
-def _check_reference(ref, n: int) -> None:
-    if sync.is_int(ref) and ref >= n:
-        raise ConfigError(f"reference_node {ref} is out of range for n={n}")
+def _is_int(value) -> bool:
+    """An integer (not a bool) that an int64 holds."""
+    return sync.is_int(value) and -2**63 <= value < 2**63
 
 
 def _is_real(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A number (not a bool) whose float is finite."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer past the float range
+        return False
 
 
-def _int(spec: dict, key: str, default) -> int:
-    value = spec.get(key, default)
-    if not sync.is_int(value):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _real(spec: dict, key: str, default) -> float:
-    value = spec.get(key, default)
-    if not _is_real(value):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _bool(spec: dict, key: str) -> bool:
-    value = spec.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-# JSON type of each GeometricSpec field, by its annotation; the spec
-# checks the ranges.
-_SPEC_TYPES = {
-    "int": (sync.is_int, "an integer"),
+# The JSON type of a config field by its annotation; its class checks the
+# range, and the whole value of a field typed otherwise (seeds, reference_node).
+_JSON_TYPES = {
+    "int": (_is_int, "an integer of at most 64 bits"),
     "float": (_is_real, "a finite number"),
+    "float | None": (lambda v: v is None or _is_real(v), "a finite number or null"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
     "tuple[float, float]": (
         lambda v: (isinstance(v, (list, tuple)) and len(v) == 2
                    and all(map(_is_real, v))),
@@ -204,77 +168,82 @@ _SPEC_TYPES = {
 }
 
 
+def _read(cls, data: dict, where: str = "", shared: bool = False, **given):
+    """A ``cls`` from ``given`` and from the keys of the JSON object
+    ``data`` that name its other fields, which are taken out of ``data``.
+    A key that is not a field is rejected, unless ``data`` is ``shared``
+    with readers of other classes.  Each value must have its field's JSON
+    type and is passed as given (a list as a tuple); an absent field takes
+    the dataclass's default."""
+    fields = dataclasses.fields(cls)
+    for f in fields:
+        if f.name not in data or f.name in given:
+            continue
+        value = data.pop(f.name)
+        if f.type in _JSON_TYPES:
+            ok, what = _JSON_TYPES[f.type]
+            if not ok(value):
+                key = f"{where}.{f.name}" if where else f.name
+                raise ConfigError(f"{key} must be {what}, got {value!r}")
+            value = tuple(value) if isinstance(value, list) else value
+        given[f.name] = value
+    if data and not shared:
+        raise ConfigError(f"unknown {where or 'config'} keys for {cls.__name__}: "
+                          f"{sorted(data)}")
+    missing = [f.name for f in fields if f.name not in given
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{where or 'config'} needs {' and '.join(missing)}")
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
+
+
+def _variant(spec, classes: dict, where: str):
+    """The object of the class that ``spec["variant"]`` names in
+    ``classes``, read from the rest of ``spec``."""
+    if spec is None and None in classes:
+        return None
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be a JSON object"
+                          + (" or null" if None in classes else ""))
+    spec = dict(spec)
+    variant = spec.pop("variant", None)
+    if not isinstance(variant, str | None) or variant not in classes:
+        names = ", ".join("null" if v is None else repr(v) for v in classes)
+        raise ConfigError(f"{where}.variant must be one of {names}")
+    if classes[variant] is None:
+        if spec:
+            raise ConfigError(f"{where} without a variant takes no keys, "
+                              f"got {sorted(spec)}")
+        return None
+    return _read(classes[variant], spec, where)
+
+
 def _parse_network(net) -> topology.GeometricSpec | topology.Network:
     if not isinstance(net, dict):
         raise ConfigError("network must be a JSON object")
-    unknown = set(net) - _NETWORK_KEYS
-    if unknown:
-        raise ConfigError(f"unknown network keys: {sorted(unknown)}")
-    if net.get("kind") not in ("geometric", "file"):
-        raise ConfigError("network.kind must be 'geometric' or 'file'")
-    if net["kind"] == "file":
-        if not isinstance(net.get("path"), str):
+    net = dict(net)
+    kind = net.pop("kind", None)
+    if kind == "file":
+        path = net.pop("path", None)
+        if not isinstance(path, str):
             raise ConfigError("network.kind 'file' needs a path")
-        extra = set(net) - {"kind", "path"}
-        if extra:
-            raise ConfigError(f"network keys {sorted(extra)} are read only with "
+        if net:
+            raise ConfigError(f"network keys {sorted(net)} are read only with "
                               "kind 'geometric'")
         try:
-            return topology.Network.load(net["path"])
+            return topology.Network.load(path)
         except (OSError, ValueError, KeyError, TypeError, AttributeError,
-                IndexError) as exc:
-            raise ConfigError(f"cannot load network file {net['path']}: "
+                IndexError, OverflowError) as exc:
+            raise ConfigError(f"cannot load network file {path}: "
                               f"{type(exc).__name__}: {exc}") from exc
+    if kind != "geometric":
+        raise ConfigError("network.kind must be 'geometric' or 'file'")
     if "path" in net:
         raise ConfigError("network.path is read only with kind 'file'")
-    if "n" not in net or "radius" not in net:
-        raise ConfigError("geometric network needs n and radius")
-    values = {}
-    for f in _SPEC_FIELDS:
-        if f.name in net:
-            value = net[f.name]
-            ok, what = _SPEC_TYPES[f.type]
-            if not ok(value):
-                raise ConfigError(f"network.{f.name} must be {what}, got {value!r}")
-            values[f.name] = tuple(value) if isinstance(value, list) else value
-    try:
-        return topology.GeometricSpec(**values)
-    except ValueError as exc:
-        raise ConfigError(f"network: {exc}") from exc
-
-
-def _parse_drift(spec: dict) -> sync.DriftVariant:
-    if not isinstance(spec, dict):
-        raise ConfigError("drift must be a JSON object")
-    unknown = set(spec) - _DRIFT_KEYS
-    if unknown:
-        raise ConfigError(f"unknown drift keys: {sorted(unknown)}")
-    variant = spec.get("variant")
-    if variant == "a":
-        return sync.DriftA(_int(spec, "L", 1))
-    if variant == "b":
-        return sync.DriftB(_real(spec, "nu", 0.5))
-    if variant == "c":
-        return sync.DriftC(_int(spec, "l0", 0))
-    raise ConfigError("drift.variant must be 'a', 'b' or 'c'")
-
-
-def _parse_offset(spec: dict | None) -> sync.OffsetVariant | None:
-    if spec is None:
-        return None
-    if not isinstance(spec, dict):
-        raise ConfigError("offset must be a JSON object or null")
-    unknown = set(spec) - _OFFSET_KEYS
-    if unknown:
-        raise ConfigError(f"unknown offset keys: {sorted(unknown)}")
-    variant = spec.get("variant")
-    if variant is None:
-        return None
-    if variant == "a":
-        return sync.OffsetA()
-    if variant == "b":
-        return sync.OffsetB(_real(spec, "sigma", 0.5))
-    raise ConfigError("offset.variant must be 'a', 'b' or null")
+    return _read(topology.GeometricSpec, net, "network")
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +265,11 @@ _BASE = {
 }
 
 
-def _preset(**overrides) -> dict:
-    data = copy.deepcopy(_BASE)
-    for key, val in overrides.items():
-        if isinstance(val, dict) and isinstance(data.get(key), dict):
-            data[key].update(val)
-        else:
-            data[key] = val
+def _preset(network=(), **overrides) -> dict:
+    """:data:`_BASE` with ``network`` merged into its network and every
+    other key, ``drift`` and ``offset`` included, replaced whole."""
+    data = copy.deepcopy({**_BASE, **overrides})
+    data["network"].update(network)
     return data
 
 
@@ -348,8 +315,7 @@ def preset_config(name: str) -> ExperimentConfig:
 
 def run_single(cfg: ExperimentConfig, seed: int) -> engine.SimResult:
     net = cfg.build_network(seed)
-    return engine.run(net, cfg.sync_config(),
-                      max_updates=cfg.updates, seed=seed)
+    return engine.run(net, cfg.algorithm, max_updates=cfg.updates, seed=seed)
 
 
 def run_experiment(cfg: ExperimentConfig, outdir) -> list[Path]:
@@ -385,26 +351,24 @@ def run_scaling(cfg: ExperimentConfig, node_counts, outdir) -> list[Path]:
         raise ConfigError(f"network: {exc}") from exc
     if len({spec.n for spec in specs}) < len(specs):
         raise ConfigError("node counts must be distinct")
-    for spec in specs:
-        _check_reference(cfg.reference_node, spec.n)
+    subs = [dataclasses.replace(cfg, network=spec) for spec in specs]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     summary = []
-    for spec in specs:
-        sub = dataclasses.replace(cfg, network=spec)
+    for sub in subs:
         msd_early = []
         for seed in cfg.seeds:
             result = run_single(sub, seed)
             K = result.updates
-            path = outdir / f"metrics_n{spec.n}_seed{seed}.csv"
+            path = outdir / f"metrics_n{sub.network.n}_seed{seed}.csv"
             analysis.metrics(result, np.arange(0, K, cfg.stride)).to_csv(path)
             written.append(path)
             head = max(1, K // 100)
             m = analysis.metrics(result, np.arange(min(head, K)))
             msd_early.append(float(np.mean(m.msd)))
             del result  # the next seed's network is built without this one's
-        summary.append((spec.n, float(np.median(msd_early))))
+        summary.append((sub.network.n, float(np.median(msd_early))))
     summary_path = outdir / "scaling_summary.csv"
     with open(summary_path, "w") as fh:
         fh.write("n,median_initial_msd\n")
@@ -422,6 +386,7 @@ def report(cfg: ExperimentConfig, outdir) -> Path:
     any_found = False
     # loaded before the pools are pinned, so that scipy's pool is pinned too
     import scipy.linalg  # noqa: F401
+    alg = cfg.algorithm
     with _one_blas_thread():
         for seed in cfg.seeds:
             net_path = outdir / f"network_seed{seed}.json"
@@ -430,14 +395,14 @@ def report(cfg: ExperimentConfig, outdir) -> Path:
             any_found = True
             net = topology.Network.load(net_path)
             profile = topology.probability_profile(net)
-            zeta = cfg.steps.drift_zeta(cfg.drift)
+            zeta = alg.steps.drift_zeta(alg.drift)
             rep = analysis.spectral_check(
                 analysis.build_B_bar(net, profile, zeta))
             lines.append(f"seed {seed}:")
             lines.append(f"  spectral: zero_multiplicity={rep.zero_multiplicity} "
                          f"hurwitz={rep.hurwitz_ok} "
                          f"[{'PASS' if rep.ok else 'FAIL'}]")
-            bound = analysis.rate_bound(cfg.drift, cfg.steps.zeta_prime, net,
+            bound = analysis.rate_bound(alg.drift, alg.steps.zeta_prime, net,
                                         report=rep)
             lines.append(f"  rate bound: zeta*d_max={bound.zeta_d_max:.4f} "
                          f"(r={bound.r:.4g}, q={bound.q:.4g})")

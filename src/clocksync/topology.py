@@ -236,7 +236,9 @@ class Network:
         n = data["n"]
         nodes = sorted(data["nodes"], key=lambda d: d["id"])
         ids = [node["id"] for node in nodes]
-        if ids != list(range(n)) or not all(type(i) is int for i in [n, *ids]):
+        # the count first, so that a huge n builds no list
+        if (not all(type(i) is int for i in [n, *ids]) or len(ids) != n
+                or ids != list(range(n))):
             raise ValueError(f"node ids must be 0..{n - 1}, each exactly once")
         clocks = [ClockParams(*_numbers(node, "alpha", "beta", "xi_sigma"),
                               node.get("dist", "normal")) for node in nodes]

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -28,6 +29,10 @@ from clocksync.experiments import (
 )
 
 
+# an integer literal past the float range
+_HUGE = 10**400
+
+
 def _minimal(**over):
     data = {"schema_version": 1,
             "network": {"kind": "geometric", "n": 6, "radius": 0.6},
@@ -39,8 +44,8 @@ def _minimal(**over):
 class TestConfigParsing:
     def test_minimal_valid(self):
         cfg = ExperimentConfig.from_dict(_minimal())
-        assert isinstance(cfg.drift, sync.DriftA)
-        assert isinstance(cfg.offset, sync.OffsetA)
+        assert isinstance(cfg.algorithm.drift, sync.DriftA)
+        assert isinstance(cfg.algorithm.offset, sync.OffsetA)
         assert cfg.updates == 50
 
     def test_unknown_top_key_rejected(self):
@@ -62,16 +67,35 @@ class TestConfigParsing:
     def test_drift_variants(self):
         cfg = ExperimentConfig.from_dict(
             _minimal(drift={"variant": "b", "nu": 0.25}))
-        assert cfg.drift == sync.DriftB(0.25)
+        assert cfg.algorithm.drift == sync.DriftB(0.25)
         cfg = ExperimentConfig.from_dict(
             _minimal(drift={"variant": "c", "l0": 3}))
-        assert cfg.drift == sync.DriftC(3)
+        assert cfg.algorithm.drift == sync.DriftC(3)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_minimal(drift={"variant": "z"}))
 
     def test_offset_none(self):
         cfg = ExperimentConfig.from_dict(_minimal(offset=None))
-        assert cfg.offset is None
+        assert cfg.algorithm.offset is None
+
+    def test_replace_is_checked(self):
+        cfg = ExperimentConfig.from_dict(_minimal())
+        for over in ({"updates": 0}, {"stride": 0}, {"seeds": []},
+                     {"reference_node": 6}, {"reference_node": "middle"}):
+            with pytest.raises(ConfigError):
+                dataclasses.replace(cfg, **over)
+
+    def test_int_value_passes_as_given(self, tmp_path):
+        # the reader passes 1 as it is; the run is the one of 1.0
+        traces = []
+        for zeta in (1, 1.0):
+            cfg = ExperimentConfig.from_dict(_minimal(
+                zeta_prime=zeta, zeta_second=zeta, updates=300))
+            assert type(cfg.algorithm.steps.zeta_prime) is type(zeta)
+            path = tmp_path / f"trace_{zeta!r}.csv"
+            experiments.run_single(cfg, 0).trace.to_csv(path)
+            traces.append(path.read_bytes())
+        assert traces[0] == traces[1]
 
     def test_out_of_range_values(self):
         with pytest.raises(ConfigError):
@@ -99,6 +123,43 @@ class TestPresets:
     def test_all_presets_parse(self, name):
         cfg = preset_config(name)
         assert cfg.updates > 0
+
+    def test_parsed_presets(self):
+        # every preset's objects, pinned: drift and offset objects take
+        # only their variant's keys
+        net = GeometricSpec(10, 0.5, one_way_fraction=0.1, p_hear=0.9,
+                            delta_bar=0.1, eta_sigma=0.05, xi_sigma=0.05)
+
+        def expect(network=(), reference=None, updates=100_000, stride=10,
+                   drift=sync.DriftA(100), **algorithm):
+            return ExperimentConfig(
+                dataclasses.replace(net, **dict(network)),
+                sync.SyncConfig(drift=drift, **algorithm), reference,
+                updates, list(range(10)), stride)
+
+        expected = {
+            "fig1a": expect(drift=sync.DriftA(1)),
+            "fig1b": expect(),
+            "fig1c": expect(drift=sync.DriftB(0.5), network={"mu": 0.05}),
+            "fig1d": expect(drift=sync.DriftC(0), network={"mu": 0.2}),
+            "fig2a": expect(),
+            "fig2b": expect(offset=sync.OffsetB(0.5)),
+            "fig2c": expect(drop_t_terms=True),
+            "fig2d": expect(freeze_compensation=True),
+            "fig3": expect(stride=100),
+            "fig4b": expect(drift=sync.DriftB(0.5), network={"mu": 0.05}),
+            "fig4c": expect(drift=sync.DriftC(0), network={"mu": 0.2}),
+            "flooding": expect(reference="center"),
+            "noiseless": expect(
+                network={"eta_sigma": 0.0, "xi_sigma": 0.0, "delta_bar": 1e-9,
+                         "delta_min": 1e-12},
+                drift=sync.DriftA(1), offset=sync.OffsetB(0.5),
+                steps=sync.StepSchedule(constant_step=0.2), updates=10_000),
+            "fixedpoint": expect(network={"eta_sigma": 0.0, "xi_sigma": 0.0}),
+        }
+        assert sorted(expected) == sorted(PRESETS)
+        for name, cfg in expected.items():
+            assert preset_config(name) == cfg, name
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -277,12 +338,23 @@ class TestCli:
         {"stride": False},
         {"freeze_compensation": "yes"},
         {"zeta_prime": True},
+        {"network": {"kind": "geometric", "n": 6, "radius": _HUGE}},
+        {"zeta_prime": _HUGE},
+        {"network": {"kind": "geometric", "n": 6, "radius": 0.6,
+                     "alpha_range": [1, _HUGE]}},
+        {"drift": {"variant": "b", "nu": _HUGE}},
+        {"drift": {"variant": "a", "L": 10**30}},
+        {"drift": {"variant": "c", "l0": 10**30}},
+        {"updates": 10**30},
+        {"network": {"kind": "geometric", "n": 10**20, "radius": 0.6}},
     ], ids=["negative-radius", "short-alpha-range", "bool-reference",
             "reference-out-of-range", "string-seed", "no-seeds", "negative-seed",
             "seed-past-32-bits", "repeated-seed", "one-node", "p-hear-0",
             "bool-n", "alpha-range-with-0", "unknown-noise", "bool-L",
             "drift-not-object", "float-updates", "bool-stride",
-            "string-flag", "bool-zeta"])
+            "string-flag", "bool-zeta", "huge-radius", "huge-zeta",
+            "huge-alpha-range", "huge-nu", "huge-L", "huge-l0", "huge-updates",
+            "huge-n"])
     def test_invalid_config_is_validation_error(self, tmp_path, capsys, over):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_minimal(**over)))
@@ -291,6 +363,33 @@ class TestCli:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("over, keys", [
+        ({"drift": {"variant": "b", "L": 7, "l0": 3}}, ["L", "l0"]),
+        ({"offset": {"variant": "a", "sigma": 0.3}}, ["sigma"]),
+        ({"offset": {"variant": None, "sigma": -5}}, ["sigma"]),
+    ], ids=["drift-b-with-L-and-l0", "offset-a-with-sigma", "no-offset-with-sigma"])
+    def test_key_of_another_variant_is_named(self, tmp_path, capsys, over, keys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_minimal(**over)))
+        code = main(["run", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert all(repr(key) in err[0] for key in keys)
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_past_the_digit_limit_is_validation_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_minimal()).replace('"updates": 50',
+                                                           '"updates": 1' + "0" * 5000))
+        code = main(["run", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid JSON")
         assert not (tmp_path / "out").exists()
 
     def test_reference_past_file_network_is_validation_error(
@@ -386,12 +485,18 @@ class TestCli:
         (lambda d: d["nodes"][1].update(xi_sigma=False), {}),
         (lambda d: d["nodes"][1].update(position=[math.nan, 0.2]), {}),
         (lambda d: d["nodes"][1].update(position=[0.2, 0.3, 0.4]), {}),
+        (lambda d: d["nodes"][1].update(rate=_HUGE), {}),
+        (lambda d: d["nodes"][1].update(alpha=_HUGE), {}),
+        (lambda d: d["nodes"][1].update(position=[_HUGE, 0.2]), {}),
+        (lambda d: d["arcs"][0].update(gamma=_HUGE), {}),
+        (lambda d: d.update(n=10**20), {}),
     ], ids=["geometric-key-on-file", "negative-gamma", "nan-gamma", "nan-alpha",
             "inf-beta", "nan-rate", "missing-key", "missing-node", "arcs-not-a-list",
             "repeated-arc", "bool-arc-sender", "negative-node-id", "bool-node-id",
             "repeated-node-id", "float-node-id", "bool-n", "str-rate", "bool-gamma",
             "bool-alpha", "bool-p_hear", "bool-delta_bar", "bool-xi_sigma",
-            "nan-position", "long-position"])
+            "nan-position", "long-position", "huge-rate", "huge-alpha",
+            "huge-position", "huge-gamma", "huge-n"])
     def test_invalid_network_file_is_validation_error(self, tmp_path, capsys,
                                                       edit, extra):
         # the file is loaded and checked with the config, before any output
@@ -515,9 +620,11 @@ class TestCli:
 # Fuzzing the validation boundary
 # ---------------------------------------------------------------------------
 
-_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# not finite as a float: an integer past the float range is not either
+_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf, _HUGE, -_HUGE])
 _NOT_A_NUMBER = st.sampled_from(["1", [1], {"x": 1}, True, False, None])
-_NOT_AN_INT = st.one_of(_NOT_A_NUMBER, _NONFINITE, st.sampled_from([1.5, 2.0]))
+_NOT_AN_INT = st.one_of(_NOT_A_NUMBER, _NONFINITE,
+                        st.sampled_from([1.5, 2.0, 2**63, -2**63 - 1, 10**30]))
 _FINITE = {"allow_nan": False, "allow_infinity": False}
 
 
@@ -593,9 +700,12 @@ _INVALID = {
     ("offset", "variant"): st.sampled_from(["c", "A", 1, True]),
     ("offset", "sigma"): _bad_real(_at_most(0.0), _at_least(1.0, exclude=True)),
 }
-# keys read only under one variant
-_ONLY_WITH = {("drift", "L"): ("drift", "a"), ("drift", "nu"): ("drift", "b"),
-              ("drift", "l0"): ("drift", "c"), ("offset", "sigma"): ("offset", "b")}
+# keys read only under one variant, with a valid value for it: under
+# another variant, or with no offset, that value is invalid too
+_ONLY_WITH = {("drift", "L"): ("a", st.integers(1, 1000)),
+              ("drift", "nu"): ("b", st.floats(0.1, 0.9)),
+              ("drift", "l0"): ("c", st.integers(0, 1000)),
+              ("offset", "sigma"): ("b", st.floats(0.1, 1.0))}
 
 
 @st.composite
@@ -604,13 +714,16 @@ def _invalid_configs(draw):
     invalid value."""
     data = copy.deepcopy(PRESETS[draw(st.sampled_from(sorted(PRESETS)))])
     data.update(updates=20, seeds=[0])
-    keys = [key for key in _INVALID if key not in _ONLY_WITH
-            or (data.get(_ONLY_WITH[key][0]) or {}).get("variant") == _ONLY_WITH[key][1]]
-    key = draw(st.sampled_from(keys))
+    if draw(st.booleans()):
+        data["offset"] = {"variant": None}
+    key = draw(st.sampled_from(list(_INVALID)))
     owner = data
     for part in key[:-1]:
         owner = owner[part]
-    owner[key[-1]] = draw(_INVALID[key])
+    values = _INVALID[key]
+    if key in _ONLY_WITH and owner.get("variant") != _ONLY_WITH[key][0]:
+        values = st.one_of(values, _ONLY_WITH[key][1])
+    owner[key[-1]] = draw(values)
     return data
 
 

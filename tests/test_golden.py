@@ -64,7 +64,7 @@ def _digests(case: str, outdir) -> dict[str, str]:
     else:  # "empty": no update processed, the headers alone
         cfg = _config("fig1b")
         for seed in SEEDS:
-            result = engine.run(cfg.build_network(seed), cfg.sync_config(),
+            result = engine.run(cfg.build_network(seed), cfg.algorithm,
                                 max_updates=0, seed=seed)
             assert result.updates == 0
             _write(result, outdir, seed)
